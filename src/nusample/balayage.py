@@ -155,6 +155,9 @@ class BalayageSolution:
     coeffs: np.ndarray
     fit_residual: float     # sup over grid nodes of the exponential mismatch
     l1_mass: float
+    iterations: int         # IRLS steps run (0 without reweighting)
+    converged: bool         # the IRLS step rule was met, or no reweighting was due
+    reweighted: bool        # the IRLS result replaced the least-squares start
 
     def to_json(self) -> dict:
         return {
@@ -164,6 +167,23 @@ class BalayageSolution:
             "fit_residual": self.fit_residual,
             "l1_mass": self.l1_mass,
         }
+
+
+@dataclass(frozen=True, eq=False)
+class RhsFit:
+    """Result of :meth:`BalayageSolver.solve_rhs` with its IRLS counters.
+
+    Unpacks as ``coeffs, residual``.
+    """
+
+    coeffs: np.ndarray
+    residual: float
+    iterations: int
+    converged: bool
+    reweighted: bool
+
+    def __iter__(self):
+        return iter((self.coeffs, self.residual))
 
 
 class BalayageSolver:
@@ -208,7 +228,7 @@ class BalayageSolver:
     def _target(self, y: np.ndarray) -> np.ndarray:
         return np.exp(-2j * np.pi * (self.grid.nodes @ y))
 
-    def solve_rhs(self, b: np.ndarray) -> tuple[np.ndarray, float]:
+    def solve_rhs(self, b: np.ndarray) -> RhsFit:
         """l1-regularized weighted least squares against an arbitrary target.
 
         Starts from the truncated-SVD least-squares solution of the weighted
@@ -230,12 +250,15 @@ class BalayageSolver:
         reweighted result.  Either way that result replaces the start only
         while its residual stays within max(eta, start residual).
 
-        Returns (coefficients, sup-norm residual over the grid nodes).
+        Returns the coefficients and their sup-norm residual over the grid
+        nodes, with the number of IRLS steps run, whether the step rule was
+        met (always so when ``reg`` is 0 and no step is due), and whether the
+        reweighted result was kept.
         """
         a0 = self._pinv @ (self._sqw * b)
         r0 = float(np.max(np.abs(self._phi @ a0 - b)))
         if self.reg <= 0:
-            return a0, r0
+            return RhsFit(a0, r0, iterations=0, converged=True, reweighted=False)
         a = a0
         k, n = self._r.shape
         # [R, Q^H sqrt(w) b; D, 0]: the last column of its R factor carries
@@ -243,23 +266,24 @@ class BalayageSolver:
         stack = np.zeros((k + n, n + 1), dtype=complex)
         stack[:k, :n] = self._r
         stack[:k, n] = self._qh @ (self._sqw * b)
-        for _ in range(self.max_irls):
+        iterations, converged = 0, False
+        while iterations < self.max_irls and not converged:
             maj = np.maximum(np.abs(a), 1e-6 * max(np.max(np.abs(a)), 1e-300))
             np.fill_diagonal(stack[k:, :n], np.sqrt(0.5 * self.reg / maj))
             # numpy's QR, not scipy's: the two link separate OpenBLAS pools,
             # and alternating between them per step stalls threaded BLAS
             r = np.linalg.qr(stack, mode="r")
             a_new = solve_triangular(r[:n, :n], r[:n, n])
-            done = np.max(np.abs(a_new - a)) <= 1e-11 * max(np.max(np.abs(a_new)), 1e-30)
+            converged = bool(np.max(np.abs(a_new - a))
+                             <= 1e-11 * max(np.max(np.abs(a_new)), 1e-30))
             a = a_new
-            if done:
-                break
+            iterations += 1
         r1 = float(np.max(np.abs(self._phi @ a - b)))
         # keep the sparser stationary point only while it stays feasible;
         # the l1 weight must not turn a feasible sweep into a failure
         if r1 <= max(self.eta, r0):
-            return a, r1
-        return a0, r0
+            return RhsFit(a, r1, iterations, converged, reweighted=True)
+        return RhsFit(a0, r0, iterations, converged, reweighted=False)
 
     def solve(self, y) -> BalayageSolution:
         yv = as_points(y, self.sampling_set.dim)[0]
@@ -273,13 +297,17 @@ class BalayageSolver:
             coeffs = np.zeros(self.sampling_set.size, dtype=complex)
             coeffs[int(np.argmax(match))] = 1.0
             sol = BalayageSolution(y=yv, sampling_set=self.sampling_set, coeffs=coeffs,
-                                   fit_residual=0.0, l1_mass=1.0)
+                                   fit_residual=0.0, l1_mass=1.0, iterations=0,
+                                   converged=True, reweighted=False)
         else:
-            coeffs, residual = self.solve_rhs(self._target(yv))
-            if residual > self.eta:
-                raise BalayageInfeasibleError(yv, residual, self.eta)
-            sol = BalayageSolution(y=yv, sampling_set=self.sampling_set, coeffs=coeffs,
-                                   fit_residual=residual, l1_mass=float(np.sum(np.abs(coeffs))))
+            fit = self.solve_rhs(self._target(yv))
+            if fit.residual > self.eta:
+                raise BalayageInfeasibleError(yv, fit.residual, self.eta)
+            sol = BalayageSolution(y=yv, sampling_set=self.sampling_set, coeffs=fit.coeffs,
+                                   fit_residual=fit.residual,
+                                   l1_mass=float(np.sum(np.abs(fit.coeffs))),
+                                   iterations=fit.iterations, converged=fit.converged,
+                                   reweighted=fit.reweighted)
         self._cache[key] = sol
         return sol
 

@@ -381,6 +381,11 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"config error: missing field {exc}", file=sys.stderr)
         return 2
+    except np.linalg.LinAlgError:
+        raise   # a numerical failure, not a bad config value
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -121,6 +121,28 @@ class TestSolve:
         flipped = np.argsort(-e_set.points[:, 0])
         assert np.max(np.abs(a_neg[order] - np.conj(a_pos[flipped]))) <= 1e-6
 
+    def test_plain_least_squares_runs_no_irls(self, half_grid_set, enlarged_grid):
+        plain = bal.BalayageSolver(half_grid_set, enlarged_grid, eta=1e-6, reg=0.0)
+        sol = plain.solve([0.13])
+        assert sol.iterations == 0 and sol.converged and not sol.reweighted
+        fit = plain.solve_rhs(plain._target(np.array([0.13])))
+        assert fit.iterations == 0 and np.array_equal(fit.coeffs, sol.coeffs)
+
+    def test_center_on_set_runs_no_irls(self, solver):
+        sol = solver.solve([0.5])
+        assert sol.iterations == 0 and sol.converged and not sol.reweighted
+
+    def test_irls_cap_is_reported(self, enlarged_grid):
+        e_set = generate_jittered_grid(0.5, 0.0, [[-20.0, 20.0]], seed=0)
+        capped = bal.BalayageSolver(e_set, enlarged_grid, eta=1e-5)
+        sol = capped.solve([2.31])
+        assert sol.iterations == capped.max_irls == 20
+        assert not sol.converged and sol.reweighted
+        # the step rule is met well inside a larger cap
+        longer = bal.BalayageSolver(e_set, enlarged_grid, eta=1e-5, max_irls=200)
+        sol = longer.solve([2.31])
+        assert sol.converged and sol.iterations < 200
+
     def test_solution_json(self, solver):
         data = solver.solve([0.13]).to_json()
         assert set(data) == {"y", "coeffs_re", "coeffs_im", "fit_residual", "l1_mass"}

@@ -79,6 +79,22 @@ def test_missing_points_file_exits_2(tmp_path):
     assert run("covering", bad, tmp_path / "out") == 2
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda cfg: cfg["sampling"].update(jitter=0.6), "jitter"),
+    (lambda cfg: cfg.update(resolution=-0.05), "resolution must be positive"),
+    (lambda cfg: cfg.update(region=[[-10.0, 10.0], [-10.0, 10.0]]), "region dimension"),
+], ids=["jitter-above-half-delta", "negative-resolution", "region-dim-mismatch"])
+def test_bad_config_value_exits_2(tmp_path, capsys, edit, message):
+    cfg = json.loads((CONFIG_DIR / "covering.json").read_text())
+    edit(cfg)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert run("covering", bad, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert "Traceback" not in err
+
+
 def test_unknown_command_exits_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate", "--config", "x", "--out", str(tmp_path)])

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nusample import geometry as geo
 from nusample.sampling import SamplingSet
@@ -140,6 +142,90 @@ class TestCovering:
         sup = SamplingSet(dim=2, points=extra, window=[[-3, 3], [-3, 3]])
         assert geo.covering_check(base, self.cross, [[-1, 1], [-1, 1]], 0.1).covered
         assert geo.covering_check(sup, self.cross, [[-1, 1], [-1, 1]], 0.1).covered
+
+    def test_membership_tolerance_reaches_past_the_box(self):
+        # p - y = 1 + 1e-13 lies outside the unit interval but within the
+        # membership tolerance, so p counts as covered
+        rep = geo.covering_check([-1e-13], geo.SpectrumSet.box([1.0]), [[1.0, 1.0]], 0.5)
+        assert rep.covered and rep.n_grid == 1
+
+    def test_points_of_wrong_dim_rejected(self):
+        line = np.linspace(-3.0, 3.0, 40)
+        with pytest.raises(ValueError, match="sampling points have dim 1, body has dim 2"):
+            geo.covering_check(line, self.cross, [[-1, 1], [-1, 1]], 0.1)
+        with pytest.raises(ValueError, match="sampling points have dim 1, body has dim 2"):
+            geo.covering_check(line[:39, None], self.cross, [[-1, 1], [-1, 1]], 0.1)
+        with pytest.raises(ValueError, match="sampling points have dim 2, body has dim 1"):
+            geo.covering_check(lattice_2d(1.0, 2.0), geo.SpectrumSet.box([1.0]), [[-1, 1]], 0.1)
+
+
+def _polar_body(kind, dim, sizes, tilt):
+    """Polar of a box, ball or symmetric polytope spectrum with the given sizes."""
+    if kind == "box":
+        return geo.SpectrumSet.box(sizes[:dim]).polar()
+    if kind == "ball":
+        return geo.SpectrumSet.ball(sizes[0], dim).polar()
+    if dim == 1:
+        return geo.SpectrumSet.polytope([[sizes[0]], [-sizes[0]]]).polar()
+    angles = tilt + np.pi / 3.0 * np.arange(3)
+    half = sizes[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return geo.SpectrumSet.polytope(np.vstack([half, -half])).polar()
+
+
+@st.composite
+def covering_cases(draw):
+    """A polar body, a region, a resolution and a jittered set around the region
+    that covers it or not; lattice sets (no jitter) put grid points on body
+    boundaries."""
+    dim = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["box", "ball", "polytope"]))
+    sizes = np.array(draw(st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3)))
+    body = _polar_body(kind, dim, sizes, draw(st.floats(0.0, np.pi)))
+    lo = np.array(draw(st.lists(st.floats(-3.0, 0.0), min_size=dim, max_size=dim)))
+    width = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=dim, max_size=dim)))
+    region = np.stack([lo, lo + width], axis=1)
+    resolution = draw(st.sampled_from([0.1, 0.125, 0.25]) | st.floats(0.08, 0.5))
+    delta = draw(st.floats(0.4, 1.5))
+    jitter = draw(st.sampled_from([0.0, 0.2, 0.45]))
+    keep = draw(st.sampled_from([1.0, 0.6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axes = [delta * np.arange(np.floor((a - 2.5) / delta), np.ceil((b + 2.5) / delta) + 1)
+            for a, b in region]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    pts = pts + jitter * delta * rng.uniform(-1.0, 1.0, pts.shape)
+    pts = pts[rng.random(pts.shape[0]) < keep]
+    return pts, body, region, resolution
+
+
+def _all_pairs_witnesses(pts, body, region, resolution):
+    """Grid points p with p - y outside the body for every sampling point y."""
+    grid = geo._region_grid(region, resolution)
+    diff = (grid[:, None, :] - pts[None, :, :]).reshape(-1, body.dim)
+    hit = body.contains(diff).reshape(grid.shape[0], pts.shape[0])
+    return grid, grid[~hit.any(axis=1)]
+
+
+class TestCoveringProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(covering_cases())
+    def test_matches_all_pairs_definition(self, case):
+        pts, body, region, resolution = case
+        grid, witnesses = _all_pairs_witnesses(pts, body, region, resolution)
+        rep = geo.covering_check(pts, body, region, resolution)
+        assert rep.n_grid == grid.shape[0]
+        assert rep.covered == (witnesses.shape[0] == 0)
+        assert np.array_equal(rep.witnesses, witnesses)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(covering_cases(), st.integers(0, 2**32 - 1))
+    def test_adding_points_never_uncovers(self, case, seed):
+        pts, body, region, resolution = case
+        rng = np.random.default_rng(seed)
+        subset = pts[rng.random(pts.shape[0]) < 0.5]
+        fewer = geo.covering_check(subset, body, region, resolution)
+        more = geo.covering_check(pts, body, region, resolution)
+        assert {tuple(w) for w in more.witnesses} <= {tuple(w) for w in fewer.witnesses}
+        assert fewer.covered <= more.covered
 
 
 class TestBuildGrid:
