@@ -21,7 +21,6 @@ gives super-polynomial time decay.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,10 +190,8 @@ class BalayageSolver:
 
     Precomputes the exponential system on the grid and, for its
     square-root-weighted form, a truncated pseudo-inverse and thin QR factors;
-    memoizes solutions per center.  Individual solves are deterministic;
-    solves for distinct centers are independent and only read the precomputed
-    factors, so a thread pool may run them concurrently (the cache only ever
-    inserts distinct keys).
+    memoizes solutions per center.  Individual solves are deterministic and
+    independent of one another: each only reads the precomputed factors.
     """
 
     def __init__(self, sampling_set: SamplingSet, grid: SpectralGrid,
@@ -311,12 +308,8 @@ class BalayageSolver:
         self._cache[key] = sol
         return sol
 
-    def solve_many(self, ys, max_workers: int | None = None) -> list[BalayageSolution]:
-        pts = as_points(ys, self.sampling_set.dim)
-        if max_workers and max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(self.solve, pts))
-        return [self.solve(p) for p in pts]
+    def solve_many(self, ys) -> list[BalayageSolution]:
+        return [self.solve(p) for p in as_points(ys, self.sampling_set.dim)]
 
 
 def solve_balayage(sampling_set: SamplingSet, grid: SpectralGrid, y,
@@ -334,7 +327,6 @@ class BalayageConstant:
 
 def balayage_constant(sampling_set: SamplingSet, grid: SpectralGrid, ysample,
                       eta: float = 1e-6, reg: float = 1e-8,
-                      max_workers: int | None = None,
                       solver: BalayageSolver | None = None) -> BalayageConstant:
     """Estimate the balayage constant as the max l1 mass over sampled centers.
 
@@ -343,7 +335,7 @@ def balayage_constant(sampling_set: SamplingSet, grid: SpectralGrid, ysample,
     """
     if solver is None:
         solver = BalayageSolver(sampling_set, grid, eta=eta, reg=reg)
-    sols = solver.solve_many(ysample, max_workers=max_workers)
+    sols = solver.solve_many(ysample)
     masses = np.array([s.l1_mass for s in sols])
     k = int(np.argmax(masses))
     return BalayageConstant(value=float(masses[k]), argmax_y=sols[k].y, masses=masses)
@@ -352,7 +344,6 @@ def balayage_constant(sampling_set: SamplingSet, grid: SpectralGrid, ysample,
 def fundamental_identity_residual(poly: TrigPolynomial, sampling_set: SamplingSet,
                                   grid: SpectralGrid, window: InghamWindow, ysample,
                                   eta: float = 1e-6, reg: float = 1e-8,
-                                  max_workers: int | None = None,
                                   solver: BalayageSolver | None = None) -> float:
     """Sup over sampled centers of |f(y) - sum_x f(x) a_x(y) h(x-y)| / max|f|.
 
@@ -370,7 +361,7 @@ def fundamental_identity_residual(poly: TrigPolynomial, sampling_set: SamplingSe
         return 0.0
     f_at_x = np.atleast_1d(eval_trigpoly(poly, sampling_set.points))
     worst = 0.0
-    sols = solver.solve_many(ys, max_workers=max_workers)
+    sols = solver.solve_many(ys)
     for yv, fy, sol in zip(ys, f_at_y, sols):
         hvals = np.atleast_1d(window(sampling_set.points - yv))
         recon = np.sum(f_at_x * sol.coeffs * hvals)
@@ -388,7 +379,6 @@ class LpBoundReport:
 def lp_balayage_bound(sampling_set: SamplingSet, grid: SpectralGrid, window: InghamWindow,
                       k_nodes, k_weights, k_values, p: float,
                       eta: float = 1e-6, reg: float = 1e-8,
-                      max_workers: int | None = None,
                       solver: BalayageSolver | None = None) -> LpBoundReport:
     """Empirical p-th power bound for the sampled sweep of a test function.
 
@@ -404,7 +394,7 @@ def lp_balayage_bound(sampling_set: SamplingSet, grid: SpectralGrid, window: Ing
     ys = as_points(k_nodes, sampling_set.dim)
     wts = np.asarray(k_weights, dtype=float)
     kv = np.asarray(k_values, dtype=complex)
-    sols = solver.solve_many(ys, max_workers=max_workers)
+    sols = solver.solve_many(ys)
     kx = np.zeros(sampling_set.size, dtype=complex)
     for yv, wt, val, sol in zip(ys, wts, kv, sols):
         if val == 0.0:

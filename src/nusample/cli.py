@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    nusample <command> --config <file.json> --out <dir> [--threads N] [--seed S]
+    nusample <command> --config <file.json> --out <dir> [--seed S]
 
 Each command reads a JSON configuration (schema 1), runs one experiment, and
 writes a deterministic ``report.json`` (embedding the config hash) plus
@@ -103,7 +103,7 @@ def _finish(out_dir: Path, cfg: dict, report: dict, started: float) -> None:
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_covering(cfg: dict, out_dir: Path, threads: int | None, seed: int | None) -> int:
+def cmd_covering(cfg: dict, out_dir: Path, seed: int | None) -> int:
     started = time.time()
     spectrum = _spectrum(cfg)
     e_set = _sampling_set(cfg, seed)
@@ -127,7 +127,7 @@ def cmd_covering(cfg: dict, out_dir: Path, threads: int | None, seed: int | None
     return 0
 
 
-def cmd_frame_bounds(cfg: dict, out_dir: Path, threads: int | None, seed: int | None) -> int:
+def cmd_frame_bounds(cfg: dict, out_dir: Path, seed: int | None) -> int:
     started = time.time()
     spectrum = _spectrum(cfg)
     e_set = _sampling_set(cfg, seed)
@@ -154,7 +154,7 @@ def cmd_frame_bounds(cfg: dict, out_dir: Path, threads: int | None, seed: int | 
     return 0
 
 
-def cmd_reconstruct(cfg: dict, out_dir: Path, threads: int | None, seed: int | None) -> int:
+def cmd_reconstruct(cfg: dict, out_dir: Path, seed: int | None) -> int:
     started = time.time()
     spectrum = _spectrum(cfg)
     e_set = _sampling_set(cfg, seed)
@@ -182,7 +182,7 @@ def cmd_reconstruct(cfg: dict, out_dir: Path, threads: int | None, seed: int | N
     return 0
 
 
-def cmd_identity(cfg: dict, out_dir: Path, threads: int | None, seed: int | None) -> int:
+def cmd_identity(cfg: dict, out_dir: Path, seed: int | None) -> int:
     started = time.time()
     spectrum = _spectrum(cfg)
     e_set = _sampling_set(cfg, seed)
@@ -205,7 +205,7 @@ def cmd_identity(cfg: dict, out_dir: Path, threads: int | None, seed: int | None
             poly = spectral.random_trig_polynomial(spectrum, cfg.get("poly_terms", 5),
                                                    base_seed + 100 + t)
             res = bal.fundamental_identity_residual(poly, e_set, grid, window, ys,
-                                                    solver=solver, max_workers=threads)
+                                                    solver=solver)
             residuals.append(res)
         for y in ys:
             sol = solver.solve(y)
@@ -223,7 +223,7 @@ def cmd_identity(cfg: dict, out_dir: Path, threads: int | None, seed: int | None
     return 0 if max(residuals) <= tol else 1
 
 
-def cmd_stft(cfg: dict, out_dir: Path, threads: int | None, seed: int | None) -> int:
+def cmd_stft(cfg: dict, out_dir: Path, seed: int | None) -> int:
     started = time.time()
     refine = cfg.get("refine", 1)
     f, grid, g0, tf = tfm.gaussian_identity_fixture("isometry", refine=refine)
@@ -249,7 +249,7 @@ def cmd_stft(cfg: dict, out_dir: Path, threads: int | None, seed: int | None) ->
     return 0 if ok else 1
 
 
-def cmd_gabor(cfg: dict, out_dir: Path, threads: int | None, seed: int | None) -> int:
+def cmd_gabor(cfg: dict, out_dir: Path, seed: int | None) -> int:
     started = time.time()
     step = cfg.get("step", 0.1)
     grid = tfm.UniformGrid.symmetric(cfg.get("time_half", 8.0), step)
@@ -278,7 +278,7 @@ def cmd_gabor(cfg: dict, out_dir: Path, threads: int | None, seed: int | None) -
     return 0 if result.error <= tol else 1
 
 
-def cmd_psido(cfg: dict, out_dir: Path, threads: int | None, seed: int | None) -> int:
+def cmd_psido(cfg: dict, out_dir: Path, seed: int | None) -> int:
     started = time.time()
     spectrum = _spectrum(cfg)
     e_set = _sampling_set(cfg, seed)
@@ -305,8 +305,7 @@ def cmd_psido(cfg: dict, out_dir: Path, threads: int | None, seed: int | None) -
     rng = np.random.default_rng(base_seed)
     ys = rng.uniform(-10.0, 10.0, size=(cfg.get("n_k", 25), 1))
     try:
-        k_hat = bal.balayage_constant(e_set, egrid, ys, eta=cfg.get("eta", 1e-5),
-                                      max_workers=threads)
+        k_hat = bal.balayage_constant(e_set, egrid, ys, eta=cfg.get("eta", 1e-5))
     except bal.BalayageInfeasibleError as exc:
         print(f"balayage infeasible: {exc}", file=sys.stderr)
         _finish(out_dir, cfg, {"error": str(exc)}, started)
@@ -357,15 +356,9 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap for batch solves (default: NUSAMPLE_THREADS or 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     args = parser.parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("NUSAMPLE_THREADS")
-        threads = int(env) if env else None
     try:
         cfg = _load_config(args.config)
     except ConfigError as exc:
@@ -374,7 +367,7 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        return _COMMANDS[args.command](cfg, out_dir, threads, args.seed)
+        return _COMMANDS[args.command](cfg, out_dir, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -383,7 +376,7 @@ def main(argv=None) -> int:
         return 2
     except np.linalg.LinAlgError:
         raise   # a numerical failure, not a bad config value
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:   # out of range or of the wrong type
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (CoveringReport, SpectralGrid, SpectrumSet,
-                       build_grid, covering_check, polar_set, scale)
+                       build_grid, covering_check)
 from .sampling import SamplingSet
 from .spectral import BandlimitedSignal
 
@@ -93,9 +93,6 @@ def frame_operator_apply(samples: SampleVector, grid: SpectralGrid) -> Bandlimit
     e = _exp_matrix(samples.sampling_set, grid)
     coeffs = e.conj().T @ samples.values
     return BandlimitedSignal(grid=grid, coeffs=coeffs)
-
-
-synthesis = frame_operator_apply
 
 
 def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
@@ -240,34 +237,47 @@ def reconstruct(samples: SampleVector, grid: SpectralGrid,
 
     if ss.size < grid.size:
         # sample-space normal equations: G c = v with G the sampled-sinc Gram
-        def apply_op(c):
-            return e @ (w * (e.conj().T @ c))
-        b = v
-        def to_signal(c):
-            return BandlimitedSignal(grid=grid, coeffs=e.conj().T @ c)
-        dot = lambda a, bb: complex(np.vdot(bb, a))
+        c, it, residual, converged, history = _conjugate_gradients(
+            lambda u: e @ (w * (e.conj().T @ u)), v, None, tol, max_iter)
+        coeffs = e.conj().T @ c
     else:
-        # spectral-space frame operator S F = synthesis(v)
-        def apply_op(f):
-            return e.conj().T @ (e @ (w * f))
-        b = e.conj().T @ v
-        def to_signal(f):
-            return BandlimitedSignal(grid=grid, coeffs=f)
-        dot = lambda a, bb: complex(np.vdot(bb, w * a))
+        # spectral-space frame operator S F = frame_operator_apply(v)
+        coeffs, it, residual, converged, history = _conjugate_gradients(
+            lambda f: e.conj().T @ (e @ (w * f)), e.conj().T @ v, w, tol, max_iter)
+    return ReconstructionResult(signal=BandlimitedSignal(grid=grid, coeffs=coeffs),
+                                iterations=it, residual=residual, converged=converged,
+                                history=history)
+
+
+def _conjugate_gradients(apply_op, b: np.ndarray, weights: np.ndarray | None,
+                         tol: float, max_iter: int):
+    """Conjugate gradients for a Hermitian positive semidefinite frame operator.
+
+    Solves ``apply_op(x) = b`` from a zero start in the inner product
+    <a, c> = sum(weights * a * conj(c)) (the plain dot product when
+    ``weights`` is None), until the relative residual meets ``tol`` or
+    ``max_iter`` steps have run.  A search direction p with
+    <Sp, p> <= 1e-14 <p, p> ends the run when the residual already meets
+    ``tol`` and raises :class:`NotAFrameError` otherwise.
+
+    Returns (x, iterations, relative residual, converged, per-step relative
+    residuals); at the cap the last iterate comes back with converged False.
+    """
+    def dot(a, c):
+        return complex(np.vdot(c, a if weights is None else weights * a)).real
 
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
-    rs = dot(r, r).real
-    bnorm = np.sqrt(dot(b, b).real)
+    rs = dot(r, r)
+    bnorm = np.sqrt(dot(b, b))
     it = 0
     converged = False
     history = []
     for it in range(1, max_iter + 1):
         sp = apply_op(p)
-        pap = dot(p, sp).real
-        pp = dot(p, p).real
-        if pap <= 1e-14 * pp:
+        pap = dot(p, sp)
+        if pap <= 1e-14 * dot(p, p):
             if np.sqrt(rs) <= tol * bnorm:
                 converged = True
                 break
@@ -276,7 +286,7 @@ def reconstruct(samples: SampleVector, grid: SpectralGrid,
         alpha = rs / pap
         x = x + alpha * p
         r = r - alpha * sp
-        rs_new = dot(r, r).real
+        rs_new = dot(r, r)
         history.append(float(np.sqrt(max(rs_new, 0.0)) / bnorm))
         if np.sqrt(rs_new) <= tol * bnorm:
             rs = rs_new
@@ -284,9 +294,7 @@ def reconstruct(samples: SampleVector, grid: SpectralGrid,
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
-    residual = float(np.sqrt(max(rs, 0.0)) / bnorm)
-    return ReconstructionResult(signal=to_signal(x), iterations=it,
-                                residual=residual, converged=converged, history=history)
+    return x, it, float(np.sqrt(max(rs, 0.0)) / bnorm), converged, history
 
 
 # -- dilation and weighted inequality checkers --------------------------------
@@ -453,10 +461,9 @@ def covering_frame_experiment(spectrum: SpectrumSet, sampling_set: SamplingSet,
     rho condition hold, the covering criterion predicts a positive lower
     bound; the report is attached either way.
     """
-    polar = polar_set(spectrum)
-    cov = covering_check(sampling_set, polar, region, resolution)
+    cov = covering_check(sampling_set, spectrum.polar(), region, resolution)
     rho_ok = rho < 0.25
-    grid = build_grid(scale(spectrum, rho), grid_nodes)
+    grid = build_grid(spectrum.scaled(rho), grid_nodes)
     q = interior_taper_subspace(grid, sampling_set.window, margin=margin, spacing=spacing)
     report = frame_bounds(sampling_set, grid, subspace=q)
     return CoveringExperiment(covering=cov, rho_ok=rho_ok, report=report)

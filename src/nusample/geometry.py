@@ -274,15 +274,6 @@ def lambda_norm(spectrum: SpectrumSet, gamma) -> float:
     return float(spectrum.gauge(gamma)[0])
 
 
-def polar_set(spectrum: SpectrumSet) -> SpectrumSet:
-    """Polar (dual) body, living in the time domain."""
-    return spectrum.polar()
-
-
-def scale(spectrum: SpectrumSet, rho: float) -> SpectrumSet:
-    return spectrum.scaled(rho)
-
-
 def enlarge(spectrum: SpectrumSet, eps: float) -> SpectrumSet:
     return spectrum.enlarged(eps)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .geometry import SpectrumSet
 from .sampling import SamplingSet
-from .timefreq import UniformGrid
+from .timefreq import UniformGrid, interp_complex
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,10 +51,7 @@ class SpectralFactor:
         return cls(nodes=nodes, values=np.asarray(fn(nodes), dtype=complex))
 
     def at(self, gamma) -> np.ndarray:
-        g = np.asarray(gamma, dtype=float)
-        re = np.interp(g, self.nodes, self.values.real, left=0.0, right=0.0)
-        im = np.interp(g, self.nodes, self.values.imag, left=0.0, right=0.0)
-        return re + 1j * im
+        return interp_complex(np.asarray(gamma, dtype=float), self.nodes, self.values)
 
     def l2_norm(self) -> float:
         # trapezoid on the stored nodes

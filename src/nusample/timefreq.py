@@ -18,11 +18,11 @@ conjugate-gradient inversion.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import NotAFrameError
+from .frames import NotAFrameError, _conjugate_gradients
 from .sampling import SamplingSet
 from .spectral import BandlimitedSignal, evaluate
 
@@ -101,6 +101,13 @@ def gaussian_identity_fixture(check: str, refine: int = 1):
     return window.values.copy(), grid, window, tf
 
 
+def interp_complex(x, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Linear interpolation of complex samples at ``x``, zero outside the nodes."""
+    re = np.interp(x, nodes, values.real, left=0.0, right=0.0)
+    im = np.interp(x, nodes, values.imag, left=0.0, right=0.0)
+    return re + 1j * im
+
+
 @dataclass(frozen=True, eq=False)
 class WindowFunction:
     """Window samples on a uniform grid, unit L2 norm after construction."""
@@ -135,9 +142,7 @@ class WindowFunction:
         p = np.asarray(points, dtype=float)
         if self.kind == "gaussian":
             return (2.0 ** 0.25) * np.exp(-np.pi * p**2) + 0j
-        re = np.interp(p, self.grid.nodes, self.values.real, left=0.0, right=0.0)
-        im = np.interp(p, self.grid.nodes, self.values.imag, left=0.0, right=0.0)
-        return re + 1j * im
+        return interp_complex(p, self.grid.nodes, self.values)
 
 
 def gaussian_window(dim: int = 1, half_width: float = 8.0,
@@ -475,6 +480,8 @@ class GaborResult:
     error: float
     iterations: int
     condition: float
+    converged: bool
+    history: list = field(default_factory=list)   # per-iteration relative residuals
 
 
 def gabor_reconstruct(f_values, grid: UniformGrid, window: WindowFunction,
@@ -487,12 +494,14 @@ def gabor_reconstruct(f_values, grid: UniformGrid, window: WindowFunction,
     Solves S y = S f from a zero start, which converges to the projection of
     f onto the atom span; the error therefore measures how well the sampled
     system represents f.  A test-subspace condition above the threshold
-    raises :class:`NotAFrameError` ("not a frame at this scale").
+    raises :class:`NotAFrameError` ("not a frame at this scale"), as does a
+    breakdown of the iteration short of ``tol``; at ``max_iter`` the last
+    iterate is returned flagged unconverged.
     """
     f = np.asarray(f_values, dtype=complex)
     if not np.any(f):
         return GaborResult(values=np.zeros_like(f), error=0.0, iterations=0,
-                           condition=0.0)
+                           condition=0.0, converged=True)
     if test_subspace is None:
         test_subspace = reference_test_subspace(grid, max(grid.stop - 5.0, 1.0), 1.5)
     condition = gabor_frame_condition(grid, window, samples, test_subspace)
@@ -504,30 +513,12 @@ def gabor_reconstruct(f_values, grid: UniformGrid, window: WindowFunction,
     def apply_s(x):
         return atoms @ ((atoms.conj().T @ x) * grid.step)
 
-    b = apply_s(f)
-    x = np.zeros_like(f)
-    r = b.copy()
-    p = r.copy()
-    rs = float(np.vdot(r, r).real)
-    bnorm = np.sqrt(float(np.vdot(b, b).real))
-    it = 0
-    for it in range(1, max_iter + 1):
-        sp = apply_s(p)
-        pap = float(np.vdot(p, sp).real)
-        if pap <= 1e-15 * float(np.vdot(p, p).real):
-            break
-        alpha = rs / pap
-        x = x + alpha * p
-        r = r - alpha * sp
-        rs_new = float(np.vdot(r, r).real)
-        if np.sqrt(rs_new) <= tol * bnorm:
-            rs = rs_new
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+    x, it, _, converged, history = _conjugate_gradients(apply_s, apply_s(f), None,
+                                                        tol, max_iter)
     fnorm = np.sqrt(float(np.vdot(f, f).real))
     err = np.sqrt(float(np.vdot(x - f, x - f).real)) / fnorm
-    return GaborResult(values=x, error=float(err), iterations=it, condition=condition)
+    return GaborResult(values=x, error=float(err), iterations=it, condition=condition,
+                       converged=converged, history=history)
 
 
 def bandlimited_pair(omega: float, t_support: float, grid: UniformGrid,
@@ -582,21 +573,3 @@ def spectrogram_to_csv(v: np.ndarray, tf: TimeFrequencyGrid, path) -> None:
         for i, x in enumerate(tf.time.nodes):
             for j, wq in enumerate(tf.freq.nodes):
                 writer.writerow([x, wq, abs(v[i, j])])
-
-
-def stft_to_binary(v: np.ndarray, path) -> None:
-    """Header (rows, cols as int64 LE) + row-major complex doubles."""
-    header = np.array(v.shape, dtype="<i8")
-    inter = np.empty((v.shape[0], v.shape[1] * 2), dtype="<f8")
-    inter[:, 0::2] = v.real
-    inter[:, 1::2] = v.imag
-    with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(inter.tobytes())
-
-
-def stft_from_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        rows, cols = (int(x) for x in np.frombuffer(fh.read(16), dtype="<i8"))
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(rows, cols * 2)
-    return data[:, 0::2] + 1j * data[:, 1::2]

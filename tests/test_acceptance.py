@@ -183,13 +183,13 @@ def test_08_psido_chain():
 def test_09_geometry_exactness():
     start = time.monotonic()
     box = geo.SpectrumSet.box([1.0, 1.0])
-    polar = geo.polar_set(box)
+    polar = box.polar()
     rng = np.random.default_rng(9)
     pts = rng.uniform(-1.5, 1.5, size=(1000, 2))
     ok = bool(np.array_equal(polar.contains(pts, tol=0.0),
                              np.abs(pts).sum(axis=1) <= 1.0))
-    lhs = geo.polar_set(geo.scale(box, 0.25))
-    rhs = geo.scale(geo.polar_set(box), 4.0)
+    lhs = box.scaled(0.25).polar()
+    rhs = box.polar().scaled(4.0)
 
     def ordered(v):
         v = np.round(v, 12)

@@ -175,15 +175,6 @@ class TestBalayageConstant:
         other = bal.balayage_constant(shuffled, enlarged_grid, ys, eta=1e-5).value
         assert other == pytest.approx(base, rel=1e-3)
 
-    def test_threaded_batch_matches_serial(self, solver):
-        ys = np.array([[0.13], [4.2], [-7.9], [2.22], [-0.61]])
-        serial = bal.balayage_constant(solver.sampling_set, solver.grid, ys,
-                                       solver=solver).value
-        fresh = bal.BalayageSolver(solver.sampling_set, solver.grid, eta=1e-6)
-        threaded = bal.balayage_constant(fresh.sampling_set, fresh.grid, ys,
-                                         solver=fresh, max_workers=4).value
-        assert threaded == pytest.approx(serial, rel=1e-12)
-
     def test_infeasible_center_propagates(self, enlarged_grid):
         sparse = generate_jittered_grid(4.0, 0.0, [[-20.0, 20.0]], seed=0)
         band = geo.SpectrumSet.box([0.5])

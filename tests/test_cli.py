@@ -83,7 +83,9 @@ def test_missing_points_file_exits_2(tmp_path):
     (lambda cfg: cfg["sampling"].update(jitter=0.6), "jitter"),
     (lambda cfg: cfg.update(resolution=-0.05), "resolution must be positive"),
     (lambda cfg: cfg.update(region=[[-10.0, 10.0], [-10.0, 10.0]]), "region dimension"),
-], ids=["jitter-above-half-delta", "negative-resolution", "region-dim-mismatch"])
+    (lambda cfg: cfg.update(resolution="abc"), "not supported between instances of 'str'"),
+], ids=["jitter-above-half-delta", "negative-resolution", "region-dim-mismatch",
+        "string-resolution"])
 def test_bad_config_value_exits_2(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIG_DIR / "covering.json").read_text())
     edit(cfg)

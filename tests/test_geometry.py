@@ -45,7 +45,7 @@ class TestLambdaNorm:
 class TestPolar:
     def test_box_gives_cross_polytope(self):
         box = geo.SpectrumSet.box([1.0, 1.0])
-        polar = geo.polar_set(box)
+        polar = box.polar()
         assert polar.shape == "polytope"
         pts = np.random.default_rng(1).uniform(-1.5, 1.5, size=(1000, 2))
         expected = np.abs(pts).sum(axis=1) <= 1.0
@@ -53,13 +53,13 @@ class TestPolar:
 
     def test_unit_ball_self_polar(self):
         ball = geo.SpectrumSet.ball(1.0, 2)
-        polar = geo.polar_set(ball)
+        polar = ball.polar()
         assert polar.shape == "ball" and polar.radius == pytest.approx(1.0)
 
     def test_scaling_law_exact(self):
         box = geo.SpectrumSet.box([1.0, 1.0])
-        lhs = geo.polar_set(geo.scale(box, 0.25))
-        rhs = geo.scale(geo.polar_set(box), 4.0)
+        lhs = box.scaled(0.25).polar()
+        rhs = box.polar().scaled(4.0)
 
         def ordered(v):
             v = np.round(v, 12)
@@ -70,7 +70,7 @@ class TestPolar:
     def test_gauge_duality_of_polytope(self):
         verts = np.array([[1.0, 0.2], [-1.0, -0.2], [0.3, 1.1], [-0.3, -1.1]])
         spec = geo.SpectrumSet.polytope(verts)
-        polar = geo.polar_set(spec)
+        polar = spec.polar()
         pts = np.random.default_rng(2).uniform(-2, 2, size=(500, 2))
         by_support = np.max(pts @ verts.T, axis=1) <= 1.0 + 1e-9
         assert np.array_equal(polar.contains(pts, tol=1e-9), by_support)
@@ -78,32 +78,32 @@ class TestPolar:
     def test_bipolar_membership(self):
         rng = np.random.default_rng(3)
         for spec in (geo.SpectrumSet.box([0.8, 1.4]), geo.SpectrumSet.ball(0.6, 2)):
-            double = geo.polar_set(geo.polar_set(spec))
+            double = spec.polar().polar()
             pts = rng.uniform(-2, 2, size=(500, 2))
             assert np.array_equal(double.contains(pts, tol=1e-9), spec.contains(pts, tol=1e-9))
 
 
 class TestScale:
     def test_box(self):
-        out = geo.scale(geo.SpectrumSet.box([1.0, 1.0]), 0.25)
+        out = geo.SpectrumSet.box([1.0, 1.0]).scaled(0.25)
         assert np.allclose(out.half_widths, [0.25, 0.25])
 
     def test_ball(self):
-        assert geo.scale(geo.SpectrumSet.ball(2.0, 2), 0.5).radius == pytest.approx(1.0)
+        assert geo.SpectrumSet.ball(2.0, 2).scaled(0.5).radius == pytest.approx(1.0)
 
     def test_polytope_componentwise(self):
         verts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])
-        out = geo.scale(geo.SpectrumSet.polytope(verts), 0.5)
+        out = geo.SpectrumSet.polytope(verts).scaled(0.5)
         assert np.allclose(np.sort(out.vertices, axis=0), np.sort(0.5 * verts, axis=0))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            geo.scale(geo.SpectrumSet.box([1.0]), 0.0)
+            geo.SpectrumSet.box([1.0]).scaled(0.0)
 
 
 class TestCovering:
     def setup_method(self):
-        self.cross = geo.polar_set(geo.SpectrumSet.box([1.0, 1.0]))  # l1 unit ball
+        self.cross = geo.SpectrumSet.box([1.0, 1.0]).polar()  # l1 unit ball
 
     def test_integer_lattice_covers_unit_cell(self):
         pts = lattice_2d(1.0, 3.0)

@@ -4,7 +4,7 @@ import pytest
 from nusample import geometry as geo
 from nusample import spectral as spc
 from nusample import timefreq as tfm
-from nusample.frames import NotAFrameError
+from nusample.frames import NotAFrameError, dump_matrix, load_matrix
 from nusample.sampling import generate_jittered_grid, separation, symmetrize
 
 # quadrature value of the phase-space l1 norm of the Gaussian transform of
@@ -272,6 +272,15 @@ class TestGabor:
                                     test_subspace=q)
         assert res.error == 0.0 and res.iterations == 0
 
+    def test_iteration_cap_is_reported(self, gabor_setup):
+        grid, g0, f, q = gabor_setup
+        p = tfm.phase_lattice(0.5, 0.5, 5.0, 3.0)
+        capped = tfm.gabor_reconstruct(f, grid, g0, p, test_subspace=q, max_iter=3)
+        assert capped.converged is False and capped.iterations == 3
+        assert len(capped.history) == 3
+        full = tfm.gabor_reconstruct(f, grid, g0, p, test_subspace=q)
+        assert full.converged is True and len(full.history) == full.iterations
+
     def test_sparse_lattice_not_a_frame(self, gabor_setup):
         grid, g0, f, q = gabor_setup
         p = tfm.phase_lattice(1.5, 1.5, 5.0, 3.0)
@@ -321,8 +330,8 @@ def test_exports_roundtrip(tmp_path):
     f, grid, g0, tf = tfm.gaussian_identity_fixture("isometry")
     v = tfm.stft(f, grid, g0, tf)
     bin_path = tmp_path / "v.bin"
-    tfm.stft_to_binary(v, bin_path)
-    assert np.array_equal(tfm.stft_from_binary(bin_path), v)
+    dump_matrix(bin_path, v)
+    assert np.array_equal(load_matrix(bin_path), v)
 
     csv_path = tmp_path / "v.csv"
     tfm.stft_to_csv(v, tf, csv_path)
