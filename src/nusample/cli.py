@@ -91,12 +91,16 @@ def _write_csv(out_dir: Path, name: str, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _finish(out_dir: Path, cfg: dict, report: dict, started: float) -> None:
+def _finish(out_dir: Path, cfg: dict, report: dict, started: float,
+            meta: dict | None = None) -> None:
+    """Write ``report.json`` and ``meta.json``; ``meta`` adds run facts (such
+    as solver counters) that stay out of the deterministic report."""
     report["config_hash"] = _config_hash(cfg)
     _write_json(out_dir, "report.json", report)
     _write_json(out_dir, "meta.json", {
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "elapsed_seconds": time.time() - started,
+        **(meta or {}),
     })
 
 
@@ -175,7 +179,8 @@ def cmd_reconstruct(cfg: dict, out_dir: Path, seed: int | None) -> int:
         "iterations": final.iterations,
         "residual": final.residual,
         "converged": final.converged,
-    }, started)
+    }, started, meta={"solver": {"method": final.method, "iterations": final.iterations,
+                                 "converged": final.converged}})
     if not final.converged:
         print("unconverged", file=sys.stderr)
         return 1

@@ -12,6 +12,15 @@ edge, built here from smoothly tapered, shifted spectral envelopes.
 Also included: conjugate-gradient reconstruction from samples, the dilation
 inequality checker (three dilates, one sampling set), the weighted frame
 inequality checker, and the covering-criterion experiment.
+
+Reconstruction with at least as many samples as nodes runs CG on the
+spectral-side frame operator.  When the nodes sit on a regular lattice, as
+every grid from :func:`~nusample.geometry.build_grid` and
+:func:`dilation_grid` does, that operator is Toeplitz (block-Toeplitz on a
+masked 2-d lattice) and is applied by circulant embedding and FFT in
+O(N log N) per step, after one pass over a table of sampled exponentials (the
+ACT method of Feichtinger, Groechenig and Strohmer).  Grids off a lattice keep
+the dense product with the sampled exponential matrix.
 """
 from __future__ import annotations
 
@@ -26,6 +35,7 @@ from .spectral import BandlimitedSignal
 
 _EIG_FLOOR = 1e-12
 _DENSE_CAPACITY = 4096
+_LATTICE_ULPS = 16
 
 
 class NotAFrameError(RuntimeError):
@@ -70,15 +80,16 @@ class FrameReport:
         }
 
 
-def _exp_matrix(sampling_set: SamplingSet, grid: SpectralGrid) -> np.ndarray:
-    """E[x, k] = exp(2 pi i x . g_k), shape (samples, nodes)."""
-    return np.exp(2j * np.pi * (sampling_set.points @ grid.nodes.T))
+def _exp_matrix(sampling_set: SamplingSet, nodes: np.ndarray) -> np.ndarray:
+    """E[x, k] = exp(2 pi i x . g_k) for the rows g_k of ``nodes``, shape
+    (samples, nodes)."""
+    return np.exp(2j * np.pi * (sampling_set.points @ nodes.T))
 
 
 def analysis(signal: BandlimitedSignal, sampling_set: SamplingSet) -> SampleVector:
     """Sample the signal on the set: values are the spectral quadratures of the
     coefficients against the sampled exponentials."""
-    e = _exp_matrix(sampling_set, signal.grid)
+    e = _exp_matrix(sampling_set, signal.grid.nodes)
     vals = e @ (signal.grid.weights * signal.coeffs)
     return SampleVector(sampling_set=sampling_set, values=vals)
 
@@ -90,7 +101,7 @@ def frame_operator_apply(samples: SampleVector, grid: SpectralGrid) -> Bandlimit
     two maps are adjoint with respect to the weighted spectral inner product
     and the plain sample-space dot product.
     """
-    e = _exp_matrix(samples.sampling_set, grid)
+    e = _exp_matrix(samples.sampling_set, grid.nodes)
     coeffs = e.conj().T @ samples.values
     return BandlimitedSignal(grid=grid, coeffs=coeffs)
 
@@ -116,7 +127,7 @@ def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
     """
     if grid.size > _DENSE_CAPACITY:
         raise CapacityError(f"grid size {grid.size} exceeds dense capacity {_DENSE_CAPACITY}")
-    e = _exp_matrix(sampling_set, grid)                 # (samples, nodes)
+    e = _exp_matrix(sampling_set, grid.nodes)           # (samples, nodes)
     u = e * np.sqrt(grid.weights)[None, :]              # (samples, nodes)
     if subspace is None:
         svals = np.linalg.svd(u, compute_uv=False)
@@ -208,6 +219,7 @@ class ReconstructionResult:
     iterations: int
     residual: float
     converged: bool
+    method: str                   # "toeplitz-fft", "dense" or "sample-gram"
     history: list | None = None   # per-iteration relative residuals
 
     def __post_init__(self):
@@ -221,32 +233,115 @@ def reconstruct(samples: SampleVector, grid: SpectralGrid,
 
     Solves the normal equations of the sampling map.  When the set has fewer
     points than the grid has nodes the smaller sample-space system is solved
-    and the minimal-norm interpolant returned; otherwise CG runs on the
-    spectral-side frame operator.  Non-convergence returns the best iterate
-    flagged unconverged; a numerically vanishing lower bound raises
-    :class:`NotAFrameError`.
+    and the minimal-norm interpolant returned (method ``"sample-gram"``);
+    otherwise CG runs on the spectral-side frame operator.  On a grid whose
+    nodes sit on a regular lattice (every grid from
+    :func:`~nusample.geometry.build_grid` and :func:`dilation_grid`) that
+    operator is Toeplitz and is applied by circulant embedding and FFT
+    (``"toeplitz-fft"``, see :func:`_toeplitz_system`); off the lattice the
+    dense product with the sampled exponentials is kept (``"dense"``).
+    Non-convergence returns the best iterate flagged unconverged; a
+    numerically vanishing lower bound raises :class:`NotAFrameError`.
     """
     ss = samples.sampling_set
     v = samples.values
-    e = _exp_matrix(ss, grid)               # (samples, nodes)
     w = grid.weights
+    if ss.size < grid.size:
+        method, lattice = "sample-gram", None
+    else:
+        lattice = _lattice_indices(grid.nodes)
+        method = "dense" if lattice is None else "toeplitz-fft"
     if not np.any(v):
         return ReconstructionResult(
             signal=BandlimitedSignal(grid=grid, coeffs=np.zeros(grid.size, dtype=complex)),
-            iterations=0, residual=0.0, converged=True, history=[])
+            iterations=0, residual=0.0, converged=True, method=method, history=[])
 
-    if ss.size < grid.size:
-        # sample-space normal equations: G c = v with G the sampled-sinc Gram
-        c, it, residual, converged, history = _conjugate_gradients(
-            lambda u: e @ (w * (e.conj().T @ u)), v, None, tol, max_iter)
-        coeffs = e.conj().T @ c
-    else:
-        # spectral-space frame operator S F = frame_operator_apply(v)
+    if method == "toeplitz-fft":
         coeffs, it, residual, converged, history = _conjugate_gradients(
-            lambda f: e.conj().T @ (e @ (w * f)), e.conj().T @ v, w, tol, max_iter)
+            *_toeplitz_system(ss, v, w, *lattice), w, tol, max_iter)
+    else:
+        e = _exp_matrix(ss, grid.nodes)     # (samples, nodes)
+        eh = e.conj().T
+        if method == "sample-gram":
+            # sample-space normal equations: G c = v with G the sampled-sinc Gram
+            c, it, residual, converged, history = _conjugate_gradients(
+                lambda u: e @ (w * (eh @ u)), v, None, tol, max_iter)
+            coeffs = eh @ c
+        else:
+            # spectral-space frame operator S F = frame_operator_apply(v)
+            coeffs, it, residual, converged, history = _conjugate_gradients(
+                lambda f: eh @ (e @ (w * f)), eh @ v, w, tol, max_iter)
     return ReconstructionResult(signal=BandlimitedSignal(grid=grid, coeffs=coeffs),
                                 iterations=it, residual=residual, converged=converged,
-                                history=history)
+                                method=method, history=history)
+
+
+def _lattice_indices(nodes: np.ndarray):
+    """Integer lattice coordinates of the nodes, or None off a lattice.
+
+    The nodes lie on a regular lattice when along every axis each coordinate
+    equals origin + index * step to within a few ulps of the axis scale, with
+    origin the smallest coordinate and step the smallest gap between distinct
+    coordinates, and no two nodes share an index.  Returns (indices, origin,
+    steps) with nonnegative integer indices of shape (nodes, dim).
+    """
+    origin = nodes.min(axis=0)
+    steps = np.ones(nodes.shape[1])
+    idx = np.empty(nodes.shape, dtype=np.int64)
+    for a, col in enumerate(nodes.T):
+        tol = _LATTICE_ULPS * np.finfo(float).eps * np.max(np.abs(col))
+        coords = np.unique(col)
+        if coords.size > 1:
+            gap = np.min(np.diff(coords))
+            if gap <= tol:
+                return None
+            span = coords[-1] - coords[0]
+            steps[a] = span / np.rint(span / gap)
+        idx[:, a] = np.rint((col - origin[a]) / steps[a])
+        if np.max(np.abs(origin[a] + idx[:, a] * steps[a] - col)) > tol:
+            return None
+    flat = np.ravel_multi_index(idx.T, idx.max(axis=0) + 1)
+    if np.unique(flat).size != flat.size:
+        return None
+    return idx, origin, steps
+
+
+def _toeplitz_system(sampling_set: SamplingSet, values: np.ndarray, weights: np.ndarray,
+                     idx: np.ndarray, origin: np.ndarray, steps: np.ndarray):
+    """Frame operator and right-hand side of the spectral-side normal equations
+    on a lattice grid g_k = origin + idx_k * steps, without the sampled
+    exponential matrix E.
+
+    S[k, l] = sum_x exp(-2 pi i x . (g_k - g_l)) = t[idx_k - idx_l] is
+    (block-)Toeplitz.  The kernel t[m] = sum_x exp(-2 pi i x . (m * steps)) is
+    summed once over the half difference lattice (m_1 >= 0) and mirrored by
+    t[-m] = conj(t[m]) into a circulant of twice the lattice box per axis, so
+    applying S to F is one FFT pair on the zero-padded ``weights * F``.  The
+    right-hand side E^H v comes from the same table with the samples shifted
+    by exp(-2 pi i x . origin).  Returns (apply_op, rhs) for
+    :func:`_conjugate_gradients`.
+    """
+    box = idx.max(axis=0) + 1
+    pad = tuple(2 * box)
+    half = [np.arange(box[0])] + [np.arange(1 - n, n) for n in box[1:]]
+    m = np.stack([g.ravel() for g in np.meshgrid(*half, indexing="ij")], axis=1)
+    table = _exp_matrix(sampling_set, -m * steps)           # (samples, half lattice)
+    shifted = values * _exp_matrix(sampling_set, -origin[None, :])[:, 0]
+    kern, rhs_half = np.stack([np.ones_like(shifted), shifted]) @ table
+    circ = np.zeros(pad, dtype=complex)
+    circ[tuple((-m % pad).T)] = kern.conj()
+    circ[tuple((m % pad).T)] = kern
+    spectrum = np.fft.fftn(circ)
+    offset = np.concatenate([[0], box[1:] - 1])
+    rhs = rhs_half[np.ravel_multi_index((idx + offset).T, [len(r) for r in half])]
+    at = np.ravel_multi_index(idx.T, pad)
+
+    def apply_op(f):
+        u = np.zeros(pad, dtype=complex)
+        u.flat[at] = weights * f
+        return np.fft.ifftn(spectrum * np.fft.fftn(u)).flat[at]
+
+    return apply_op, rhs
 
 
 def _conjugate_gradients(apply_op, b: np.ndarray, weights: np.ndarray | None,

@@ -121,6 +121,17 @@ def test_unconverged_reconstruction_exits_1(tmp_path, capsys):
     assert "unconverged" in capsys.readouterr().err
 
 
+def test_reconstruct_meta_reports_solver(tmp_path):
+    out = tmp_path / "rec"
+    assert run("reconstruct", CONFIG_DIR / "reconstruct.json", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    meta = json.loads((out / "meta.json").read_text())
+    assert set(report) == {"relative_error", "iterations", "residual", "converged",
+                           "config_hash"}
+    assert meta["solver"] == {"method": "toeplitz-fft", "iterations": report["iterations"],
+                              "converged": True}
+
+
 def test_covering_control_with_no_prediction_passes(tmp_path):
     cfg = json.loads((CONFIG_DIR / "covering.json").read_text())
     cfg["sampling"] = {"kind": "jittered", "delta": 3.0, "jitter": 0.0,

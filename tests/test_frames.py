@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nusample import balayage as bal
 from nusample import frames
@@ -210,6 +212,105 @@ class TestReconstruct:
         res = frames.reconstruct(frames.analysis(truth, e_set), truth.grid)
         assert len(res.history) == res.iterations
         assert res.history[-1] == pytest.approx(res.residual)
+
+    def test_two_dimensional_spectral_side(self):
+        spec = geo.SpectrumSet.ball(0.5)
+        e_set = generate_jittered_grid(0.5, 0.1, [[-10.0, 10.0], [-10.0, 10.0]], seed=0)
+        truth = spc.random_pw_signal(spec, 16, 0)
+        assert e_set.size >= truth.grid.size
+        res = frames.reconstruct(frames.analysis(truth, e_set), truth.grid, tol=1e-9)
+        err = np.sqrt(np.sum(truth.grid.weights *
+                             np.abs(res.signal.coeffs - truth.coeffs) ** 2))
+        assert res.method == "toeplitz-fft"
+        assert res.converged and err / truth.norm() <= 1e-5
+
+    def test_off_lattice_grid_takes_dense_path(self):
+        rng = np.random.default_rng(0)
+        nodes = np.sort(rng.uniform(-0.5, 0.5, 24)).reshape(-1, 1)
+        grid = geo.SpectralGrid(nodes=nodes, weights=np.full(24, 1.0 / 24), spectrum=UNIT_BAND)
+        assert frames._lattice_indices(grid.nodes) is None
+        truth = spc.random_coeff_signal(grid, 0)
+        e_set = generate_jittered_grid(0.4, 0.1, [[-15.0, 15.0]], seed=0)
+        res = frames.reconstruct(frames.analysis(truth, e_set), grid, tol=1e-9)
+        assert res.method == "dense" and res.converged
+
+    def test_sample_side_method(self):
+        e_set = generate_jittered_grid(0.9, 0.2, [[-10.0, 10.0]], seed=0)
+        truth = spc.random_pw_signal(UNIT_BAND, 128, 0)
+        res = frames.reconstruct(frames.analysis(truth, e_set), truth.grid)
+        assert res.method == "sample-gram" and res.converged
+
+
+@st.composite
+def lattice_cases(draw):
+    """A lattice grid (a 1-d box, a 2-d box, ball or polytope from build_grid,
+    or a dilation grid) with a jittered set that oversamples it, spread over
+    1.25 periods of the discrete model per axis as in the shipped configs."""
+    kind = draw(st.sampled_from(["box1", "box2", "ball", "polytope", "dilation"]))
+    size = draw(st.floats(0.2, 2.0))
+    if kind == "dilation":
+        spec = geo.SpectrumSet.box([size])
+        sixths = draw(st.integers(1, 6))
+        grid = frames.dilation_grid(spec, sixths)
+        step = np.array([size / (6 * sixths)])
+    else:
+        if kind == "box1":
+            spec, n = geo.SpectrumSet.box([size]), draw(st.integers(2, 80))
+        elif kind == "box2":
+            spec = geo.SpectrumSet.box([size, draw(st.floats(0.5, 2.0)) * size])
+            n = draw(st.integers(2, 14))
+        elif kind == "ball":
+            spec, n = geo.SpectrumSet.ball(size), draw(st.integers(3, 14))
+        else:
+            radii = np.array(draw(st.lists(st.floats(0.6, 1.0), min_size=3, max_size=3)))
+            angles = draw(st.floats(0.0, np.pi)) + np.pi / 3.0 * np.arange(3)
+            half = size * radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            spec, n = geo.SpectrumSet.polytope(np.vstack([half, -half])), draw(st.integers(3, 14))
+        grid = geo.build_grid(spec, n)
+        step = 2.0 * spec.bounding_box()[:, 1] / n
+    delta = draw(st.floats(0.4, 0.8)) / (2.0 * spec.bounding_box()[:, 1].max())
+    jitter = draw(st.floats(0.0, 0.25)) * delta
+    window = np.stack([-0.625 / step, 0.625 / step], axis=1)
+    e_set = generate_jittered_grid(delta, jitter, window, seed=draw(st.integers(0, 2**32 - 1)))
+    return grid, e_set, draw(st.integers(0, 2**32 - 1))
+
+
+def _dense_normal_equations(e_set, grid, values):
+    """The frame operator and right-hand side through the sampled exponential
+    matrix E: the oracle for the lattice path."""
+    e = frames._exp_matrix(e_set, grid.nodes)
+    return (lambda f: e.conj().T @ (e @ (grid.weights * f))), e.conj().T @ values
+
+
+class TestToeplitzOperator:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(lattice_cases())
+    def test_matches_dense_product(self, case):
+        grid, e_set, seed = case
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        v = rng.standard_normal(e_set.size) + 1j * rng.standard_normal(e_set.size)
+        lattice = frames._lattice_indices(grid.nodes)
+        assert lattice is not None
+        apply_op, rhs = frames._toeplitz_system(e_set, v, grid.weights, *lattice)
+        dense_op, dense_rhs = _dense_normal_equations(e_set, grid, v)
+        expect = dense_op(f)
+        assert np.linalg.norm(apply_op(f) - expect) <= 1e-10 * np.linalg.norm(expect)
+        assert np.linalg.norm(rhs - dense_rhs) <= 1e-10 * np.linalg.norm(dense_rhs)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(lattice_cases())
+    def test_reconstruct_matches_dense_oracle(self, case):
+        grid, e_set, seed = case
+        assert e_set.size >= grid.size
+        truth = spc.random_coeff_signal(grid, seed)
+        samples = frames.analysis(truth, e_set)
+        res = frames.reconstruct(samples, grid, tol=1e-9, max_iter=200)
+        coeffs, it, _, converged, _ = frames._conjugate_gradients(
+            *_dense_normal_equations(e_set, grid, samples.values), grid.weights, 1e-9, 200)
+        assert res.method == "toeplitz-fft"
+        assert (res.iterations, res.converged) == (it, converged)
+        assert np.linalg.norm(res.signal.coeffs - coeffs) <= 1e-10 * np.linalg.norm(coeffs)
 
 
 @pytest.fixture(scope="module")
