@@ -18,12 +18,19 @@ spectral-side frame operator.  When the nodes sit on a regular lattice, as
 every grid from :func:`~nusample.geometry.build_grid` and
 :func:`dilation_grid` does, that operator is Toeplitz (block-Toeplitz on a
 masked 2-d lattice) and is applied by circulant embedding and FFT in
-O(N log N) per step, after one pass over a table of sampled exponentials (the
-ACT method of Feichtinger, Groechenig and Strohmer).  Grids off a lattice keep
-the dense product with the sampled exponential matrix.
+O(N log N) per step, after one pass over factor tables of the sampled
+exponentials (the ACT method of Feichtinger, Groechenig and Strohmer).  Grids
+off a lattice keep the dense product with the sampled exponential matrix.
+
+Exponential tables exp(2 pi i x g) over a uniform axis g = g0 + k h come from
+one factored builder (:func:`_exp_axis`): with k = J q + j and J = ceil(sqrt n)
+each table is the product of two tables of about sqrt(n) columns, exact up to
+rounding.  The short-time Fourier and pseudo-differential modules build their
+kernels through it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,16 +87,56 @@ class FrameReport:
         }
 
 
-def _exp_matrix(sampling_set: SamplingSet, nodes: np.ndarray) -> np.ndarray:
-    """E[x, k] = exp(2 pi i x . g_k) for the rows g_k of ``nodes``, shape
-    (samples, nodes)."""
-    return np.exp(2j * np.pi * (sampling_set.points @ nodes.T))
+def _exp_matrix(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """E[x, k] = exp(2 pi i x . g_k) for the rows x of ``points`` and g_k of
+    ``nodes``, shape (points, nodes).  The dense builder: one exponential
+    per entry.  It is the reference that :func:`_exp_axis` is tested against."""
+    return np.exp(2j * np.pi * (points @ nodes.T))
+
+
+def _exp_factors(x: np.ndarray, origin: float, step: float, n: int):
+    """Two factor tables of exp(2 pi i x (origin + k step)) for k < n.
+
+    With J = ceil(sqrt(n)) and k = J q + j (j < J), the entry for k is
+    A[:, q] * B[:, j] with A = exp(2 pi i x J step q) and
+    B = exp(2 pi i x (origin + j step)).  That is exact up to rounding and
+    takes O(len(x) sqrt(n)) exponentials instead of len(x) n, the split
+    behind the chirp-z transform.  Returns (A, B), shapes (len(x), ceil(n/J))
+    and (len(x), J).
+    """
+    j_count = math.isqrt(n - 1) + 1
+    q = np.arange(-(-n // j_count))
+    a = np.exp(2j * np.pi * np.outer(x, j_count * step * q))
+    b = np.exp(2j * np.pi * np.outer(x, origin + step * np.arange(j_count)))
+    return a, b
+
+
+def _exp_axis(x, nodes, sign: int = 1) -> np.ndarray:
+    """exp(sign 2 pi i x g_k) for real x and 1-d nodes g_k, shape
+    (len(x), len(nodes)).
+
+    Nodes on a regular lattice g_k = origin + idx_k * step, in any order (see
+    :func:`_lattice_indices`), are built as the product of the two tables of
+    :func:`_exp_factors`; other nodes fall back to :func:`_exp_matrix`.
+    """
+    x = sign * np.asarray(x, dtype=float).ravel()
+    g = np.asarray(nodes, dtype=float).reshape(-1, 1)
+    lattice = _lattice_indices(g) if g.size else None
+    if lattice is None:
+        return _exp_matrix(x[:, None], g)
+    idx, origin, step = lattice
+    k = idx[:, 0]
+    a, b = _exp_factors(x, origin[0], step[0], int(k.max()) + 1)
+    table = (a[:, :, None] * b[:, None, :]).reshape(x.size, a.shape[1] * b.shape[1])
+    if np.array_equal(k, np.arange(k.size)):
+        return table[:, :k.size]     # ascending nodes: a view, no gather
+    return table[:, k]
 
 
 def analysis(signal: BandlimitedSignal, sampling_set: SamplingSet) -> SampleVector:
     """Sample the signal on the set: values are the spectral quadratures of the
     coefficients against the sampled exponentials."""
-    e = _exp_matrix(sampling_set, signal.grid.nodes)
+    e = _exp_matrix(sampling_set.points, signal.grid.nodes)
     vals = e @ (signal.grid.weights * signal.coeffs)
     return SampleVector(sampling_set=sampling_set, values=vals)
 
@@ -101,7 +148,7 @@ def frame_operator_apply(samples: SampleVector, grid: SpectralGrid) -> Bandlimit
     two maps are adjoint with respect to the weighted spectral inner product
     and the plain sample-space dot product.
     """
-    e = _exp_matrix(samples.sampling_set, grid.nodes)
+    e = _exp_matrix(samples.sampling_set.points, grid.nodes)
     coeffs = e.conj().T @ samples.values
     return BandlimitedSignal(grid=grid, coeffs=coeffs)
 
@@ -127,7 +174,7 @@ def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
     """
     if grid.size > _DENSE_CAPACITY:
         raise CapacityError(f"grid size {grid.size} exceeds dense capacity {_DENSE_CAPACITY}")
-    e = _exp_matrix(sampling_set, grid.nodes)           # (samples, nodes)
+    e = _exp_matrix(sampling_set.points, grid.nodes)    # (samples, nodes)
     u = e * np.sqrt(grid.weights)[None, :]              # (samples, nodes)
     if subspace is None:
         svals = np.linalg.svd(u, compute_uv=False)
@@ -260,7 +307,7 @@ def reconstruct(samples: SampleVector, grid: SpectralGrid,
         coeffs, it, residual, converged, history = _conjugate_gradients(
             *_toeplitz_system(ss, v, w, *lattice), w, tol, max_iter)
     else:
-        e = _exp_matrix(ss, grid.nodes)     # (samples, nodes)
+        e = _exp_matrix(ss.points, grid.nodes)     # (samples, nodes)
         eh = e.conj().T
         if method == "sample-gram":
             # sample-space normal equations: G c = v with G the sampled-sinc Gram
@@ -313,21 +360,34 @@ def _toeplitz_system(sampling_set: SamplingSet, values: np.ndarray, weights: np.
     exponential matrix E.
 
     S[k, l] = sum_x exp(-2 pi i x . (g_k - g_l)) = t[idx_k - idx_l] is
-    (block-)Toeplitz.  The kernel t[m] = sum_x exp(-2 pi i x . (m * steps)) is
-    summed once over the half difference lattice (m_1 >= 0) and mirrored by
-    t[-m] = conj(t[m]) into a circulant of twice the lattice box per axis, so
-    applying S to F is one FFT pair on the zero-padded ``weights * F``.  The
-    right-hand side E^H v comes from the same table with the samples shifted
-    by exp(-2 pi i x . origin).  Returns (apply_op, rhs) for
+    (block-)Toeplitz.  The kernel t[m] = sum_x exp(-2 pi i x . (m * steps))
+    over the half difference lattice (m_1 >= 0) and the right-hand side
+    E^H v (the samples shifted by exp(-2 pi i x . origin)) are taken from
+    factor tables of the exponential, never the |E| x N table: per axis on a
+    2-d lattice, where t = (E_1 * w)^T E_2 is one product, and on a 1-d
+    lattice from the two tables A, B of :func:`_exp_factors`, where
+    t = (A * w)^T B.  The kernel is mirrored by t[-m] = conj(t[m]) into a
+    circulant of twice the lattice box per axis, so applying S to F is one
+    FFT pair on the zero-padded ``weights * F``.  Returns (apply_op, rhs) for
     :func:`_conjugate_gradients`.
     """
     box = idx.max(axis=0) + 1
     pad = tuple(2 * box)
     half = [np.arange(box[0])] + [np.arange(1 - n, n) for n in box[1:]]
     m = np.stack([g.ravel() for g in np.meshgrid(*half, indexing="ij")], axis=1)
-    table = _exp_matrix(sampling_set, -m * steps)           # (samples, half lattice)
-    shifted = values * _exp_matrix(sampling_set, -origin[None, :])[:, 0]
-    kern, rhs_half = np.stack([np.ones_like(shifted), shifted]) @ table
+    x = sampling_set.points
+    if x.shape[1] == 1:
+        factors = _exp_factors(-x[:, 0], 0.0, steps[0], box[0])
+    else:
+        factors = [_exp_axis(x[:, a], r * steps[a], sign=-1) for a, r in enumerate(half)]
+    shifted = values * _exp_matrix(x, -origin[None, :])[:, 0]
+    # Khatri-Rao product of the leading factors with both weight columns (1 and
+    # the shifted samples), then one product with the last factor; the flat
+    # C order of the result is the order of ``m``
+    lead = np.stack([np.ones_like(shifted), shifted], axis=1)
+    for f in factors[:-1]:
+        lead = (lead[:, :, None] * f[:, None, :]).reshape(x.shape[0], -1)
+    kern, rhs_half = (lead.T @ factors[-1]).reshape(2, -1)[:, :m.shape[0]]
     circ = np.zeros(pad, dtype=complex)
     circ[tuple((-m % pad).T)] = kern.conj()
     circ[tuple((m % pad).T)] = kern

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frames import _exp_axis
 from .geometry import SpectrumSet
 from .sampling import SamplingSet
 from .timefreq import UniformGrid, interp_complex
@@ -99,15 +100,22 @@ class KNSymbol:
     terms: list
     spectrum: SpectrumSet
 
-    def eval_matrix(self, y_nodes, gamma_nodes) -> np.ndarray:
-        """s(y, g) on the product grid, shape (n_y, n_gamma)."""
+    def factors(self, y_nodes, gamma_nodes) -> tuple[np.ndarray, np.ndarray]:
+        """Per-term factors (U, B) with U[j] = a_j(y) exp(-2 pi i y l_j) and
+        B[j] = b_j(g), shapes (terms, n_y) and (terms, n_gamma); s = U^T B."""
         y = np.asarray(y_nodes, dtype=float).ravel()
         g = np.asarray(gamma_nodes, dtype=float).ravel()
-        out = np.zeros((y.size, g.size), dtype=complex)
-        for term in self.terms:
-            ay = term.a_at(y) * np.exp(-2j * np.pi * y * term.lam)
-            out += np.outer(ay, term.b.at(g))
-        return out
+        u = np.empty((len(self.terms), y.size), dtype=complex)
+        b = np.empty((len(self.terms), g.size), dtype=complex)
+        for j, term in enumerate(self.terms):
+            u[j] = term.a_at(y) * np.exp(-2j * np.pi * y * term.lam)
+            b[j] = term.b.at(g)
+        return u, b
+
+    def eval_matrix(self, y_nodes, gamma_nodes) -> np.ndarray:
+        """s(y, g) on the product grid, shape (n_y, n_gamma)."""
+        u, b = self.factors(y_nodes, gamma_nodes)
+        return u.T @ b
 
     def l2_bound(self) -> float:
         """Triangle-inequality bound sum_j ||a_j|| ||b_j|| on the symbol norm."""
@@ -131,16 +139,17 @@ def symbol_term(lam: float, eps: float, b: SpectralFactor, order: int = 8,
 
 def apply_ks(symbol: KNSymbol, f_values, f_grid: UniformGrid,
              gamma_nodes) -> np.ndarray:
-    """(K_s f-hat)(g) = integral s(y, g) f(y) exp(-2 pi i y g) dy per node."""
+    """(K_s f-hat)(g) = integral s(y, g) f(y) exp(-2 pi i y g) dy per node.
+
+    One kernel exp(-2 pi i y g) serves all terms: term j's modulation is
+    folded into its weight vector a_j(y) exp(-2 pi i y l_j) f(y), so the
+    quadrature is one product of the (terms, y) weights with the kernel.  The
+    kernel is factored along the uniform y axis, so any gamma nodes work.
+    """
     f = np.asarray(f_values, dtype=complex)
-    y = f_grid.nodes
-    g = np.asarray(gamma_nodes, dtype=float).ravel()
-    out = np.zeros(g.size, dtype=complex)
-    for term in symbol.terms:
-        weighted = term.a_at(y) * f
-        kernel = np.exp(-2j * np.pi * np.outer(y, g + term.lam))
-        out += term.b.at(g) * (weighted @ kernel)
-    return out * f_grid.step
+    u, b = symbol.factors(f_grid.nodes, gamma_nodes)
+    kernel = _exp_axis(gamma_nodes, f_grid.nodes, sign=-1)   # (n_gamma, n_y)
+    return np.sum(b * ((u * f) @ kernel.T), axis=0) * f_grid.step
 
 
 def hs_norm(symbol: KNSymbol, y_grid: UniformGrid, gamma_nodes, gamma_weights) -> float:
@@ -191,8 +200,7 @@ def validate_symbol_class(symbol: KNSymbol, leakage_tol: float = 1e-8) -> Symbol
         peak = abs(np.sum(a) * step)            # transform value at 0 (the maximum)
         nyquist = 0.5 / step
         probe = np.linspace(term.eps * 1.05, 0.8 * nyquist, 64)
-        kernel = np.exp(-2j * np.pi * np.outer(y, probe))
-        leak = np.max(np.abs((a @ kernel) * step)) / peak
+        leak = np.max(np.abs((_exp_axis(probe, y, sign=-1) @ a) * step)) / peak
         leak_ok = leak < leakage_tol
         reports.append(TermValidation(index=j, ball_inside=bool(ball_ok),
                                       boundary_margin=float(margin),
@@ -243,10 +251,11 @@ def psido_frame_check(symbol: KNSymbol, f_values, f_grid: UniformGrid,
     kf_norm_sq = float(np.sum(gw * np.abs(kf) ** 2))
     f_norm_sq = float(np.sum(np.abs(f) ** 2) * f_grid.step)
     lhs = lower_const * kf_norm_sq**2 / f_norm_sq
+    # inner[x] = sum_g s(x, g) exp(-2 pi i x g) gw kf(g), one product per term
     x = sampling_set.points[:, 0]
-    s_xg = symbol.eval_matrix(x, gnodes)                     # (n_x, n_gamma)
-    phases = np.exp(-2j * np.pi * np.outer(x, gnodes))
-    inner = (s_xg * phases) @ (gw * kf)
+    u, b = symbol.factors(x, gnodes)
+    phases = _exp_axis(x, gnodes, sign=-1)                   # (n_x, n_gamma)
+    inner = np.sum(u * ((b * (gw * kf)) @ phases.T), axis=0)
     mid = float(np.sum(np.abs(inner) ** 2))
     hs = hs_norm(symbol, f_grid, gnodes, gw)
     rhs = bessel_bound * hs**2 * kf_norm_sq

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import NotAFrameError, _conjugate_gradients
+from .frames import NotAFrameError, _conjugate_gradients, _exp_axis
 from .sampling import SamplingSet
 from .spectral import BandlimitedSignal, evaluate
 
@@ -178,28 +178,22 @@ def stft(f_values, f_grid: UniformGrid, window: WindowFunction,
 
     Quadrature of the defining integral on the signal grid; the window is
     shifted by exact sample offsets, so tf.time nodes must be commensurate
-    with the common grid step.
+    with the common grid step.  The shifted products f(t_m) conj(g(t_m - x_i))
+    are gathered by index arithmetic into one (time nodes, signal samples)
+    matrix, which is multiplied once by the kernel exp(-2 pi i t w) from the
+    factored exponential builder.
     """
     f = np.asarray(f_values, dtype=complex)
     if f.shape != (f_grid.count,):
         raise ValueError("signal sample count mismatch")
-    x_nodes = tf.time.nodes
-    offsets = _shift_indices(f_grid, window, x_nodes)
-    t = f_grid.nodes
-    kernel = np.exp(-2j * np.pi * np.outer(t, tf.freq.nodes))    # (n_t, n_w)
-    n_t = f_grid.count
-    n_w = window.grid.count
-    out = np.empty((x_nodes.size, tf.freq.count), dtype=complex)
-    gvals = window.values
-    for i, s in enumerate(offsets):
-        # window sample index for t_m - x_i is m - s (+ alignment constant 0)
-        m_lo = max(0, s)
-        m_hi = min(n_t, s + n_w)
-        prod = np.zeros(n_t, dtype=complex)
-        if m_hi > m_lo:
-            prod[m_lo:m_hi] = f[m_lo:m_hi] * np.conj(gvals[m_lo - s:m_hi - s])
-        out[i] = prod @ kernel
-    return out * f_grid.step
+    offsets = _shift_indices(f_grid, window, tf.time.nodes)
+    # t_m - x_i is window sample m - s_i; the conjugated window gets a zero at
+    # each end, and indices off the window grid are clipped onto those zeros
+    padded = np.concatenate([[0.0], np.conj(window.values), [0.0]])
+    k = np.arange(f_grid.count)[None, :] - offsets[:, None] + 1
+    prod = f * padded[np.clip(k, 0, padded.size - 1)]          # (n_x, n_t)
+    kernel = _exp_axis(f_grid.nodes, tf.freq.nodes, sign=-1)     # (n_t, n_freq)
+    return (prod @ kernel) * f_grid.step
 
 
 def stft_at(f_values, f_grid: UniformGrid, window: WindowFunction,
@@ -236,9 +230,8 @@ def isometry_check(f_values, f_grid: UniformGrid, window: WindowFunction,
 
 def _forward_transform(values, grid: UniformGrid, freq_nodes: np.ndarray) -> np.ndarray:
     """Quadrature Fourier transform of grid samples at arbitrary frequencies."""
-    t = grid.nodes
-    return (np.asarray(values, dtype=complex) @
-            np.exp(-2j * np.pi * np.outer(t, freq_nodes))) * grid.step
+    return (_exp_axis(freq_nodes, grid.nodes, sign=-1) @
+            np.asarray(values, dtype=complex)) * grid.step
 
 
 def tf_identity_check(f_values, f_grid: UniformGrid, window: WindowFunction,
@@ -263,7 +256,7 @@ def tf_identity_check(f_values, f_grid: UniformGrid, window: WindowFunction,
 
     v_time = stft(f_values, f_grid, window, tf)          # rows x, cols w
     rhs = v_spec[:, ::-1].T                              # -> rows x, cols w
-    phase = np.exp(-2j * np.pi * np.outer(x_nodes, tf.freq.nodes))
+    phase = _exp_axis(x_nodes, tf.freq.nodes, sign=-1)
     return float(np.max(np.abs(v_time - phase * rhs)))
 
 
@@ -284,14 +277,14 @@ def stft_fourier_closed_form(f_values, f_grid: UniformGrid, window: WindowFuncti
     zeta = UniformGrid.symmetric(zeta_half, tf.freq.step).nodes
     t = f_grid.nodes
     z = t[np.abs(t) <= z_half]
-    ker_x = np.exp(-2j * np.pi * np.outer(zeta, x_nodes))    # (n_zeta, n_x)
-    ker_w = np.exp(-2j * np.pi * np.outer(w_nodes, z))       # (n_w, n_z)
+    ker_x = _exp_axis(zeta, x_nodes, sign=-1)                # (n_zeta, n_x)
+    ker_w = _exp_axis(w_nodes, z, sign=-1)                   # (n_w, n_z)
     vhat = ker_x @ v @ ker_w * (tf.time.step * tf.freq.step)  # (n_zeta, n_z)
 
     f = np.asarray(f_values, dtype=complex)
     f_neg = np.array([f[np.argmin(np.abs(t + zv))] for zv in z])
     g_hat_neg = _forward_transform(window.values, window.grid, -zeta)
-    closed = np.exp(2j * np.pi * np.outer(zeta, z)) * np.outer(g_hat_neg, f_neg)
+    closed = _exp_axis(zeta, z) * np.outer(g_hat_neg, f_neg)
     return float(np.max(np.abs(vhat - closed)))
 
 
@@ -416,12 +409,13 @@ def phase_lattice(a: float, b: float, time_extent: float, freq_extent: float,
 
 def _atom_matrix(grid: UniformGrid, window: WindowFunction,
                  samples: PhaseSpaceSamples) -> np.ndarray:
-    """Columns exp(2 pi i sigma t) g(t - s) per phase-space node."""
+    """Columns exp(2 pi i sigma t) g(t - s) per phase-space node; the
+    exponentials are factored along the uniform t axis."""
     t = grid.nodes
     s = samples.points[:, 0]
     sigma = samples.points[:, 1]
     shifts = window.at(t[:, None] - s[None, :])
-    return np.exp(2j * np.pi * np.outer(t, sigma)) * shifts
+    return _exp_axis(sigma, t).T * shifts
 
 
 def gabor_frame_operator(f_values, grid: UniformGrid, window: WindowFunction,
@@ -459,15 +453,19 @@ def reference_test_subspace(grid: UniformGrid, time_extent: float, freq_extent: 
 
 def gabor_frame_condition(grid: UniformGrid, window: WindowFunction,
                           samples: PhaseSpaceSamples,
-                          test_subspace: np.ndarray) -> float:
+                          test_subspace: np.ndarray,
+                          atoms: np.ndarray | None = None) -> float:
     """Extreme-eigenvalue ratio of the frame operator compressed to the test
-    subspace (infinite when the smallest eigenvalue vanishes numerically)."""
-    atoms = _atom_matrix(grid, window, samples)
+    subspace (infinite when the smallest eigenvalue vanishes numerically, or
+    when there are fewer nodes than subspace dimensions).  ``atoms`` is the
+    atom matrix of the nodes if the caller already has it."""
+    if samples.size < test_subspace.shape[1]:
+        return np.inf
+    if atoms is None:
+        atoms = _atom_matrix(grid, window, samples)
     c = (atoms.conj().T @ test_subspace) * np.sqrt(grid.step)   # (n_atoms, r)
     svals = np.linalg.svd(c, compute_uv=False)
     top = float(svals[0] ** 2) * grid.step
-    if samples.size < test_subspace.shape[1]:
-        return np.inf
     bot = float(svals[-1] ** 2) * grid.step
     if bot <= 1e-15 * top:
         return np.inf
@@ -504,14 +502,15 @@ def gabor_reconstruct(f_values, grid: UniformGrid, window: WindowFunction,
                            condition=0.0, converged=True)
     if test_subspace is None:
         test_subspace = reference_test_subspace(grid, max(grid.stop - 5.0, 1.0), 1.5)
-    condition = gabor_frame_condition(grid, window, samples, test_subspace)
+    atoms = _atom_matrix(grid, window, samples)
+    condition = gabor_frame_condition(grid, window, samples, test_subspace, atoms=atoms)
     if condition > cond_threshold:
         raise NotAFrameError(f"not a frame at this scale: test-subspace condition "
                              f"{condition:.3e} exceeds {cond_threshold:.1e}")
-    atoms = _atom_matrix(grid, window, samples)
+    adjoint = atoms.conj().T * grid.step
 
     def apply_s(x):
-        return atoms @ ((atoms.conj().T @ x) * grid.step)
+        return atoms @ (adjoint @ x)
 
     x, it, _, converged, history = _conjugate_gradients(apply_s, apply_s(f), None,
                                                         tol, max_iter)
@@ -540,7 +539,7 @@ def bandlimited_pair(omega: float, t_support: float, grid: UniformGrid,
     inner = np.abs(gamma) < omega
     prof[inner] = np.exp(-1.0 / (1.0 - (gamma[inner] / omega) ** 2))
     dg = gamma[1] - gamma[0]
-    g_vals = (np.exp(2j * np.pi * np.outer(t, gamma)) @ prof) * dg
+    g_vals = (_exp_axis(t, gamma) @ prof) * dg
     g = WindowFunction.from_samples(grid, g_vals, kind="sampled")
     # signal: even, compactly supported, random even cosine content
     mask = np.abs(t) < t_support

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nusample import balayage as bal
 from nusample import frames
@@ -207,6 +209,74 @@ class TestFrameCheck:
                                           e_set, gamma, gw,
                                           lower_const=lower, bessel_bound=bessel)
             assert chk.lower_ok and chk.upper_ok
+
+
+def dense_apply_ks(symbol, f, f_grid, gamma):
+    """The operator one term at a time, each with its own dense kernel
+    exp(-2 pi i y (g + l_j))."""
+    y = f_grid.nodes
+    out = np.zeros(gamma.size, dtype=complex)
+    for term in symbol.terms:
+        kernel = np.exp(-2j * np.pi * np.outer(y, gamma + term.lam))
+        out += term.b.at(gamma) * ((term.a_at(y) * f) @ kernel)
+    return out * f_grid.step
+
+
+def dense_symbol(symbol, y, gamma):
+    """s(y, g) as a sum of one outer product per term."""
+    return sum(np.outer(t.a_at(y) * np.exp(-2j * np.pi * y * t.lam), t.b.at(gamma))
+               for t in symbol.terms)
+
+
+def dense_mid(symbol, kf, sampling_set, gamma, gw):
+    """Sampled energy of the symbol slices against a dense phase table."""
+    x = sampling_set.points[:, 0]
+    phases = np.exp(-2j * np.pi * np.outer(x, gamma))
+    inner = (dense_symbol(symbol, x, gamma) * phases) @ (gw * kf)
+    return float(np.sum(np.abs(inner) ** 2))
+
+
+@st.composite
+def gamma_cases(draw):
+    """Sorted gamma nodes in [-0.7, 0.7], on a uniform grid or drawn at random
+    (off any lattice), with their trapezoid-like weights and a trial signal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 120))
+    if draw(st.booleans()):
+        gamma = np.linspace(-0.7, 0.7, n)
+    else:
+        gamma = np.sort(rng.uniform(-0.7, 0.7, n))
+    gw = np.gradient(gamma)
+    return gamma, gw, rng.standard_normal(97) + 1j * rng.standard_normal(97)
+
+
+class TestDenseFormulas:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(gamma_cases())
+    def test_apply_ks_matches_dense(self, two_term_symbol, case):
+        gamma, _, f = case
+        grid = UniformGrid.symmetric(12.0, 0.25)
+        expect = dense_apply_ks(two_term_symbol, f, grid, gamma)
+        got = psido.apply_ks(two_term_symbol, f, grid, gamma)
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(gamma_cases())
+    def test_frame_check_matches_dense(self, two_term_symbol, context, case):
+        gamma, gw, f = case
+        e_set, lower, bessel = context
+        grid = UniformGrid.symmetric(12.0, 0.25)
+        chk = psido.psido_frame_check(two_term_symbol, f, grid, e_set, gamma, gw,
+                                      lower_const=lower, bessel_bound=bessel)
+        kf = dense_apply_ks(two_term_symbol, f, grid, gamma)
+        kf_norm_sq = float(np.sum(gw * np.abs(kf) ** 2))
+        f_norm_sq = float(np.sum(np.abs(f) ** 2) * grid.step)
+        s_yg = dense_symbol(two_term_symbol, grid.nodes, gamma)
+        hs_sq = np.sum(np.abs(s_yg) ** 2 * gw) * grid.step
+        assert chk.lhs == pytest.approx(lower * kf_norm_sq**2 / f_norm_sq, rel=1e-12)
+        assert chk.mid == pytest.approx(dense_mid(two_term_symbol, kf, e_set, gamma, gw),
+                                        rel=1e-12)
+        assert chk.rhs == pytest.approx(bessel * hs_sq * kf_norm_sq, rel=1e-12)
 
 
 def test_symbol_serialization_roundtrip(tmp_path, two_term_symbol):

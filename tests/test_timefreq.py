@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nusample import geometry as geo
 from nusample import spectral as spc
@@ -84,6 +86,97 @@ class TestStft:
         other = tfm.gaussian_window(step=grid.step / 3)
         with pytest.raises(ValueError, match="incommensurate"):
             tfm.stft(f, grid, other, tf)
+
+
+def stft_row_loop(f, f_grid, window, tf):
+    """Reference transform: one row per time node, each the window-shifted
+    product against a dense kernel exp(-2 pi i t w)."""
+    offsets = tfm._shift_indices(f_grid, window, tf.time.nodes)
+    kernel = np.exp(-2j * np.pi * np.outer(f_grid.nodes, tf.freq.nodes))
+    n_t, n_w = f_grid.count, window.grid.count
+    out = np.empty((tf.time.count, tf.freq.count), dtype=complex)
+    for i, s in enumerate(offsets):
+        m_lo, m_hi = max(0, s), min(n_t, s + n_w)
+        prod = np.zeros(n_t, dtype=complex)
+        if m_hi > m_lo:
+            prod[m_lo:m_hi] = f[m_lo:m_hi] * np.conj(window.values[m_lo - s:m_hi - s])
+        out[i] = prod @ kernel
+    return out * f_grid.step
+
+
+@st.composite
+def stft_cases(draw):
+    """A complex signal and window on commensurate grids of one step, and time
+    nodes at whole multiples of it, some shifting the window off the signal."""
+    step = draw(st.floats(0.02, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f_grid = tfm.UniformGrid(start=draw(st.integers(-60, 0)) * step, step=step,
+                             count=draw(st.integers(1, 120)))
+    w_grid = tfm.UniformGrid(start=draw(st.integers(-30, 0)) * step, step=step,
+                             count=draw(st.integers(1, 60)))
+    window = tfm.WindowFunction(grid=w_grid, values=rng.standard_normal(w_grid.count)
+                                + 1j * rng.standard_normal(w_grid.count))
+    time = tfm.UniformGrid(start=draw(st.integers(-100, 60)) * step,
+                           step=draw(st.integers(1, 4)) * step, count=draw(st.integers(2, 40)))
+    freq = tfm.UniformGrid(start=draw(st.floats(-3.0, 0.0)), step=draw(st.floats(0.01, 0.5)),
+                           count=draw(st.integers(2, 60)))
+    f = rng.standard_normal(f_grid.count) + 1j * rng.standard_normal(f_grid.count)
+    return f, f_grid, window, tfm.TimeFrequencyGrid(time=time, freq=freq)
+
+
+def compact_signal(t, half, center, coeffs):
+    """Smooth bump supported in |t - center| < half times low-frequency
+    trigonometric content with the given complex coefficients."""
+    env = np.zeros_like(t)
+    inside = np.abs(t - center) < half
+    env[inside] = np.exp(-1.0 / (1.0 - ((t[inside] - center) / half) ** 2))
+    k = np.arange(coeffs.size)
+    return env * (coeffs @ np.exp(2j * np.pi * np.outer(k, t) / (2.0 * half)))
+
+
+@st.composite
+def compact_signals(draw):
+    """Random compactly supported signal on [-8, 8] at step 0.1, support
+    inside [-5, 5], highest frequency at most 1."""
+    grid = tfm.UniformGrid.symmetric(8.0, 0.1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return compact_signal(grid.nodes, draw(st.floats(1.0, 3.0)),
+                          draw(st.floats(-2.0, 2.0)), coeffs), grid
+
+
+PROPERTY_WINDOW = tfm.gaussian_window(step=0.1, half_width=8.0)
+PROPERTY_TF = tfm.TimeFrequencyGrid(time=tfm.UniformGrid.symmetric(7.0, 0.2),
+                                    freq=tfm.UniformGrid.symmetric(4.0, 0.2))
+
+
+class TestStftProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(stft_cases())
+    def test_matches_row_loop(self, case):
+        f, f_grid, window, tf = case
+        expect = stft_row_loop(f, f_grid, window, tf)
+        got = tfm.stft(f, f_grid, window, tf)
+        assert np.linalg.norm(got - expect) <= 1e-12 * max(np.linalg.norm(expect), 1e-300)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(compact_signals())
+    def test_isometry(self, case):
+        # ||V_g f|| = ||g|| ||f|| within the tolerance of configs/stft.json
+        f, grid = case
+        assert tfm.isometry_check(f, grid, PROPERTY_WINDOW, PROPERTY_TF).deviation <= 1e-3
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(compact_signals(), compact_signals(),
+           st.complex_numbers(max_magnitude=5.0), st.complex_numbers(max_magnitude=5.0))
+    def test_linear_in_signal(self, first, second, a, b):
+        (f, grid), (h, _) = first, second
+        lhs = tfm.stft(a * f + b * h, grid, PROPERTY_WINDOW, PROPERTY_TF)
+        rhs = (a * tfm.stft(f, grid, PROPERTY_WINDOW, PROPERTY_TF)
+               + b * tfm.stft(h, grid, PROPERTY_WINDOW, PROPERTY_TF))
+        scale = (abs(a) * np.linalg.norm(f) + abs(b) * np.linalg.norm(h)) * grid.step
+        assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(scale * np.sqrt(lhs.size), 1e-300)
 
 
 class TestIdentities:
@@ -280,6 +373,13 @@ class TestGabor:
         assert len(capped.history) == 3
         full = tfm.gabor_reconstruct(f, grid, g0, p, test_subspace=q)
         assert full.converged is True and len(full.history) == full.iterations
+
+    def test_empty_sample_set_is_not_a_frame(self, gabor_setup):
+        grid, g0, f, q = gabor_setup
+        empty = tfm.PhaseSpaceSamples(np.empty((0, 2)))
+        assert tfm.gabor_frame_condition(grid, g0, empty, q) == np.inf
+        with pytest.raises(NotAFrameError):
+            tfm.gabor_reconstruct(f, grid, g0, empty, test_subspace=q)
 
     def test_sparse_lattice_not_a_frame(self, gabor_setup):
         grid, g0, f, q = gabor_setup
