@@ -29,7 +29,7 @@ from scipy.signal import fftconvolve
 
 from .geometry import SpectralGrid, as_points
 from .sampling import SamplingSet
-from .spectral import TrigPolynomial, eval_trigpoly
+from .spectral import TrigPolynomial, eval_trigpoly, exp_table
 
 
 class BalayageInfeasibleError(RuntimeError):
@@ -75,8 +75,7 @@ class InghamWindow:
 
     def __call__(self, x) -> np.ndarray:
         pts = as_points(x, self.dim)
-        phases = np.exp(2j * np.pi * (pts @ self.bump_nodes.T))
-        b = phases @ (self.bump_values * self.bump_cell)
+        b = exp_table(pts, self.bump_nodes) @ (self.bump_values * self.bump_cell)
         b0 = float(np.sum(self.bump_values) * self.bump_cell)
         vals = np.abs(b) ** 2 / b0**2
         return vals if vals.size > 1 else float(vals[0])
@@ -207,9 +206,7 @@ class BalayageSolver:
         self.reg = float(reg)
         self.cutoff = float(spectral_cutoff)
         self.max_irls = int(max_irls)
-        x = sampling_set.points
-        g = grid.nodes
-        self._phi = np.exp(-2j * np.pi * (g @ x.T))        # (nodes, points)
+        self._phi = exp_table(sampling_set.points, grid.nodes, sign=-1).T   # (nodes, points)
         self._sqw = np.sqrt(grid.weights)
         b_mat = self._sqw[:, None] * self._phi
         # thin QR of the weighted system: reweighted steps solve on R and
@@ -223,7 +220,7 @@ class BalayageSolver:
         self._cache: dict[bytes, BalayageSolution] = {}
 
     def _target(self, y: np.ndarray) -> np.ndarray:
-        return np.exp(-2j * np.pi * (self.grid.nodes @ y))
+        return exp_table(y, self.grid.nodes, sign=-1)[0]
 
     def solve_rhs(self, b: np.ndarray) -> RhsFit:
         """l1-regularized weighted least squares against an arbitrary target.

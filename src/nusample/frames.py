@@ -21,16 +21,11 @@ masked 2-d lattice) and is applied by circulant embedding and FFT in
 O(N log N) per step, after one pass over factor tables of the sampled
 exponentials (the ACT method of Feichtinger, Groechenig and Strohmer).  Grids
 off a lattice keep the dense product with the sampled exponential matrix.
-
-Exponential tables exp(2 pi i x g) over a uniform axis g = g0 + k h come from
-one factored builder (:func:`_exp_axis`): with k = J q + j and J = ceil(sqrt n)
-each table is the product of two tables of about sqrt(n) columns, exact up to
-rounding.  The short-time Fourier and pseudo-differential modules build their
-kernels through it.
+Every such table comes from :func:`~nusample.spectral.exp_table`, and
+analysis is :func:`~nusample.spectral.evaluate` on the sampling points.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +33,11 @@ import numpy as np
 from .geometry import (CoveringReport, SpectralGrid, SpectrumSet,
                        build_grid, covering_check)
 from .sampling import SamplingSet
-from .spectral import BandlimitedSignal
+from .spectral import (BandlimitedSignal, _exp_factors, _lattice_indices, evaluate,
+                       exp_table)
 
 _EIG_FLOOR = 1e-12
 _DENSE_CAPACITY = 4096
-_LATTICE_ULPS = 16
 
 
 class NotAFrameError(RuntimeError):
@@ -87,58 +82,11 @@ class FrameReport:
         }
 
 
-def _exp_matrix(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """E[x, k] = exp(2 pi i x . g_k) for the rows x of ``points`` and g_k of
-    ``nodes``, shape (points, nodes).  The dense builder: one exponential
-    per entry.  It is the reference that :func:`_exp_axis` is tested against."""
-    return np.exp(2j * np.pi * (points @ nodes.T))
-
-
-def _exp_factors(x: np.ndarray, origin: float, step: float, n: int):
-    """Two factor tables of exp(2 pi i x (origin + k step)) for k < n.
-
-    With J = ceil(sqrt(n)) and k = J q + j (j < J), the entry for k is
-    A[:, q] * B[:, j] with A = exp(2 pi i x J step q) and
-    B = exp(2 pi i x (origin + j step)).  That is exact up to rounding and
-    takes O(len(x) sqrt(n)) exponentials instead of len(x) n, the split
-    behind the chirp-z transform.  Returns (A, B), shapes (len(x), ceil(n/J))
-    and (len(x), J).
-    """
-    j_count = math.isqrt(n - 1) + 1
-    q = np.arange(-(-n // j_count))
-    a = np.exp(2j * np.pi * np.outer(x, j_count * step * q))
-    b = np.exp(2j * np.pi * np.outer(x, origin + step * np.arange(j_count)))
-    return a, b
-
-
-def _exp_axis(x, nodes, sign: int = 1) -> np.ndarray:
-    """exp(sign 2 pi i x g_k) for real x and 1-d nodes g_k, shape
-    (len(x), len(nodes)).
-
-    Nodes on a regular lattice g_k = origin + idx_k * step, in any order (see
-    :func:`_lattice_indices`), are built as the product of the two tables of
-    :func:`_exp_factors`; other nodes fall back to :func:`_exp_matrix`.
-    """
-    x = sign * np.asarray(x, dtype=float).ravel()
-    g = np.asarray(nodes, dtype=float).reshape(-1, 1)
-    lattice = _lattice_indices(g) if g.size else None
-    if lattice is None:
-        return _exp_matrix(x[:, None], g)
-    idx, origin, step = lattice
-    k = idx[:, 0]
-    a, b = _exp_factors(x, origin[0], step[0], int(k.max()) + 1)
-    table = (a[:, :, None] * b[:, None, :]).reshape(x.size, a.shape[1] * b.shape[1])
-    if np.array_equal(k, np.arange(k.size)):
-        return table[:, :k.size]     # ascending nodes: a view, no gather
-    return table[:, k]
-
-
 def analysis(signal: BandlimitedSignal, sampling_set: SamplingSet) -> SampleVector:
     """Sample the signal on the set: values are the spectral quadratures of the
     coefficients against the sampled exponentials."""
-    e = _exp_matrix(sampling_set.points, signal.grid.nodes)
-    vals = e @ (signal.grid.weights * signal.coeffs)
-    return SampleVector(sampling_set=sampling_set, values=vals)
+    return SampleVector(sampling_set=sampling_set,
+                        values=evaluate(signal, sampling_set.points))
 
 
 def frame_operator_apply(samples: SampleVector, grid: SpectralGrid) -> BandlimitedSignal:
@@ -148,8 +96,7 @@ def frame_operator_apply(samples: SampleVector, grid: SpectralGrid) -> Bandlimit
     two maps are adjoint with respect to the weighted spectral inner product
     and the plain sample-space dot product.
     """
-    e = _exp_matrix(samples.sampling_set.points, grid.nodes)
-    coeffs = e.conj().T @ samples.values
+    coeffs = exp_table(samples.sampling_set.points, grid.nodes, sign=-1).T @ samples.values
     return BandlimitedSignal(grid=grid, coeffs=coeffs)
 
 
@@ -172,10 +119,11 @@ def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
     A lower value below ``floor`` (relative to the upper) is reported as 0,
     i.e. not a frame at this scale.
     """
+    if sampling_set.size == 0:
+        raise ValueError("empty sampling set")
     if grid.size > _DENSE_CAPACITY:
         raise CapacityError(f"grid size {grid.size} exceeds dense capacity {_DENSE_CAPACITY}")
-    e = _exp_matrix(sampling_set.points, grid.nodes)    # (samples, nodes)
-    u = e * np.sqrt(grid.weights)[None, :]              # (samples, nodes)
+    u = exp_table(sampling_set.points, grid.nodes) * np.sqrt(grid.weights)  # (samples, nodes)
     if subspace is None:
         svals = np.linalg.svd(u, compute_uv=False)
         upper = float(svals[0] ** 2)
@@ -235,8 +183,7 @@ def interior_taper_subspace(grid: SpectralGrid, window, margin: float,
     mesh = np.meshgrid(*axes, indexing="ij")
     shifts = np.stack([m.ravel() for m in mesh], axis=1)
     taper = _smooth_step((1.0 - spec.gauge(grid.nodes)) / rolloff)
-    basis = (np.sqrt(grid.weights) * taper)[:, None] * np.exp(
-        -2j * np.pi * (grid.nodes @ shifts.T))
+    basis = (np.sqrt(grid.weights) * taper)[:, None] * exp_table(shifts, grid.nodes, sign=-1).T
     q, svals, _ = np.linalg.svd(basis, full_matrices=False)
     rank = int(np.sum(svals > rank_tol * svals[0]))
     return q[:, :rank]
@@ -307,7 +254,7 @@ def reconstruct(samples: SampleVector, grid: SpectralGrid,
         coeffs, it, residual, converged, history = _conjugate_gradients(
             *_toeplitz_system(ss, v, w, *lattice), w, tol, max_iter)
     else:
-        e = _exp_matrix(ss.points, grid.nodes)     # (samples, nodes)
+        e = exp_table(ss.points, grid.nodes)       # (samples, nodes)
         eh = e.conj().T
         if method == "sample-gram":
             # sample-space normal equations: G c = v with G the sampled-sinc Gram
@@ -321,36 +268,6 @@ def reconstruct(samples: SampleVector, grid: SpectralGrid,
     return ReconstructionResult(signal=BandlimitedSignal(grid=grid, coeffs=coeffs),
                                 iterations=it, residual=residual, converged=converged,
                                 method=method, history=history)
-
-
-def _lattice_indices(nodes: np.ndarray):
-    """Integer lattice coordinates of the nodes, or None off a lattice.
-
-    The nodes lie on a regular lattice when along every axis each coordinate
-    equals origin + index * step to within a few ulps of the axis scale, with
-    origin the smallest coordinate and step the smallest gap between distinct
-    coordinates, and no two nodes share an index.  Returns (indices, origin,
-    steps) with nonnegative integer indices of shape (nodes, dim).
-    """
-    origin = nodes.min(axis=0)
-    steps = np.ones(nodes.shape[1])
-    idx = np.empty(nodes.shape, dtype=np.int64)
-    for a, col in enumerate(nodes.T):
-        tol = _LATTICE_ULPS * np.finfo(float).eps * np.max(np.abs(col))
-        coords = np.unique(col)
-        if coords.size > 1:
-            gap = np.min(np.diff(coords))
-            if gap <= tol:
-                return None
-            span = coords[-1] - coords[0]
-            steps[a] = span / np.rint(span / gap)
-        idx[:, a] = np.rint((col - origin[a]) / steps[a])
-        if np.max(np.abs(origin[a] + idx[:, a] * steps[a] - col)) > tol:
-            return None
-    flat = np.ravel_multi_index(idx.T, idx.max(axis=0) + 1)
-    if np.unique(flat).size != flat.size:
-        return None
-    return idx, origin, steps
 
 
 def _toeplitz_system(sampling_set: SamplingSet, values: np.ndarray, weights: np.ndarray,
@@ -379,8 +296,8 @@ def _toeplitz_system(sampling_set: SamplingSet, values: np.ndarray, weights: np.
     if x.shape[1] == 1:
         factors = _exp_factors(-x[:, 0], 0.0, steps[0], box[0])
     else:
-        factors = [_exp_axis(x[:, a], r * steps[a], sign=-1) for a, r in enumerate(half)]
-    shifted = values * _exp_matrix(x, -origin[None, :])[:, 0]
+        factors = [exp_table(x[:, a], r * steps[a], sign=-1) for a, r in enumerate(half)]
+    shifted = values * exp_table(x, origin[None, :], sign=-1)[:, 0]
     # Khatri-Rao product of the leading factors with both weight columns (1 and
     # the shifted samples), then one product with the last factor; the flat
     # C order of the result is the order of ``m``
@@ -528,8 +445,7 @@ def three_dilate_check(signal: BandlimitedSignal, sampling_set: SamplingSet,
     lhs = float(np.sum(w * np.abs(j_f) ** 2)) / norm_f
     mid = 0.0
     for j in (1, 2, 3):
-        ej = np.exp(2j * np.pi * ((sampling_set.points / j) @ grid.nodes.T))
-        samples = ej @ (w * signal.coeffs)
+        samples = evaluate(signal, sampling_set.points / j)
         mid += (1.0 / j) * float(np.sqrt(np.sum(np.abs(samples) ** 2)))
     rhs = norm_f
     lower_ok = None if lower_const is None else bool(

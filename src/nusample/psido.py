@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import _exp_axis
 from .geometry import SpectrumSet
 from .sampling import SamplingSet
+from .spectral import exp_table
 from .timefreq import UniformGrid, interp_complex
 
 
@@ -148,15 +148,18 @@ def apply_ks(symbol: KNSymbol, f_values, f_grid: UniformGrid,
     """
     f = np.asarray(f_values, dtype=complex)
     u, b = symbol.factors(f_grid.nodes, gamma_nodes)
-    kernel = _exp_axis(gamma_nodes, f_grid.nodes, sign=-1)   # (n_gamma, n_y)
+    kernel = exp_table(gamma_nodes, f_grid.nodes, sign=-1)   # (n_gamma, n_y)
     return np.sum(b * ((u * f) @ kernel.T), axis=0) * f_grid.step
 
 
 def hs_norm(symbol: KNSymbol, y_grid: UniformGrid, gamma_nodes, gamma_weights) -> float:
-    """Hilbert-Schmidt norm by double quadrature of |s|^2 over time x frequency."""
-    s = symbol.eval_matrix(y_grid.nodes, gamma_nodes)
+    """Hilbert-Schmidt norm by double quadrature of |s|^2 over time x frequency,
+    taken through the terms x terms Gram matrices of s = U^T B (see
+    :meth:`KNSymbol.factors`): ||s||^2 = step Re sum_jk (U U^H)_jk (B W B^H)_jk."""
+    u, b = symbol.factors(y_grid.nodes, gamma_nodes)
     gw = np.asarray(gamma_weights, dtype=float)
-    return float(np.sqrt(np.sum((np.abs(s) ** 2 * gw[None, :])) * y_grid.step))
+    total = np.sum((u @ u.conj().T) * ((b * gw) @ b.conj().T)).real
+    return float(np.sqrt(max(total, 0.0) * y_grid.step))
 
 
 @dataclass(frozen=True)
@@ -200,7 +203,7 @@ def validate_symbol_class(symbol: KNSymbol, leakage_tol: float = 1e-8) -> Symbol
         peak = abs(np.sum(a) * step)            # transform value at 0 (the maximum)
         nyquist = 0.5 / step
         probe = np.linspace(term.eps * 1.05, 0.8 * nyquist, 64)
-        leak = np.max(np.abs((_exp_axis(probe, y, sign=-1) @ a) * step)) / peak
+        leak = np.max(np.abs((exp_table(probe, y, sign=-1) @ a) * step)) / peak
         leak_ok = leak < leakage_tol
         reports.append(TermValidation(index=j, ball_inside=bool(ball_ok),
                                       boundary_margin=float(margin),
@@ -254,7 +257,7 @@ def psido_frame_check(symbol: KNSymbol, f_values, f_grid: UniformGrid,
     # inner[x] = sum_g s(x, g) exp(-2 pi i x g) gw kf(g), one product per term
     x = sampling_set.points[:, 0]
     u, b = symbol.factors(x, gnodes)
-    phases = _exp_axis(x, gnodes, sign=-1)                   # (n_x, n_gamma)
+    phases = exp_table(x, gnodes, sign=-1)                   # (n_x, n_gamma)
     inner = np.sum(u * ((b * (gw * kf)) @ phases.T), axis=0)
     mid = float(np.sum(np.abs(inner) ** 2))
     hs = hs_norm(symbol, f_grid, gnodes, gw)

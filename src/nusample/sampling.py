@@ -34,7 +34,8 @@ class SamplingSet:
         win = np.asarray(self.window, dtype=float).reshape(self.dim, 2)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "window", win)
-        if pts.shape[0] >= 2 and pdist(pts).min() <= 0.0:
+        ordered = pts[np.lexsort(pts.T[::-1])]   # equal rows end up adjacent
+        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
             raise ValueError("sampling set contains duplicate points")
         lo, hi = win[:, 0], win[:, 1]
         if np.any(lo > hi):

@@ -9,16 +9,104 @@ the inverse-transform quadrature
 so quadrature error is the one controlled approximation in the model.
 Trigonometric polynomials (finite character sums with frequencies inside the
 spectrum) are kept separate because their time evaluation is exact.
+
+Every table of sampled exponentials exp(+-2 pi i x . g) in the package comes
+from :func:`exp_table`: on lattice nodes it multiplies per-axis tables, each
+the product of two tables of about sqrt(n) columns (the chirp-z split, exact
+up to rounding); other nodes get the dense :func:`_exp_matrix`, which is also
+the reference the builder is tested against.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import SpectralGrid, SpectrumSet, as_points, build_grid
+
+_LATTICE_ULPS = 16
+
+
+def _exp_matrix(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Dense E[x, k] = exp(2 pi i x . g_k), one exponential per entry."""
+    return np.exp(2j * np.pi * (points @ nodes.T))
+
+
+def _exp_factors(x: np.ndarray, origin: float, step: float, n: int):
+    """Two factor tables of exp(2 pi i x (origin + k step)) for k < n.
+
+    With J = ceil(sqrt(n)) and k = J q + j (j < J), the entry for k is
+    A[:, q] * B[:, j] with A = exp(2 pi i x J step q) and
+    B = exp(2 pi i x (origin + j step)).  Returns (A, B), shapes
+    (len(x), ceil(n/J)) and (len(x), J).
+    """
+    j_count = math.isqrt(n - 1) + 1
+    q = np.arange(-(-n // j_count))
+    a = np.exp(2j * np.pi * np.outer(x, j_count * step * q))
+    b = np.exp(2j * np.pi * np.outer(x, origin + step * np.arange(j_count)))
+    return a, b
+
+
+def _lattice_indices(nodes: np.ndarray):
+    """Integer lattice coordinates of the nodes, or None off a lattice.
+
+    The nodes lie on a regular lattice when along every axis each coordinate
+    equals origin + index * step to within a few ulps of the axis scale, with
+    origin the smallest coordinate and step the smallest gap between distinct
+    coordinates, and no two nodes share an index.  Returns (indices, origin,
+    steps) with nonnegative integer indices of shape (nodes, dim).
+    """
+    origin = nodes.min(axis=0)
+    steps = np.ones(nodes.shape[1])
+    idx = np.empty(nodes.shape, dtype=np.int64)
+    for a, col in enumerate(nodes.T):
+        tol = _LATTICE_ULPS * np.finfo(float).eps * np.max(np.abs(col))
+        coords = np.unique(col)
+        if coords.size > 1:
+            gap = np.min(np.diff(coords))
+            if gap <= tol:
+                return None
+            span = coords[-1] - coords[0]
+            steps[a] = span / np.rint(span / gap)
+        idx[:, a] = np.rint((col - origin[a]) / steps[a])
+        if np.max(np.abs(origin[a] + idx[:, a] * steps[a] - col)) > tol:
+            return None
+    flat = np.ravel_multi_index(idx.T, idx.max(axis=0) + 1)
+    if np.unique(flat).size != flat.size:
+        return None
+    return idx, origin, steps
+
+
+def exp_table(points, nodes, sign: int = 1) -> np.ndarray:
+    """exp(sign 2 pi i x . g_k), shape (points, nodes); ``nodes`` is (n, dim)
+    and ``points`` (m, dim), either flat when dim is 1.
+
+    Nodes on a lattice, in any order and any subset of its box (see
+    :func:`_lattice_indices`), multiply one table per axis built from the
+    factors of :func:`_exp_factors`; other nodes fall back to
+    :func:`_exp_matrix`.  Put the lattice side of a product in ``nodes``.
+    """
+    g = np.asarray(nodes, dtype=float)
+    g = g[:, None] if g.ndim == 1 else g
+    x = sign * np.asarray(points, dtype=float).reshape(-1, g.shape[1])
+    lattice = _lattice_indices(g) if g.size else None
+    if lattice is None:
+        return _exp_matrix(x, g)
+    idx, origin, steps = lattice
+    table = None
+    for a, k in enumerate(idx.T):
+        fa, fb = _exp_factors(x[:, a], origin[a], steps[a], int(k.max()) + 1)
+        if np.array_equal(k, np.arange(k.size)):   # ascending axis: a view, no gather
+            part = (fa[:, :, None] * fb[:, None, :]).reshape(
+                x.shape[0], fa.shape[1] * fb.shape[1])[:, :k.size]
+        else:
+            q, j = np.divmod(k, fb.shape[1])
+            part = fa[:, q] * fb[:, j]
+        table = part if table is None else table * part
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,18 +133,20 @@ class BandlimitedSignal:
         return float(np.sqrt(self.norm_sq()))
 
 
-def evaluate(signal: BandlimitedSignal, x) -> complex | np.ndarray:
-    """Time-domain value(s) sum_k w_k F_k exp(2 pi i x . g_k).
-
-    Accepts a single point or an (m, dim) array; returns a complex scalar or
-    an (m,) vector.  Summation runs in node-index order.
-    """
-    pts = as_points(x, signal.grid.spectrum.dim)
-    phases = np.exp(2j * np.pi * (pts @ signal.grid.nodes.T))
-    vals = phases @ (signal.grid.weights * signal.coeffs)
-    if np.ndim(x) == 0 or (np.ndim(x) == 1 and signal.grid.spectrum.dim > 1):
+def _character_sum(x, freqs: np.ndarray, coeffs: np.ndarray, dim: int):
+    """sum_k c_k exp(2 pi i x . l_k) at a single point (a complex scalar) or
+    at the rows of an (m, dim) array (an (m,) vector)."""
+    vals = exp_table(as_points(x, dim), freqs) @ coeffs
+    if np.ndim(x) == 0 or (np.ndim(x) == 1 and dim > 1):
         return complex(vals[0])
     return vals
+
+
+def evaluate(signal: BandlimitedSignal, x) -> complex | np.ndarray:
+    """Time-domain value(s) sum_k w_k F_k exp(2 pi i x . g_k) at a point or
+    the rows of an (m, dim) array."""
+    return _character_sum(x, signal.grid.nodes, signal.grid.weights * signal.coeffs,
+                          signal.grid.spectrum.dim)
 
 
 def pw_inner(f: BandlimitedSignal, g: BandlimitedSignal) -> complex:
@@ -68,11 +158,7 @@ def pw_inner(f: BandlimitedSignal, g: BandlimitedSignal) -> complex:
 
 def random_pw_signal(spectrum: SpectrumSet, nodes: int, seed: int) -> BandlimitedSignal:
     """Complex-normal coefficients on a fresh grid, normalized to unit norm."""
-    grid = build_grid(spectrum, nodes)
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    sig = BandlimitedSignal(grid=grid, coeffs=c)
-    return BandlimitedSignal(grid=grid, coeffs=c / sig.norm())
+    return random_coeff_signal(build_grid(spectrum, nodes), seed)
 
 
 def random_coeff_signal(grid: SpectralGrid, seed: int) -> BandlimitedSignal:
@@ -104,11 +190,7 @@ class TrigPolynomial:
 
 def eval_trigpoly(poly: TrigPolynomial, x) -> complex | np.ndarray:
     """Exact evaluation (no quadrature)."""
-    pts = as_points(x, poly.spectrum.dim)
-    vals = np.exp(2j * np.pi * (pts @ poly.frequencies.T)) @ poly.coefficients
-    if np.ndim(x) == 0 or (np.ndim(x) == 1 and poly.spectrum.dim > 1):
-        return complex(vals[0])
-    return vals
+    return _character_sum(x, poly.frequencies, poly.coefficients, poly.spectrum.dim)
 
 
 def random_trig_polynomial(spectrum: SpectrumSet, n_terms: int, seed: int) -> TrigPolynomial:

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import NotAFrameError, _conjugate_gradients, _exp_axis
+from .frames import NotAFrameError, _conjugate_gradients
 from .sampling import SamplingSet
-from .spectral import BandlimitedSignal, evaluate
+from .spectral import BandlimitedSignal, evaluate, exp_table
 
 _ALIGN_TOL = 1e-9
 
@@ -192,7 +192,7 @@ def stft(f_values, f_grid: UniformGrid, window: WindowFunction,
     padded = np.concatenate([[0.0], np.conj(window.values), [0.0]])
     k = np.arange(f_grid.count)[None, :] - offsets[:, None] + 1
     prod = f * padded[np.clip(k, 0, padded.size - 1)]          # (n_x, n_t)
-    kernel = _exp_axis(f_grid.nodes, tf.freq.nodes, sign=-1)     # (n_t, n_freq)
+    kernel = exp_table(f_grid.nodes, tf.freq.nodes, sign=-1)     # (n_t, n_freq)
     return (prod @ kernel) * f_grid.step
 
 
@@ -230,7 +230,7 @@ def isometry_check(f_values, f_grid: UniformGrid, window: WindowFunction,
 
 def _forward_transform(values, grid: UniformGrid, freq_nodes: np.ndarray) -> np.ndarray:
     """Quadrature Fourier transform of grid samples at arbitrary frequencies."""
-    return (_exp_axis(freq_nodes, grid.nodes, sign=-1) @
+    return (exp_table(freq_nodes, grid.nodes, sign=-1) @
             np.asarray(values, dtype=complex)) * grid.step
 
 
@@ -256,7 +256,7 @@ def tf_identity_check(f_values, f_grid: UniformGrid, window: WindowFunction,
 
     v_time = stft(f_values, f_grid, window, tf)          # rows x, cols w
     rhs = v_spec[:, ::-1].T                              # -> rows x, cols w
-    phase = _exp_axis(x_nodes, tf.freq.nodes, sign=-1)
+    phase = exp_table(x_nodes, tf.freq.nodes, sign=-1)
     return float(np.max(np.abs(v_time - phase * rhs)))
 
 
@@ -277,14 +277,14 @@ def stft_fourier_closed_form(f_values, f_grid: UniformGrid, window: WindowFuncti
     zeta = UniformGrid.symmetric(zeta_half, tf.freq.step).nodes
     t = f_grid.nodes
     z = t[np.abs(t) <= z_half]
-    ker_x = _exp_axis(zeta, x_nodes, sign=-1)                # (n_zeta, n_x)
-    ker_w = _exp_axis(w_nodes, z, sign=-1)                   # (n_w, n_z)
+    ker_x = exp_table(zeta, x_nodes, sign=-1)                # (n_zeta, n_x)
+    ker_w = exp_table(w_nodes, z, sign=-1)                   # (n_w, n_z)
     vhat = ker_x @ v @ ker_w * (tf.time.step * tf.freq.step)  # (n_zeta, n_z)
 
     f = np.asarray(f_values, dtype=complex)
     f_neg = np.array([f[np.argmin(np.abs(t + zv))] for zv in z])
     g_hat_neg = _forward_transform(window.values, window.grid, -zeta)
-    closed = _exp_axis(zeta, z) * np.outer(g_hat_neg, f_neg)
+    closed = exp_table(zeta, z) * np.outer(g_hat_neg, f_neg)
     return float(np.max(np.abs(vhat - closed)))
 
 
@@ -415,7 +415,7 @@ def _atom_matrix(grid: UniformGrid, window: WindowFunction,
     s = samples.points[:, 0]
     sigma = samples.points[:, 1]
     shifts = window.at(t[:, None] - s[None, :])
-    return _exp_axis(sigma, t).T * shifts
+    return exp_table(sigma, t).T * shifts
 
 
 def gabor_frame_operator(f_values, grid: UniformGrid, window: WindowFunction,
@@ -539,7 +539,7 @@ def bandlimited_pair(omega: float, t_support: float, grid: UniformGrid,
     inner = np.abs(gamma) < omega
     prof[inner] = np.exp(-1.0 / (1.0 - (gamma[inner] / omega) ** 2))
     dg = gamma[1] - gamma[0]
-    g_vals = (_exp_axis(t, gamma) @ prof) * dg
+    g_vals = (exp_table(t, gamma) @ prof) * dg
     g = WindowFunction.from_samples(grid, g_vals, kind="sampled")
     # signal: even, compactly supported, random even cosine content
     mask = np.abs(t) < t_support

@@ -6,6 +6,7 @@ import pytest
 from nusample import cli
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+EMPTY_POINTS = {"kind": "points", "dim": 1, "points": [], "window": [[-20.0, 20.0]]}
 
 
 def run(command, config, out):
@@ -84,8 +85,9 @@ def test_missing_points_file_exits_2(tmp_path):
     (lambda cfg: cfg.update(resolution=-0.05), "resolution must be positive"),
     (lambda cfg: cfg.update(region=[[-10.0, 10.0], [-10.0, 10.0]]), "region dimension"),
     (lambda cfg: cfg.update(resolution="abc"), "not supported between instances of 'str'"),
+    (lambda cfg: cfg.update(sampling=EMPTY_POINTS), "empty sampling set"),
 ], ids=["jitter-above-half-delta", "negative-resolution", "region-dim-mismatch",
-        "string-resolution"])
+        "string-resolution", "empty-points"])
 def test_bad_config_value_exits_2(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIG_DIR / "covering.json").read_text())
     edit(cfg)
@@ -95,6 +97,16 @@ def test_bad_config_value_exits_2(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert "Traceback" not in err
+
+
+def test_empty_sampling_set_frame_bounds_exits_2(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "frame_bounds.json").read_text())
+    cfg["sampling"] = EMPTY_POINTS
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert run("frame-bounds", bad, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "empty sampling set" in err
 
 
 def test_unknown_command_exits_2(tmp_path):

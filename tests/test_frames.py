@@ -99,6 +99,11 @@ class TestFrameBounds:
         rep = frames.frame_bounds(uniform_set(1.0, 40.0), grid512)
         assert rep.lower == 0.0 and rep.upper > 0.0
 
+    def test_empty_sampling_set_rejected(self, grid512):
+        empty = SamplingSet(dim=1, points=np.empty((0, 1)), window=[[-1.0, 1.0]])
+        with pytest.raises(ValueError, match="empty sampling set"):
+            frames.frame_bounds(empty, grid512)
+
     def test_operator_matrix_hermitian_psd(self):
         grid = geo.build_grid(UNIT_BAND, 48)
         e_set = generate_jittered_grid(0.5, 0.1, [[-8, 8]], seed=0)
@@ -228,7 +233,7 @@ class TestReconstruct:
         rng = np.random.default_rng(0)
         nodes = np.sort(rng.uniform(-0.5, 0.5, 24)).reshape(-1, 1)
         grid = geo.SpectralGrid(nodes=nodes, weights=np.full(24, 1.0 / 24), spectrum=UNIT_BAND)
-        assert frames._lattice_indices(grid.nodes) is None
+        assert spc._lattice_indices(grid.nodes) is None
         truth = spc.random_coeff_signal(grid, 0)
         e_set = generate_jittered_grid(0.4, 0.1, [[-15.0, 15.0]], seed=0)
         res = frames.reconstruct(frames.analysis(truth, e_set), grid, tol=1e-9)
@@ -278,7 +283,7 @@ def lattice_cases(draw):
 def _dense_normal_equations(e_set, grid, values):
     """The frame operator and right-hand side through the sampled exponential
     matrix E: the oracle for the lattice path."""
-    e = frames._exp_matrix(e_set.points, grid.nodes)
+    e = spc._exp_matrix(e_set.points, grid.nodes)
     return (lambda f: e.conj().T @ (e @ (grid.weights * f))), e.conj().T @ values
 
 
@@ -290,7 +295,7 @@ class TestToeplitzOperator:
         rng = np.random.default_rng(seed)
         f = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
         v = rng.standard_normal(e_set.size) + 1j * rng.standard_normal(e_set.size)
-        lattice = frames._lattice_indices(grid.nodes)
+        lattice = spc._lattice_indices(grid.nodes)
         assert lattice is not None
         apply_op, rhs = frames._toeplitz_system(e_set, v, grid.weights, *lattice)
         dense_op, dense_rhs = _dense_normal_equations(e_set, grid, v)
@@ -311,45 +316,6 @@ class TestToeplitzOperator:
         assert res.method == "toeplitz-fft"
         assert (res.iterations, res.converged) == (it, converged)
         assert np.linalg.norm(res.signal.coeffs - coeffs) <= 1e-10 * np.linalg.norm(coeffs)
-
-
-@st.composite
-def exp_axis_cases(draw):
-    """Points and 1-d nodes for the factored exponential builder: a lattice
-    origin + k * step with n nodes (n = 1, primes and squares among them) and
-    a step of either sign, taken in order, as a shuffled subset, or jittered
-    off the lattice.  The point set may be empty."""
-    n = draw(st.one_of(st.sampled_from([1, 2, 4, 7, 9, 16, 97, 121, 127, 256]),
-                       st.integers(1, 300)))
-    step = draw(st.floats(0.1, 8.0)) / n * draw(st.sampled_from([1.0, -1.0]))
-    nodes = draw(st.floats(-3.0, 3.0)) + step * np.arange(n)
-    layout = draw(st.sampled_from(["lattice", "shuffled", "off"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if layout == "shuffled":   # the two first nodes stay, so the step is the smallest gap
-        keep = rng.random(n) < 0.7
-        keep[:2] = True
-        nodes = rng.permutation(nodes[keep])
-    elif layout == "off":
-        nodes = nodes + rng.uniform(-0.3, 0.3, n) * abs(step)
-    x = rng.uniform(-10.0, 10.0, draw(st.integers(0, 40)))
-    return x, nodes, layout, draw(st.sampled_from([1, -1]))
-
-
-class TestExpAxis:
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(exp_axis_cases())
-    def test_matches_dense_builder(self, case):
-        x, nodes, layout, sign = case
-        lattice = frames._lattice_indices(nodes[:, None])
-        if layout != "off":
-            assert lattice is not None
-        elif nodes.size > 2:
-            assert lattice is None     # the dense fallback
-        got = frames._exp_axis(x, nodes, sign=sign)
-        expect = frames._exp_matrix(sign * x[:, None], nodes[:, None])
-        assert got.shape == expect.shape
-        # every entry has modulus 1, so this is a relative bound
-        assert np.all(np.abs(got - expect) <= 1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -126,6 +126,23 @@ class TestHsNorm:
         ygrid = UniformGrid.symmetric(10.0, 0.5)
         assert psido.hs_norm(s, ygrid, [0.0, 0.1], [0.1, 0.1]) == 0.0
 
+    def test_complex_terms_match_double_quadrature(self):
+        terms = [psido.symbol_term(lam, 0.1, psido.SpectralFactor.from_callable(
+                     lambda g, c=c: np.exp(-(g / 0.6) ** 2) * np.exp(1j * c * g) + 0.2j * c,
+                     -1.0, 1.0, 129), order=order, amplitude=amp)
+                 for lam, c, order, amp in [(0.05, 2.0, 4, 0.8 - 0.6j),
+                                            (-0.1, -3.0, 6, -0.3 + 1.1j),
+                                            (0.12, 0.5, 8, 1j)]]
+        s = psido.KNSymbol(terms=terms, spectrum=QUARTER_BAND)
+        ygrid = UniformGrid.symmetric(60.0, 0.5)
+        gamma = np.sort(np.random.default_rng(1).uniform(-1.0, 1.0, 97))
+        gw = np.random.default_rng(2).uniform(0.01, 0.03, gamma.size)
+        y = ygrid.nodes
+        dense = sum(np.outer(t.a_at(y) * np.exp(-2j * np.pi * y * t.lam), t.b.at(gamma))
+                    for t in terms)
+        expect = np.sqrt(np.sum(np.abs(dense) ** 2 * gw[None, :]) * ygrid.step)
+        assert psido.hs_norm(s, ygrid, gamma, gw) == pytest.approx(expect, rel=1e-12)
+
     def test_triangle_inequality(self, two_term_symbol):
         t1, t2 = two_term_symbol.terms
         ygrid = UniformGrid.symmetric(150.0, 0.5)

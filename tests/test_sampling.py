@@ -135,6 +135,16 @@ class TestValidation:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             sp.SamplingSet(dim=1, points=[0.0, 0.0, 1.0], window=[[-1, 2]])
+        # apart in input order, adjacent only once sorted
+        with pytest.raises(ValueError, match="duplicate"):
+            sp.SamplingSet(dim=1, points=[0.5, -0.25, 1.0, 0.75, -0.25], window=[[-1, 2]])
+        with pytest.raises(ValueError, match="duplicate"):
+            sp.SamplingSet(dim=2, points=[[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [1.0, 0.0]],
+                           window=[[-1, 2], [-1, 2]])
+        # rows sharing one coordinate are distinct points
+        shared = sp.SamplingSet(dim=2, points=[[0.0, 1.0], [0.0, 0.5], [1.0, 0.5], [0.5, 0.5]],
+                                window=[[-1, 2], [-1, 2]])
+        assert shared.size == 4
 
     def test_point_outside_window_rejected(self):
         with pytest.raises(ValueError, match="outside"):

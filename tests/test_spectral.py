@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nusample import geometry as geo
 from nusample import spectral as spc
@@ -52,6 +54,87 @@ class TestEvaluate:
             phase = np.exp(2j * np.pi * m * (0.5 / n - 0.5))
             expected = inv[m % n] * phase
             assert spc.evaluate(f, float(m)) == pytest.approx(expected, abs=1e-10)
+
+
+@st.composite
+def exp_axis_cases(draw):
+    """Points and 1-d nodes for the factored exponential builder: a lattice
+    origin + k * step with n nodes (n = 1, primes and squares among them) and
+    a step of either sign, taken in order, as a shuffled subset, or jittered
+    off the lattice.  The point set may be empty."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 4, 7, 9, 16, 97, 121, 127, 256]),
+                       st.integers(1, 300)))
+    step = draw(st.floats(0.1, 8.0)) / n * draw(st.sampled_from([1.0, -1.0]))
+    nodes = draw(st.floats(-3.0, 3.0)) + step * np.arange(n)
+    layout = draw(st.sampled_from(["lattice", "shuffled", "off"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "shuffled":   # the two first nodes stay, so the step is the smallest gap
+        keep = rng.random(n) < 0.7
+        keep[:2] = True
+        nodes = rng.permutation(nodes[keep])
+    elif layout == "off":
+        nodes = nodes + rng.uniform(-0.3, 0.3, n) * abs(step)
+    x = rng.uniform(-10.0, 10.0, draw(st.integers(0, 40)))
+    return x, nodes, layout, draw(st.sampled_from([1, -1]))
+
+
+@st.composite
+def exp_grid_cases(draw):
+    """Points and 2-d nodes: a box, ball or polytope grid from build_grid,
+    taken whole, as a shuffled subset, or jittered off the lattice.  The
+    point set may be empty."""
+    kind = draw(st.sampled_from(["box", "ball", "polytope"]))
+    size = draw(st.floats(0.2, 2.0))
+    if kind == "box":
+        spec = geo.SpectrumSet.box([size, draw(st.floats(0.5, 2.0)) * size])
+    elif kind == "ball":
+        spec = geo.SpectrumSet.ball(size)
+    else:
+        radii = np.array(draw(st.lists(st.floats(0.6, 1.0), min_size=3, max_size=3)))
+        angles = draw(st.floats(0.0, np.pi)) + np.pi / 3.0 * np.arange(3)
+        half = size * radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        spec = geo.SpectrumSet.polytope(np.vstack([half, -half]))
+    nodes = geo.build_grid(spec, draw(st.integers(3, 24))).nodes
+    layout = draw(st.sampled_from(["lattice", "shuffled", "off"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "shuffled":
+        nodes = rng.permutation(nodes[rng.random(nodes.shape[0]) < 0.7])
+    elif layout == "off":
+        nodes = nodes + rng.uniform(-0.3, 0.3, nodes.shape) * np.ptp(nodes, axis=0) / 24
+    x = rng.uniform(-10.0, 10.0, (draw(st.integers(0, 40)), 2))
+    return x, nodes, layout, draw(st.sampled_from([1, -1]))
+
+
+class TestExpTable:
+    # every entry has modulus 1, so the bounds below are relative
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(exp_axis_cases())
+    def test_matches_dense_builder(self, case):
+        x, nodes, layout, sign = case
+        lattice = spc._lattice_indices(nodes[:, None])
+        if layout != "off":
+            assert lattice is not None
+        elif nodes.size > 2:
+            assert lattice is None     # the dense fallback
+        got = spc.exp_table(x, nodes, sign=sign)
+        expect = spc._exp_matrix(sign * x[:, None], nodes[:, None])
+        assert got.shape == expect.shape
+        assert np.all(np.abs(got - expect) <= 1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(exp_grid_cases())
+    def test_matches_dense_builder_2d(self, case):
+        x, nodes, layout, sign = case
+        lattice = spc._lattice_indices(nodes) if nodes.size else None
+        if layout == "lattice":
+            assert lattice is not None
+        elif layout == "off" and nodes.shape[0] > 2:
+            assert lattice is None
+        got = spc.exp_table(x, nodes, sign=sign)
+        expect = spc._exp_matrix(sign * x, nodes)
+        assert got.shape == expect.shape == (x.shape[0], nodes.shape[0])
+        assert np.all(np.abs(got - expect) <= 1e-12)
 
 
 class TestRandomSignal:
