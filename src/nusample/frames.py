@@ -37,6 +37,7 @@ from .spectral import (BandlimitedSignal, _exp_factors, _lattice_indices, evalua
                        exp_table)
 
 _EIG_FLOOR = 1e-12
+_SLACK = 1e-9   # relative rounding allowance of the frame-inequality checks
 _DENSE_CAPACITY = 4096
 
 
@@ -423,8 +424,7 @@ class DilateCheck:
 
 def three_dilate_check(signal: BandlimitedSignal, sampling_set: SamplingSet,
                        lower_const: float | None = None,
-                       upper_const: float | None = None,
-                       slack: float = 1e-9) -> DilateCheck:
+                       upper_const: float | None = None) -> DilateCheck:
     """Dilation inequality data for one signal and one sampling set.
 
     lhs = integral over the spectrum of |F(g) + F(2g) + F(3g)|^2, divided by
@@ -449,9 +449,9 @@ def three_dilate_check(signal: BandlimitedSignal, sampling_set: SamplingSet,
         mid += (1.0 / j) * float(np.sqrt(np.sum(np.abs(samples) ** 2)))
     rhs = norm_f
     lower_ok = None if lower_const is None else bool(
-        np.sqrt(lower_const) * lhs <= mid * (1.0 + slack))
+        np.sqrt(lower_const) * lhs <= mid * (1.0 + _SLACK))
     upper_ok = None if upper_const is None else bool(
-        mid <= np.sqrt(upper_const) * rhs * (1.0 + slack))
+        mid <= np.sqrt(upper_const) * rhs * (1.0 + _SLACK))
     return DilateCheck(lhs=lhs, mid=mid, rhs=rhs, lower_const=lower_const,
                        upper_const=upper_const, lower_ok=lower_ok, upper_ok=upper_ok)
 
@@ -470,15 +470,14 @@ class WeightedCheck:
 def weighted_frame_check(signal: BandlimitedSignal, weight_values,
                          sampling_set: SamplingSet,
                          balayage_k: float, window_l2: float,
-                         bessel_bound: float | None = None,
-                         slack: float = 1e-9) -> WeightedCheck:
+                         bessel_bound: float | None = None) -> WeightedCheck:
     """Weighted frame inequality data for one signal, weight, and set.
 
     lhs = A * (integral |F|^2 G)^2 / integral |F|^2 with A = 1/(K * ||h||_2)^2
     assembled from the measured balayage constant and the window norm;
     mid = sampled energy of (F G)-check on the set; rhs = B * sup(G)^2 *
     integral |F|^2 with B the upper frame (Bessel) bound of the set over the
-    full grid.  Asserts lhs <= mid <= rhs up to the slack.
+    full grid.  Asserts lhs <= mid <= rhs up to a relative slack of 1e-9.
     """
     g_vals = np.asarray(weight_values, dtype=float)
     if g_vals.shape != (signal.grid.size,):
@@ -497,8 +496,8 @@ def weighted_frame_check(signal: BandlimitedSignal, weight_values,
         bessel_bound = frame_bounds(sampling_set, signal.grid).upper
     rhs = bessel_bound * float(np.max(g_vals)) ** 2 * norm_sq
     return WeightedCheck(lhs=lhs, mid=mid, rhs=rhs,
-                         lower_ok=bool(lhs <= mid * (1.0 + slack)),
-                         upper_ok=bool(mid <= rhs * (1.0 + slack)),
+                         lower_ok=bool(lhs <= mid * (1.0 + _SLACK)),
+                         upper_ok=bool(mid <= rhs * (1.0 + _SLACK)),
                          lower_const=a_const, bessel_bound=bessel_bound)
 
 

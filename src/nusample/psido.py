@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frames import _SLACK
 from .geometry import SpectrumSet
 from .sampling import SamplingSet
 from .spectral import exp_table
@@ -233,8 +234,7 @@ class PsidoCheck:
 
 def psido_frame_check(symbol: KNSymbol, f_values, f_grid: UniformGrid,
                       sampling_set: SamplingSet, gamma_nodes, gamma_weights,
-                      lower_const: float, bessel_bound: float,
-                      slack: float = 1e-9) -> PsidoCheck:
+                      lower_const: float, bessel_bound: float) -> PsidoCheck:
     """Frame-type inequality data for the operator output of one signal.
 
     lhs = A ||K_s f-hat||^4 / ||f||^2 with A = 1/(K ||h||_2)^2 assembled from
@@ -263,8 +263,8 @@ def psido_frame_check(symbol: KNSymbol, f_values, f_grid: UniformGrid,
     hs = hs_norm(symbol, f_grid, gnodes, gw)
     rhs = bessel_bound * hs**2 * kf_norm_sq
     return PsidoCheck(lhs=lhs, mid=mid, rhs=rhs,
-                      lower_ok=bool(lhs <= mid * (1.0 + slack)),
-                      upper_ok=bool(mid <= rhs * (1.0 + slack)))
+                      lower_ok=bool(lhs <= mid * (1.0 + _SLACK)),
+                      upper_ok=bool(mid <= rhs * (1.0 + _SLACK)))
 
 
 # -- serialization -------------------------------------------------------------

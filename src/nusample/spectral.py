@@ -13,8 +13,10 @@ spectrum) are kept separate because their time evaluation is exact.
 Every table of sampled exponentials exp(+-2 pi i x . g) in the package comes
 from :func:`exp_table`: on lattice nodes it multiplies per-axis tables, each
 the product of two tables of about sqrt(n) columns (the chirp-z split, exact
-up to rounding); other nodes get the dense :func:`_exp_matrix`, which is also
-the reference the builder is tested against.
+up to rounding); other nodes, and lattice subsets so sparse that the factor
+tables would hold more columns than there are nodes, get the dense
+:func:`_exp_matrix`, which is also the reference the builder is tested
+against.
 """
 from __future__ import annotations
 
@@ -35,6 +37,13 @@ def _exp_matrix(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * (points @ nodes.T))
 
 
+def _factor_columns(n: int) -> tuple[int, int]:
+    """Column counts (ceil(n/J), J), with J = ceil(sqrt(n)), of the two
+    tables :func:`_exp_factors` builds for n lattice steps."""
+    j_count = math.isqrt(n - 1) + 1
+    return -(-n // j_count), j_count
+
+
 def _exp_factors(x: np.ndarray, origin: float, step: float, n: int):
     """Two factor tables of exp(2 pi i x (origin + k step)) for k < n.
 
@@ -43,8 +52,8 @@ def _exp_factors(x: np.ndarray, origin: float, step: float, n: int):
     B = exp(2 pi i x (origin + j step)).  Returns (A, B), shapes
     (len(x), ceil(n/J)) and (len(x), J).
     """
-    j_count = math.isqrt(n - 1) + 1
-    q = np.arange(-(-n // j_count))
+    q_count, j_count = _factor_columns(n)
+    q = np.arange(q_count)
     a = np.exp(2j * np.pi * np.outer(x, j_count * step * q))
     b = np.exp(2j * np.pi * np.outer(x, origin + step * np.arange(j_count)))
     return a, b
@@ -86,8 +95,9 @@ def exp_table(points, nodes, sign: int = 1) -> np.ndarray:
 
     Nodes on a lattice, in any order and any subset of its box (see
     :func:`_lattice_indices`), multiply one table per axis built from the
-    factors of :func:`_exp_factors`; other nodes fall back to
-    :func:`_exp_matrix`.  Put the lattice side of a product in ``nodes``.
+    factors of :func:`_exp_factors`; other nodes, and lattice subsets so
+    sparse that the factors hold more columns than there are nodes, fall back
+    to :func:`_exp_matrix`.  Put the lattice side of a product in ``nodes``.
     """
     g = np.asarray(nodes, dtype=float)
     g = g[:, None] if g.ndim == 1 else g
@@ -96,6 +106,8 @@ def exp_table(points, nodes, sign: int = 1) -> np.ndarray:
     if lattice is None:
         return _exp_matrix(x, g)
     idx, origin, steps = lattice
+    if sum(sum(_factor_columns(int(n) + 1)) for n in idx.max(axis=0)) > g.shape[0]:
+        return _exp_matrix(x, g)
     table = None
     for a, k in enumerate(idx.T):
         fa, fb = _exp_factors(x[:, a], origin[a], steps[a], int(k.max()) + 1)

@@ -17,7 +17,6 @@ conjugate-gradient inversion.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -550,25 +549,3 @@ def bandlimited_pair(omega: float, t_support: float, grid: UniformGrid,
                             for k, c in enumerate(coefs))
     return f_vals.astype(complex), g
 
-
-# -- exports -------------------------------------------------------------------
-
-
-def stft_to_csv(v: np.ndarray, tf: TimeFrequencyGrid, path) -> None:
-    """Rows (x, w, re, im) with a header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "omega", "re", "im"])
-        for i, x in enumerate(tf.time.nodes):
-            for j, wq in enumerate(tf.freq.nodes):
-                writer.writerow([x, wq, v[i, j].real, v[i, j].imag])
-
-
-def spectrogram_to_csv(v: np.ndarray, tf: TimeFrequencyGrid, path) -> None:
-    """Magnitude rows (x, w, abs) for external plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "omega", "magnitude"])
-        for i, x in enumerate(tf.time.nodes):
-            for j, wq in enumerate(tf.freq.nodes):
-                writer.writerow([x, wq, abs(v[i, j])])

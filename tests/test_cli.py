@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from nusample import cli
+from nusample import cli, frames
+from nusample import timefreq as tfm
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 EMPTY_POINTS = {"kind": "points", "dim": 1, "points": [], "window": [[-20.0, 20.0]]}
@@ -50,6 +51,14 @@ def test_csv_outputs_have_headers(tmp_path):
     out3 = tmp_path / "ident"
     run("identity", CONFIG_DIR / "identity.json", out3)
     assert (out3 / "solves.csv").read_text().splitlines()[0] == "y,residual,l1_mass"
+
+    out4 = tmp_path / "stft"
+    run("stft", CONFIG_DIR / "stft.json", out4)
+    rows = (out4 / "tfm.csv").read_text().splitlines()
+    _, _, _, tf = tfm.gaussian_identity_fixture("isometry")
+    assert rows[0] == "x,omega,re,im"
+    assert len(rows) == 1 + tf.time.nodes.size * tf.freq.nodes.size
+    assert (out4 / "spectrogram.csv").read_text().startswith("x,omega,magnitude")
 
 
 def test_malformed_json_exits_2(tmp_path):
@@ -131,6 +140,33 @@ def test_unconverged_reconstruction_exits_1(tmp_path, capsys):
     hard.write_text(json.dumps(cfg))
     assert run("reconstruct", hard, tmp_path / "out") == 1
     assert "unconverged" in capsys.readouterr().err
+
+
+def _not_a_frame(*args, **kwargs):
+    raise frames.NotAFrameError("not a frame at this scale: forced")
+
+
+@pytest.mark.parametrize("command,config,edit,message", [
+    ("gabor", "gabor.json", {"cond_threshold": 1.0}, "not a frame at this scale"),
+    ("identity", "identity.json", {"eta": 1e-14, "n_y": 2, "trials": 1},
+     "balayage infeasible: "),
+    ("reconstruct", "reconstruct.json", {}, "not a frame at this scale: forced"),
+], ids=["gabor-not-a-frame", "identity-infeasible", "reconstruct-not-a-frame"])
+def test_numerical_failure_exits_1_with_error_report(tmp_path, capsys, monkeypatch,
+                                                     command, config, edit, message):
+    if command == "reconstruct":   # forced: which sets break CG depends on solver numerics
+        monkeypatch.setattr(frames, "reconstruct", _not_a_frame)
+    cfg = json.loads((CONFIG_DIR / config).read_text())
+    cfg.update(edit)
+    failing = tmp_path / "failing.json"
+    failing.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(command, failing, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"error", "config_hash"}
+    assert report["error"] in err
 
 
 def test_reconstruct_meta_reports_solver(tmp_path):

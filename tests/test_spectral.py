@@ -136,6 +136,18 @@ class TestExpTable:
         assert got.shape == expect.shape == (x.shape[0], nodes.shape[0])
         assert np.all(np.abs(got - expect) <= 1e-12)
 
+    def test_sparse_lattice_subset_builds_dense(self, monkeypatch):
+        # three nodes on a lattice of step 1e-6: the two factor tables would
+        # hold 2,001 columns where the dense table holds 3
+        def no_factors(*args):
+            raise AssertionError("factor tables built for 3 nodes")
+        monkeypatch.setattr(spc, "_exp_factors", no_factors)
+        x = np.linspace(-5.0, 5.0, 1000)
+        nodes = np.array([0.0, 1e-6, 1.0])
+        assert spc._lattice_indices(nodes[:, None]) is not None
+        got = spc.exp_table(x, nodes)
+        assert np.all(np.abs(got - spc._exp_matrix(x[:, None], nodes[:, None])) <= 1e-12)
+
 
 class TestRandomSignal:
     def test_unit_norm(self):

@@ -432,13 +432,3 @@ def test_exports_roundtrip(tmp_path):
     bin_path = tmp_path / "v.bin"
     dump_matrix(bin_path, v)
     assert np.array_equal(load_matrix(bin_path), v)
-
-    csv_path = tmp_path / "v.csv"
-    tfm.stft_to_csv(v, tf, csv_path)
-    rows = csv_path.read_text().strip().split("\n")
-    assert rows[0] == "x,omega,re,im"
-    assert len(rows) == 1 + v.size
-
-    spec_path = tmp_path / "spec.csv"
-    tfm.spectrogram_to_csv(v, tf, spec_path)
-    assert spec_path.read_text().startswith("x,omega,magnitude")
