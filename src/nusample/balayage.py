@@ -31,6 +31,9 @@ from .geometry import SpectralGrid, as_points
 from .sampling import SamplingSet
 from .spectral import TrigPolynomial, eval_trigpoly, exp_table
 
+_SVD_CUTOFF = 1e-10   # relative singular-value cutoff of the least-squares start
+_HELPER_REG = 1e-8    # l1 weight of the solvers the one-shot helpers build
+
 
 class BalayageInfeasibleError(RuntimeError):
     """Raised when no coefficient system meets the fit tolerance."""
@@ -187,15 +190,15 @@ class RhsFit:
 class BalayageSolver:
     """Shared machinery for repeated sweeps of different centers onto one set.
 
-    Precomputes the exponential system on the grid and, for its
-    square-root-weighted form, a truncated pseudo-inverse and thin QR factors;
-    memoizes solutions per center.  Individual solves are deterministic and
-    independent of one another: each only reads the precomputed factors.
+    Precomputes the exponential system on the grid and one thin SVD of its
+    square-root-weighted form, which gives both the truncated pseudo-inverse
+    and the factors of every reweighted step; memoizes solutions per center.
+    Individual solves are deterministic and independent of one another: each
+    only reads the precomputed factors.
     """
 
     def __init__(self, sampling_set: SamplingSet, grid: SpectralGrid,
-                 eta: float = 1e-6, reg: float = 1e-12,
-                 spectral_cutoff: float = 1e-10, max_irls: int = 20):
+                 eta: float = 1e-6, reg: float = 1e-12, max_irls: int = 20):
         if sampling_set.size == 0:
             raise ValueError("empty sampling set")
         if eta <= 0:
@@ -204,18 +207,16 @@ class BalayageSolver:
         self.grid = grid
         self.eta = float(eta)
         self.reg = float(reg)
-        self.cutoff = float(spectral_cutoff)
         self.max_irls = int(max_irls)
         self._phi = exp_table(sampling_set.points, grid.nodes, sign=-1).T   # (nodes, points)
         self._sqw = np.sqrt(grid.weights)
-        b_mat = self._sqw[:, None] * self._phi
-        # thin QR of the weighted system: reweighted steps solve on R and
-        # never square the condition number through the Gram matrix
-        q, self._r = np.linalg.qr(b_mat)
-        self._qh = q.conj().T
-        # truncated pseudo-inverse of the weighted system, shared across solves
-        u, s, vh = np.linalg.svd(b_mat, full_matrices=False)
-        keep = s > self.cutoff * s[0]
+        # thin SVD U diag(s) V^H of the weighted system: reweighted steps solve
+        # on diag(s) V^H and never square the condition number through the
+        # Gram matrix; the truncated pseudo-inverse is shared across solves
+        u, s, vh = np.linalg.svd(self._sqw[:, None] * self._phi, full_matrices=False)
+        self._uh = u.conj().T
+        self._sv = s[:, None] * vh
+        keep = s > _SVD_CUTOFF * s[0]
         self._pinv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
         self._cache: dict[bytes, BalayageSolution] = {}
 
@@ -232,10 +233,10 @@ class BalayageSolver:
 
             || sqrt(w) (Phi a - b) ||^2 + reg * sum |a_x| .
 
-        With sqrt(w) Phi = Q R the precomputed thin QR, each reweighted step
-        solves the stacked least-squares problem
+        With sqrt(w) Phi = U diag(s) V^H the precomputed thin SVD, each
+        reweighted step solves the stacked least-squares problem
 
-            [R; D] a ~ [Q^H sqrt(w) b; 0],   D = diag(sqrt(reg / (2 m_x)))
+            [diag(s) V^H; D] a ~ [U^H sqrt(w) b; 0],   D = diag(sqrt(reg / (2 m_x)))
 
         by an orthogonal factorization, never through the normal equations;
         m_x is |a_x| of the previous iterate, floored at 1e-6 max |a|.
@@ -254,12 +255,12 @@ class BalayageSolver:
         if self.reg <= 0:
             return RhsFit(a0, r0, iterations=0, converged=True, reweighted=False)
         a = a0
-        k, n = self._r.shape
-        # [R, Q^H sqrt(w) b; D, 0]: the last column of its R factor carries
-        # the orthogonally transformed right-hand side
+        k, n = self._sv.shape
+        # [diag(s) V^H, U^H sqrt(w) b; D, 0]: the last column of its R factor
+        # carries the orthogonally transformed right-hand side
         stack = np.zeros((k + n, n + 1), dtype=complex)
-        stack[:k, :n] = self._r
-        stack[:k, n] = self._qh @ (self._sqw * b)
+        stack[:k, :n] = self._sv
+        stack[:k, n] = self._uh @ (self._sqw * b)
         iterations, converged = 0, False
         while iterations < self.max_irls and not converged:
             maj = np.maximum(np.abs(a), 1e-6 * max(np.max(np.abs(a)), 1e-300))
@@ -310,9 +311,10 @@ class BalayageSolver:
 
 
 def solve_balayage(sampling_set: SamplingSet, grid: SpectralGrid, y,
-                   eta: float = 1e-6, reg: float = 1e-8) -> BalayageSolution:
-    """One-shot sweep of a point mass at ``y``; see :class:`BalayageSolver`."""
-    return BalayageSolver(sampling_set, grid, eta=eta, reg=reg).solve(y)
+                   eta: float = 1e-6) -> BalayageSolution:
+    """One-shot sweep of a point mass at ``y`` with l1 weight 1e-8; see
+    :class:`BalayageSolver`."""
+    return BalayageSolver(sampling_set, grid, eta=eta, reg=_HELPER_REG).solve(y)
 
 
 @dataclass(frozen=True)
@@ -323,15 +325,17 @@ class BalayageConstant:
 
 
 def balayage_constant(sampling_set: SamplingSet, grid: SpectralGrid, ysample,
-                      eta: float = 1e-6, reg: float = 1e-8,
+                      eta: float = 1e-6,
                       solver: BalayageSolver | None = None) -> BalayageConstant:
     """Estimate the balayage constant as the max l1 mass over sampled centers.
+
+    Without a ``solver`` one is built with l1 weight 1e-8.
 
     Any infeasible center propagates as :class:`BalayageInfeasibleError` with
     the offending y attached.
     """
     if solver is None:
-        solver = BalayageSolver(sampling_set, grid, eta=eta, reg=reg)
+        solver = BalayageSolver(sampling_set, grid, eta=eta, reg=_HELPER_REG)
     sols = solver.solve_many(ysample)
     masses = np.array([s.l1_mass for s in sols])
     k = int(np.argmax(masses))
@@ -340,7 +344,6 @@ def balayage_constant(sampling_set: SamplingSet, grid: SpectralGrid, ysample,
 
 def fundamental_identity_residual(poly: TrigPolynomial, sampling_set: SamplingSet,
                                   grid: SpectralGrid, window: InghamWindow, ysample,
-                                  eta: float = 1e-6, reg: float = 1e-8,
                                   solver: BalayageSolver | None = None) -> float:
     """Sup over sampled centers of |f(y) - sum_x f(x) a_x(y) h(x-y)| / max|f|.
 
@@ -348,9 +351,10 @@ def fundamental_identity_residual(poly: TrigPolynomial, sampling_set: SamplingSe
     must have been built with the same enlargement radius used by the grid;
     under those hypotheses the identity holds up to the fit residual times the
     polynomial's coefficient mass.  Returns 0 for the zero polynomial.
+    Without a ``solver`` one is built with eta 1e-6 and l1 weight 1e-8.
     """
     if solver is None:
-        solver = BalayageSolver(sampling_set, grid, eta=eta, reg=reg)
+        solver = BalayageSolver(sampling_set, grid, reg=_HELPER_REG)
     ys = as_points(ysample, sampling_set.dim)
     f_at_y = np.atleast_1d(eval_trigpoly(poly, ys))
     scale = float(np.max(np.abs(f_at_y)))
@@ -375,7 +379,6 @@ class LpBoundReport:
 
 def lp_balayage_bound(sampling_set: SamplingSet, grid: SpectralGrid, window: InghamWindow,
                       k_nodes, k_weights, k_values, p: float,
-                      eta: float = 1e-6, reg: float = 1e-8,
                       solver: BalayageSolver | None = None) -> LpBoundReport:
     """Empirical p-th power bound for the sampled sweep of a test function.
 
@@ -383,11 +386,12 @@ def lp_balayage_bound(sampling_set: SamplingSet, grid: SpectralGrid, window: Ing
     quadrature over the test function's grid, sweeping every quadrature node
     (solutions are memoized in the solver).  Returns the ratio of the sampled
     p-energy to the function's own p-norm, for empirical boundedness checks.
+    Without a ``solver`` one is built with eta 1e-6 and l1 weight 1e-8.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
     if solver is None:
-        solver = BalayageSolver(sampling_set, grid, eta=eta, reg=reg)
+        solver = BalayageSolver(sampling_set, grid, reg=_HELPER_REG)
     ys = as_points(k_nodes, sampling_set.dim)
     wts = np.asarray(k_weights, dtype=float)
     kv = np.asarray(k_values, dtype=complex)

@@ -102,8 +102,7 @@ def frame_operator_apply(samples: SampleVector, grid: SpectralGrid) -> Bandlimit
 
 
 def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
-                 subspace: np.ndarray | None = None,
-                 floor: float = _EIG_FLOOR) -> FrameReport:
+                 subspace: np.ndarray | None = None) -> FrameReport:
     """Extreme frame constants of the sampled exponential system.
 
     Without a subspace the bounds are taken over the whole coefficient space;
@@ -117,8 +116,8 @@ def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
     (node spacing) along an axis alias onto the same row, so the node count
     per axis should exceed the sampling window extent in those units.
 
-    A lower value below ``floor`` (relative to the upper) is reported as 0,
-    i.e. not a frame at this scale.
+    A lower value below 1e-12 times max(upper, 1) is reported as 0, i.e. not
+    a frame at this scale.
     """
     if sampling_set.size == 0:
         raise ValueError("empty sampling set")
@@ -139,7 +138,7 @@ def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
         upper = float(svals[0] ** 2)
         lower = float(svals[-1] ** 2) if sampling_set.size >= q.shape[1] else 0.0
         method = f"dense-svd/subspace-{q.shape[1]}"
-    if lower < floor * max(upper, 1.0):
+    if lower < _EIG_FLOOR * max(upper, 1.0):
         lower = 0.0
     condition = np.inf if lower == 0.0 else upper / lower
     return FrameReport(lower=lower, upper=upper, condition=condition,
@@ -155,16 +154,15 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
 
 
 def interior_taper_subspace(grid: SpectralGrid, window, margin: float,
-                            spacing: float | None = None, rolloff: float = 0.6,
-                            rank_tol: float = 1e-3) -> np.ndarray:
+                            spacing: float | None = None) -> np.ndarray:
     """Orthonormal basis (in sqrt-weight coordinates) of tapered shifts.
 
     Columns span signals of the form  taper(g) * exp(-2 pi i x0 . g)  with
     shift centers x0 on a grid inside the window shrunk by ``margin``.  The
-    taper is a smooth cutoff that is 1 on the inner (1 - rolloff) fraction of
-    the spectrum (measured in the gauge) and vanishes at its boundary, so the
-    basis signals decay rapidly in time and stay concentrated near their
-    centers.  Near-dependent directions are dropped at ``rank_tol``.
+    taper is a smooth cutoff that is 1 on the inner 0.4 of the spectrum
+    (measured in the gauge) and vanishes at its boundary, so the basis signals
+    decay rapidly in time and stay concentrated near their centers.
+    Directions with singular value below 1e-3 of the largest are dropped.
     """
     spec = grid.spectrum
     dim = spec.dim
@@ -183,10 +181,10 @@ def interior_taper_subspace(grid: SpectralGrid, window, margin: float,
         axes.append(np.arange(lo_m, hi_m + st / 2.0, st))
     mesh = np.meshgrid(*axes, indexing="ij")
     shifts = np.stack([m.ravel() for m in mesh], axis=1)
-    taper = _smooth_step((1.0 - spec.gauge(grid.nodes)) / rolloff)
+    taper = _smooth_step((1.0 - spec.gauge(grid.nodes)) / 0.6)
     basis = (np.sqrt(grid.weights) * taper)[:, None] * exp_table(shifts, grid.nodes, sign=-1).T
     q, svals, _ = np.linalg.svd(basis, full_matrices=False)
-    rank = int(np.sum(svals > rank_tol * svals[0]))
+    rank = int(np.sum(svals > 1e-3 * svals[0]))
     return q[:, :rank]
 
 
@@ -202,10 +200,11 @@ def subspace_signal(grid: SpectralGrid, subspace: np.ndarray, coeffs) -> Bandlim
 
 
 def random_subspace_signal(grid: SpectralGrid, subspace: np.ndarray, seed: int) -> BandlimitedSignal:
+    """Projection Q Q^H z of a complex-normal z onto the subspace, unit
+    normalized; it depends on the span of Q only, not on the basis chosen."""
     rng = np.random.default_rng(seed)
-    r = subspace.shape[1]
-    c = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-    return subspace_signal(grid, subspace, c)
+    z = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    return subspace_signal(grid, subspace, subspace.conj().T @ z)
 
 
 @dataclass(frozen=True, eq=False)

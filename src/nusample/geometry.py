@@ -211,7 +211,6 @@ class SpectrumSet:
         return self.scaled(1.0 + eps / inradius)
 
     def diameter(self) -> float:
-        bbox = self.bounding_box()
         if self.shape == "ball":
             return 2.0 * self.radius
         if self.shape == "box":

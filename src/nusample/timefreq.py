@@ -122,15 +122,13 @@ class WindowFunction:
             raise ValueError("window sample count mismatch")
 
     @classmethod
-    def from_samples(cls, grid: UniformGrid, values, kind: str = "sampled",
-                     normalize: bool = True) -> "WindowFunction":
+    def from_samples(cls, grid: UniformGrid, values, kind: str = "sampled") -> "WindowFunction":
+        """Window from samples scaled to unit L2 norm."""
         v = np.asarray(values, dtype=complex)
-        if normalize:
-            n = np.sqrt(np.sum(np.abs(v) ** 2) * grid.step)
-            if n == 0:
-                raise ValueError("cannot normalize the zero window")
-            v = v / n
-        return cls(grid=grid, values=v, kind=kind)
+        n = np.sqrt(np.sum(np.abs(v) ** 2) * grid.step)
+        if n == 0:
+            raise ValueError("cannot normalize the zero window")
+        return cls(grid=grid, values=v / n, kind=kind)
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.step))
@@ -260,9 +258,9 @@ def tf_identity_check(f_values, f_grid: UniformGrid, window: WindowFunction,
 
 
 def stft_fourier_closed_form(f_values, f_grid: UniformGrid, window: WindowFunction,
-                             tf: TimeFrequencyGrid,
-                             zeta_half: float = 1.2, z_half: float = 2.0) -> float:
-    """Max deviation of the 2-d transform of V_g f from its closed form.
+                             tf: TimeFrequencyGrid) -> float:
+    """Max deviation of the 2-d transform of V_g f from its closed form,
+    evaluated for |zeta| <= 1.2 and |z| <= 2.
 
     For integrable real windows the transform of V_g f factors as
     exp(2 pi i z zeta) f(-z) g-hat(-zeta); the phase sign follows from
@@ -273,9 +271,9 @@ def stft_fourier_closed_form(f_values, f_grid: UniformGrid, window: WindowFuncti
     x_nodes = tf.time.nodes
     w_nodes = tf.freq.nodes
     # evaluation nodes: z on (negated) signal grid points, zeta on a coarse grid
-    zeta = UniformGrid.symmetric(zeta_half, tf.freq.step).nodes
+    zeta = UniformGrid.symmetric(1.2, tf.freq.step).nodes
     t = f_grid.nodes
-    z = t[np.abs(t) <= z_half]
+    z = t[np.abs(t) <= 2.0]
     ker_x = exp_table(zeta, x_nodes, sign=-1)                # (n_zeta, n_x)
     ker_w = exp_table(w_nodes, z, sign=-1)                   # (n_w, n_z)
     vhat = ker_x @ v @ ker_w * (tf.time.step * tf.freq.step)  # (n_zeta, n_z)
@@ -287,31 +285,29 @@ def stft_fourier_closed_form(f_values, f_grid: UniformGrid, window: WindowFuncti
     return float(np.max(np.abs(vhat - closed)))
 
 
-def feichtinger_norm(f_values, f_grid: UniformGrid,
-                     tf: TimeFrequencyGrid | None = None) -> float:
+def feichtinger_norm(f_values, f_grid: UniformGrid) -> float:
     """Phase-space l1 norm of the Gaussian-window transform of f.
 
-    The default phase-space box keeps the frequency extent inside the signal
-    grid's alias-free range (Nyquist minus the Gaussian spread), so accurate
-    values for wide-band f require a correspondingly fine grid.
+    The phase-space box keeps the frequency extent inside the signal grid's
+    alias-free range (Nyquist minus the Gaussian spread), so accurate values
+    for wide-band f require a correspondingly fine grid.
     """
-    if tf is None:
-        freq_half = min(4.0, max(1.0, 0.5 / f_grid.step - 2.5))
-        tf = tf_grid_for(f_grid, time_half=6.0, freq_half=freq_half,
-                         freq_step=min(1.0 / 3.0, freq_half / 6.0))
+    freq_half = min(4.0, max(1.0, 0.5 / f_grid.step - 2.5))
+    tf = tf_grid_for(f_grid, time_half=6.0, freq_half=freq_half,
+                     freq_step=min(1.0 / 3.0, freq_half / 6.0))
     g0 = gaussian_window(step=f_grid.step)
     v = stft(f_values, f_grid, g0, tf)
     return float(np.sum(np.abs(v)) * tf.time.step * tf.freq.step)
 
 
-def gaussian_offset_sup(sampling_set: SamplingSet, u_step: float = 0.005,
-                        pad: float = 1.0) -> float:
-    """sup over u of sum_x exp(-||x - u||^2), maximized on a u-grid."""
+def gaussian_offset_sup(sampling_set: SamplingSet) -> float:
+    """sup over u of sum_x exp(-||x - u||^2), maximized on a u-grid of step
+    0.005 that reaches 1 beyond the set on each side."""
     pts = sampling_set.points
     if pts.shape[1] != 1:
         raise ValueError("offset sup implemented for 1-d sets")
     x = pts[:, 0]
-    u = np.arange(x.min() - pad, x.max() + pad + u_step / 2.0, u_step)
+    u = np.arange(x.min() - 1.0, x.max() + 1.0 + 0.005 / 2.0, 0.005)
     sums = np.exp(-((u[:, None] - x[None, :]) ** 2)).sum(axis=1)
     return float(sums.max())
 
@@ -326,15 +322,16 @@ class PwStftCheck:
 
 
 def pw_stft_frame_check(signal: BandlimitedSignal, window: WindowFunction,
-                        sampling_set: SamplingSet, omega: UniformGrid,
-                        time_pad: float = 8.0) -> PwStftCheck:
+                        sampling_set: SamplingSet, omega: UniformGrid) -> PwStftCheck:
     """Sampled STFT energy of a bandlimited signal against the explicit bound.
 
     energy = sum over x in the (symmetric) set of the frequency-integrated
-    squared transform; the upper constant is 2^(1/2) * C * ||V_{g0} g||_1^2
-    with C the sup of the Gaussian offset sums over the set.  The lower
-    direction reports the energy ratio only (positivity), since the abstract
-    lower constant is not computable from the data.
+    squared transform, with the signal sampled on the window's step out to 8
+    beyond the set on each side; the upper constant is
+    2^(1/2) * C * ||V_{g0} g||_1^2 with C the sup of the Gaussian offset sums
+    over the set.  The lower direction reports the energy ratio only
+    (positivity), since the abstract lower constant is not computable from
+    the data.
     """
     if sampling_set.dim != 1:
         raise ValueError("sampled STFT checks are one-dimensional")
@@ -342,8 +339,8 @@ def pw_stft_frame_check(signal: BandlimitedSignal, window: WindowFunction,
     if not np.allclose(pts, -pts[::-1], atol=1e-9):
         raise ValueError("sampling set must be symmetric about 0")
     step = window.grid.step
-    lo = pts.min() - time_pad
-    hi = pts.max() + time_pad
+    lo = pts.min() - 8.0
+    hi = pts.max() + 8.0
     k0 = int(np.floor(lo / step))
     k1 = int(np.ceil(hi / step))
     f_grid = UniformGrid(start=k0 * step, step=step, count=k1 - k0 + 1)
@@ -436,17 +433,18 @@ def gabor_coefficients(f_values, grid: UniformGrid, window: WindowFunction,
     return (atoms.conj().T @ np.asarray(f_values, dtype=complex)) * grid.step
 
 
-def reference_test_subspace(grid: UniformGrid, time_extent: float, freq_extent: float,
-                            spacing: float = 0.5, rank_tol: float = 1e-2) -> np.ndarray:
+def reference_test_subspace(grid: UniformGrid, time_extent: float,
+                            freq_extent: float) -> np.ndarray:
     """Orthonormal basis of phase-space-concentrated test signals: Gaussian
-    atoms on a dense interior lattice, rank-truncated.  Conditioning of the
+    atoms on the interior lattice 0.5 Z x 0.5 Z, without the directions whose
+    singular value is below 1e-2 of the largest.  Conditioning of the
     frame operator is measured on this subspace, since the full grid space
     always contains content no truncated atom family can reach."""
-    ref = phase_lattice(spacing, spacing, time_extent, freq_extent)
+    ref = phase_lattice(0.5, 0.5, time_extent, freq_extent)
     g0 = gaussian_window(step=grid.step)
     atoms = _atom_matrix(grid, g0, ref) * np.sqrt(grid.step)
     q, svals, _ = np.linalg.svd(atoms, full_matrices=False)
-    rank = int(np.sum(svals > rank_tol * svals[0]))
+    rank = int(np.sum(svals > 1e-2 * svals[0]))
     return q[:, :rank]
 
 
@@ -482,8 +480,8 @@ class GaborResult:
 
 
 def gabor_reconstruct(f_values, grid: UniformGrid, window: WindowFunction,
-                      samples: PhaseSpaceSamples, tol: float = 1e-10,
-                      max_iter: int = 500, cond_threshold: float = 1e8,
+                      samples: PhaseSpaceSamples, max_iter: int = 500,
+                      cond_threshold: float = 1e8,
                       test_subspace: np.ndarray | None = None) -> GaborResult:
     """Invert the frame operator on the coefficients of f by conjugate
     gradients and report the relative L2 reconstruction error.
@@ -492,8 +490,8 @@ def gabor_reconstruct(f_values, grid: UniformGrid, window: WindowFunction,
     f onto the atom span; the error therefore measures how well the sampled
     system represents f.  A test-subspace condition above the threshold
     raises :class:`NotAFrameError` ("not a frame at this scale"), as does a
-    breakdown of the iteration short of ``tol``; at ``max_iter`` the last
-    iterate is returned flagged unconverged.
+    breakdown of the iteration short of the relative residual 1e-10; at
+    ``max_iter`` the last iterate is returned flagged unconverged.
     """
     f = np.asarray(f_values, dtype=complex)
     if not np.any(f):
@@ -512,7 +510,7 @@ def gabor_reconstruct(f_values, grid: UniformGrid, window: WindowFunction,
         return atoms @ (adjoint @ x)
 
     x, it, _, converged, history = _conjugate_gradients(apply_s, apply_s(f), None,
-                                                        tol, max_iter)
+                                                        1e-10, max_iter)
     fnorm = np.sqrt(float(np.vdot(f, f).real))
     err = np.sqrt(float(np.vdot(x - f, x - f).real)) / fnorm
     return GaborResult(values=x, error=float(err), iterations=it, condition=condition,
@@ -520,14 +518,14 @@ def gabor_reconstruct(f_values, grid: UniformGrid, window: WindowFunction,
 
 
 def bandlimited_pair(omega: float, t_support: float, grid: UniformGrid,
-                     seed: int, n_terms: int = 4) -> tuple[np.ndarray, WindowFunction]:
+                     seed: int) -> tuple[np.ndarray, WindowFunction]:
     """Fixture pair (f, g) whose transform has compactly supported 2-d spectrum.
 
     g is bandlimited with a smooth even transform supported in [-omega, omega];
-    f is even and supported in [-t_support, t_support].  Then the transform of
-    V_g f lives in [-omega, omega] x [-t_support, t_support], the only
-    constructive instance of the support hypothesis used by the non-uniform
-    Gabor expansion checks.
+    f is even, supported in [-t_support, t_support], with four random cosine
+    terms.  Then the transform of V_g f lives in [-omega, omega] x
+    [-t_support, t_support], the only constructive instance of the support
+    hypothesis used by the non-uniform Gabor expansion checks.
     """
     rng = np.random.default_rng(seed)
     t = grid.nodes
@@ -544,7 +542,7 @@ def bandlimited_pair(omega: float, t_support: float, grid: UniformGrid,
     mask = np.abs(t) < t_support
     envelope = np.zeros_like(t)
     envelope[mask] = np.exp(-1.0 / (1.0 - (t[mask] / t_support) ** 2))
-    coefs = rng.standard_normal(n_terms)
+    coefs = rng.standard_normal(4)
     f_vals = envelope * sum(c * np.cos(2.0 * np.pi * k * t / (2 * t_support))
                             for k, c in enumerate(coefs))
     return f_vals.astype(complex), g

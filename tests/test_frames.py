@@ -129,6 +129,18 @@ class TestFrameBounds:
             energy = np.sum(np.abs(frames.analysis(f, e_set).values) ** 2)
             assert rep.lower * (1 - 1e-9) <= energy <= rep.upper * (1 + 1e-9)
 
+    def test_subspace_signal_depends_on_the_span_only(self, grid512, subspace):
+        # tied singular values leave the basis free up to a unitary within the
+        # span, so the seeded signal must not depend on which basis is returned
+        r = subspace.shape[1]
+        rng = np.random.default_rng(3)
+        unitary, _ = np.linalg.qr(rng.standard_normal((r, r))
+                                  + 1j * rng.standard_normal((r, r)))
+        for s in range(3):
+            f = frames.random_subspace_signal(grid512, subspace, seed=s)
+            g = frames.random_subspace_signal(grid512, subspace @ unitary, seed=s)
+            assert np.max(np.abs(f.coeffs - g.coeffs)) <= 1e-12 * np.max(np.abs(f.coeffs))
+
     def test_monotone_in_sampling_points(self, grid512, subspace):
         base = uniform_set(1.0, 40.0)
         richer = SamplingSet(dim=1,

@@ -101,6 +101,74 @@ class TestScale:
             geo.SpectrumSet.box([1.0]).scaled(0.0)
 
 
+HEXAGON = [[0.5, 0.2], [-0.5, -0.2], [0.1, 0.55], [-0.1, -0.55], [0.45, -0.35], [-0.45, 0.35]]
+SEGMENT = [[0.8], [-0.8]]
+
+
+def _counterclockwise(vertices):
+    v = np.asarray(vertices, dtype=float)
+    return v[np.argsort(np.arctan2(v[:, 1], v[:, 0]))]
+
+
+class TestMeasures:
+    """Volume, boundary distance, diameter and enlargement against closed forms."""
+
+    def test_box_volume_is_product_of_widths(self):
+        assert geo.SpectrumSet.box([0.5]).volume() == pytest.approx(1.0)
+        assert geo.SpectrumSet.box([0.3, 1.5]).volume() == pytest.approx(0.6 * 3.0)
+
+    def test_ball_volume(self):
+        assert geo.SpectrumSet.ball(0.7, 1).volume() == pytest.approx(1.4)
+        assert geo.SpectrumSet.ball(0.7, 2).volume() == pytest.approx(np.pi * 0.7**2)
+
+    def test_polytope_volume_is_shoelace_area(self):
+        x, y = _counterclockwise(HEXAGON).T
+        shoelace = 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+        assert shoelace == pytest.approx(0.8025)
+        assert geo.SpectrumSet.polytope(HEXAGON).volume() == pytest.approx(shoelace, rel=1e-12)
+        assert geo.SpectrumSet.polytope(SEGMENT).volume() == pytest.approx(1.6)
+
+    @pytest.mark.parametrize("spec", [
+        geo.SpectrumSet.box([0.5]), geo.SpectrumSet.box([0.3, 1.5]),
+        geo.SpectrumSet.ball(0.7, 1), geo.SpectrumSet.ball(0.7, 2),
+        geo.SpectrumSet.polytope(SEGMENT), geo.SpectrumSet.polytope(HEXAGON)])
+    def test_volume_scales_as_power_of_dimension(self, spec):
+        for rho in (0.5, 3.0):
+            assert spec.scaled(rho).volume() == pytest.approx(rho**spec.dim * spec.volume(),
+                                                              rel=1e-12)
+
+    def test_ball_boundary_distance(self):
+        ball = geo.SpectrumSet.ball(1.5, 2)
+        for p in ([0.0, 0.0], [0.3, -0.4], [1.2, 0.5]):
+            assert ball.boundary_distance(p) == pytest.approx(1.5 - np.linalg.norm(p))
+        assert geo.SpectrumSet.ball(1.5, 1).boundary_distance([-0.5]) == pytest.approx(1.0)
+
+    def test_polytope_boundary_distance_is_nearest_facet(self):
+        v = _counterclockwise(HEXAGON)
+        edges = np.roll(v, -1, axis=0) - v
+        normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)   # outward
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        poly = geo.SpectrumSet.polytope(HEXAGON)
+        for p in np.random.default_rng(6).uniform(-0.15, 0.15, size=(20, 2)):
+            nearest = np.min(np.sum((v - p) * normals, axis=1))
+            assert poly.boundary_distance(p) == pytest.approx(nearest, rel=1e-12)
+        assert geo.SpectrumSet.polytope(SEGMENT).boundary_distance([0.3]) == pytest.approx(0.5)
+
+    def test_diameter(self):
+        assert geo.SpectrumSet.ball(0.7, 1).diameter() == pytest.approx(1.4)
+        assert geo.SpectrumSet.ball(0.7, 2).diameter() == pytest.approx(1.4)
+        for verts in (HEXAGON, SEGMENT):
+            v = np.asarray(verts)
+            widest = np.max(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=2))
+            assert widest == pytest.approx(2.0 * np.max(np.linalg.norm(v, axis=1)))
+            assert geo.SpectrumSet.polytope(verts).diameter() == pytest.approx(widest)
+
+    def test_segment_enlarged_by_eps(self):
+        out = geo.SpectrumSet.polytope(SEGMENT).enlarged(0.1)
+        assert out.shape == "polytope"
+        assert np.allclose(np.sort(out.vertices[:, 0]), [-0.9, 0.9], rtol=0, atol=1e-15)
+
+
 class TestCovering:
     def setup_method(self):
         self.cross = geo.SpectrumSet.box([1.0, 1.0]).polar()  # l1 unit ball

@@ -4,7 +4,11 @@ exp(+-2 pi i x . g) through ``spectral.exp_table``.  A dense table, an
 (``np.outer``) product, may appear only inside the builder's own dense
 pieces, ``spectral._exp_matrix`` and ``spectral._exp_factors``.
 Elementwise modulations such as ``np.exp(-2j * np.pi * y * lam)`` are not
-tables and pass."""
+tables and pass.
+
+Every defaulted keyword option of a public function or method is set by some
+call in the package, its tests or its benchmark; an option nothing sets is a
+constant."""
 import ast
 from pathlib import Path
 
@@ -14,6 +18,10 @@ import nusample
 
 SOURCES = {path.stem: path for path in sorted(Path(nusample.__file__).parent.glob("*.py"))}
 ALLOWED = {("spectral", "_exp_matrix"), ("spectral", "_exp_factors")}
+REPO = Path(__file__).resolve().parent.parent
+CALLER_DIRS = ("src", "tests", "perfbench")
+# a file-name setting: it keeps two symbols' side files apart in one directory
+UNSET_ALLOWED = {("psido", "symbol_save", "profile_prefix")}
 
 
 def _numpy_call(node, name: str) -> bool:
@@ -76,3 +84,90 @@ def test_detector_finds_dense_tables():
     assert dense_exp_tables("g = np.exp(-np.pi * t**2) * np.outer(a, b)\n") == []
     assert dense_exp_tables("u = np.exp(-2j * np.pi * y * lam)\n") == []
     assert dense_exp_tables("s = np.exp(-(x @ g.T))\n") == []
+
+
+def _defaulted(fn, skip: int) -> list:
+    """(parameter, position) of each defaulted parameter of ``fn``; the
+    position counts from the first argument after ``skip`` bound ones and is
+    None for keyword-only parameters."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    first = len(pos) - len(a.defaults)
+    return ([(arg.arg, i - skip) for i, arg in enumerate(pos) if i >= first]
+            + [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None])
+
+
+def public_options(source: str) -> list:
+    """(call name, parameter, position) of every defaulted option of the
+    module's public functions and of its public classes' public methods and
+    constructors, which are called by the class name.  A method's first
+    parameter (``self`` or ``cls``) is bound, so positions start after it."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out += [(node.name, *opt) for opt in _defaulted(node, 0)]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and (
+                        fn.name == "__init__" or not fn.name.startswith("_")):
+                    name = node.name if fn.name == "__init__" else fn.name
+                    out += [(name, *opt) for opt in _defaulted(fn, 1)]
+    return out
+
+
+def _called_name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def call_sites(source: str, names: set) -> list:
+    """(name, positional count, keyword names) of every call of a function in
+    ``names``, direct or forwarded: in ``t.call("span", fn, x, k=1)`` or
+    ``partial(fn, x)`` the arguments after ``fn`` are ``fn``'s.  A ``*args``
+    splat counts as every position and a ``**kwargs`` splat as every keyword."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        keywords = {k.arg for k in node.keywords}
+        sites = [(_called_name(node.func), node.args)]
+        sites += [(_called_name(a), node.args[i + 1:]) for i, a in enumerate(node.args)
+                  if _called_name(a) in names]
+        for name, args in sites:
+            if name in names:
+                star = any(isinstance(a, ast.Starred) for a in args)
+                out.append((name, float("inf") if star else len(args), keywords))
+    return out
+
+
+def unset_options(sources: dict, callers: list) -> list:
+    """(module, call name, parameter) of every public option no call sets."""
+    options = [(mod, *opt) for mod, src in sources.items() for opt in public_options(src)]
+    names = {name for _, name, _, _ in options}
+    calls = [c for src in callers for c in call_sites(src, names)]
+    return [(mod, name, param) for mod, name, param, pos in options
+            if not any(cname == name and (param in kws or None in kws
+                                          or (pos is not None and npos > pos))
+                       for cname, npos, kws in calls)]
+
+
+def test_every_option_has_a_caller():
+    callers = [path.read_text() for d in CALLER_DIRS for path in sorted((REPO / d).rglob("*.py"))]
+    sources = {name: path.read_text() for name, path in SOURCES.items()}
+    assert set(unset_options(sources, callers)) == UNSET_ALLOWED
+
+
+def test_option_scan_sees_every_way_of_setting():
+    src = ("def f(a, b=1, *, c=2):\n    pass\n"
+           "class K:\n    def __init__(self, x, y=0):\n        pass\n"
+           "    def m(self, z=1):\n        pass\n"
+           "def _hidden(q=1):\n    pass\n")
+    assert public_options(src) == [("f", "b", 1), ("f", "c", None), ("K", "y", 1),
+                                   ("m", "z", 0)]
+    unset = {("mod", "f", "b"), ("mod", "f", "c"), ("mod", "K", "y"), ("mod", "m", "z")}
+    assert set(unset_options({"mod": src}, [])) == unset
+    assert unset_options({"mod": src}, ["f(1, 2, c=3)\nK(0, 1)\nk.m(2)\n"]) == []
+    assert unset_options({"mod": src}, ["t.call('s', f, 1, 2, c=3)\npartial(K, 0, y=1)\n"
+                                        "m(**kw)\n"]) == []
+    assert set(unset_options({"mod": src}, ["f(*args)\n"])) == unset - {("mod", "f", "b")}
