@@ -10,7 +10,12 @@ least-squares problem solved by iteratively reweighted least squares; it
 succeeds only when the sup-norm residual over the grid meets the requested
 tolerance, which is the empirical stand-in for "balayage is possible at this
 density".  The maximal l1 coefficient mass over a sample of centers estimates
-the balayage constant of the pair (E, enlarged spectrum).
+the balayage constant of the pair (E, enlarged spectrum).  At the l1 weight
+1e-8 used by the CLI's ``identity`` and ``psido`` and by the one-shot helpers,
+the reweighted result fails the feasibility check at every center of the
+shipped configs, so there the masses, the constant and the ``psido`` lower
+constant built from it are those of the truncated-SVD least-squares start,
+not l1-minimal ones.
 
 The window h that glues the swept coefficients into a pointwise identity has
 h(0) = 1 and a transform supported exactly in the closed eps-ball.  It is
@@ -25,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.signal import fftconvolve
 
 from .geometry import SpectralGrid, as_points
 from .sampling import SamplingSet
@@ -126,12 +130,14 @@ def ingham_window(eps: float, dim: int = 1, profile_nodes: int = 401) -> InghamW
         r = np.sqrt(gx**2 + gy**2)
         grid_vals = _bump(r / half)
         cell = step**2
-        psi2 = fftconvolve(grid_vals, grid_vals) * cell
-        m = psi2.shape[0]
+        m = 2 * n - 1   # the size of the linear self-convolution, so nothing wraps around
+        psi2 = np.fft.irfft2(np.fft.rfft2(grid_vals, s=(m, m)) ** 2, s=(m, m)) * cell
         ax = (np.arange(m) - (m - 1) / 2.0) * step
         px, py = np.meshgrid(ax, ax, indexing="ij")
-        keep = psi2 > 0
-        psi = psi2[keep]
+        # the exact support lies in the closed eps-ball; FFT rounding picks neither
+        # the nodes nor the sign of the values
+        keep = np.hypot(px, py) <= eps
+        psi = np.maximum(psi2[keep], 0.0)
         psi_nodes = np.stack([px[keep], py[keep]], axis=1)
         keep_b = grid_vals > 0
         nodes = np.stack([gx[keep_b], gy[keep_b]], axis=1)

@@ -9,6 +9,10 @@ config hash) plus plot-ready CSV into the output directory, and maps failures
 to exit codes.  Timestamps and run facts live in a separate ``meta.json`` so
 reports stay byte-identical for identical configs and seeds.
 
+Each command declares the config fields it reads, with their defaults, where
+it is defined (:data:`FIELDS`); a field it does not declare is a
+configuration error, caught before any work.
+
 Exit codes: 0 = claims confirmed (or no prediction applicable), 1 = claim
 violated or numerical failure (balayage infeasible, not a frame; the report
 then holds ``{"error": ...}``), 2 = usage or configuration error.
@@ -44,7 +48,7 @@ def _load_config(path) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if cfg.get("schema") != SCHEMA_VERSION:
+    if not isinstance(cfg, dict) or cfg.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"config schema must be {SCHEMA_VERSION}")
     return cfg
 
@@ -53,23 +57,92 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
 
-def _sampling_set(cfg: dict, seed_override: int | None = None) -> sampling.SamplingSet:
-    spec = cfg["sampling"]
-    kind = spec.get("kind", "points")
+# -- declared fields --------------------------------------------------------------
+
+REQUIRED = object()   # a field with no default
+
+
+@dataclass(frozen=True)
+class Section:
+    """A JSON object with declared fields: a command's config, or a field
+    holding objects of its own.
+
+    ``fields`` maps each name to its default, to REQUIRED or to a Section.
+    With ``by_kind`` it maps each value of the object's ``kind`` field to such
+    a map instead, the first kind being the default.  A ``many`` section holds
+    a list of objects; an ``optional`` one may be left out and then reads None.
+    """
+
+    fields: dict
+    by_kind: bool = False
+    many: bool = False
+    optional: bool = False
+
+    def resolve(self, data, where: str):
+        """``data`` with each declared field it leaves out set to its default.
+        A field that is not declared, or a required one left out, is a config
+        error (the latter a ``KeyError``, reported as a missing field)."""
+        if self.many:
+            one = Section(self.fields)
+            return [one.resolve(item, f"{where}[{i}]") for i, item in enumerate(data)]
+        if not isinstance(data, dict):
+            raise ConfigError(f"{where} must be a JSON object")
+        fields = self.fields
+        if self.by_kind:
+            kind = data.get("kind", next(iter(fields)))
+            if kind not in fields:
+                raise ConfigError(f"unknown {where} kind {kind!r}")
+            fields = {"kind": kind, **fields[kind]}
+        for name in data:
+            if name not in fields:
+                raise ConfigError(f"unknown field {name!r}"
+                                  + ("" if where == "config" else f" in {where}"))
+        out = {}
+        for name, decl in fields.items():
+            section = isinstance(decl, Section)
+            if name in data:
+                out[name] = decl.resolve(data[name], name) if section else data[name]
+            elif decl is REQUIRED or (section and not decl.optional):
+                raise KeyError(name)
+            else:
+                out[name] = None if section else decl
+        return out
+
+
+SAMPLING = Section({
+    "points": {"dim": REQUIRED, "points": REQUIRED, "window": REQUIRED},
+    "jittered": {"delta": REQUIRED, "window": REQUIRED, "jitter": 0.0, "seed": 0},
+    "csv": {"path": REQUIRED},   # the window is the bounding box of the points
+}, by_kind=True)
+
+# each command's config fields, filled in by :func:`command`
+FIELDS: dict = {}
+_COMMANDS: dict = {}
+
+
+def command(name: str, **fields):
+    """Register ``fn(cfg) -> Outcome`` as command ``name`` reading ``fields``
+    (besides ``schema``); ``cfg`` arrives resolved, every field present."""
+    def register(fn):
+        FIELDS[name] = Section({"schema": REQUIRED, **fields})
+        _COMMANDS[name] = fn
+        return fn
+    return register
+
+
+def _sampling_set(spec: dict) -> sampling.SamplingSet:
+    kind = spec["kind"]
     if kind == "points":
         return sampling.SamplingSet(dim=spec["dim"],
                                     points=np.asarray(spec["points"], dtype=float),
                                     window=np.asarray(spec["window"], dtype=float))
     if kind == "jittered":
-        seed = seed_override if seed_override is not None else spec.get("seed", 0)
-        return sampling.generate_jittered_grid(spec["delta"], spec.get("jitter", 0.0),
-                                               spec["window"], seed)
-    if kind == "csv":
-        path = spec["path"]
-        if not os.path.exists(path):
-            raise ConfigError(f"referenced file does not exist: {path}")
-        return sampling.SamplingSet.from_csv(path, window=spec.get("window"))
-    raise ConfigError(f"unknown sampling kind {kind!r}")
+        return sampling.generate_jittered_grid(spec["delta"], spec["jitter"],
+                                               spec["window"], spec["seed"])
+    path = spec["path"]
+    if not os.path.exists(path):
+        raise ConfigError(f"referenced file does not exist: {path}")
+    return sampling.SamplingSet.from_csv(path)
 
 
 def _write_json(out_dir: Path, name: str, payload: dict) -> None:
@@ -101,14 +174,22 @@ class Outcome:
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_covering(cfg: dict, seed: int | None) -> Outcome:
+def _balayage_meta(sols) -> dict:
+    """IRLS counters of the solved centers, summed, for ``meta.json``."""
+    return {"balayage": {"centers": len(sols),
+                         "iterations": sum(s.iterations for s in sols),
+                         "converged": sum(s.converged for s in sols),
+                         "reweighted": sum(s.reweighted for s in sols)}}
+
+
+@command("covering", spectrum=REQUIRED, sampling=SAMPLING, rho=REQUIRED, region=REQUIRED,
+         resolution=REQUIRED, grid_nodes=64, subspace_margin=5.0)
+def cmd_covering(cfg: dict) -> Outcome:
     spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
-    e_set = _sampling_set(cfg, seed)
+    e_set = _sampling_set(cfg["sampling"])
     result = frames.covering_frame_experiment(
-        spectrum, e_set, rho=cfg["rho"],
-        region=cfg["region"], resolution=cfg["resolution"],
-        grid_nodes=cfg.get("grid_nodes", 64), margin=cfg.get("subspace_margin", 5.0),
-        spacing=cfg.get("subspace_spacing"))
+        spectrum, e_set, rho=cfg["rho"], region=cfg["region"], resolution=cfg["resolution"],
+        grid_nodes=cfg["grid_nodes"], margin=cfg["subspace_margin"])
     return Outcome({
         "covered": result.covering.covered,
         "witness_count": int(result.covering.witnesses.shape[0]),
@@ -120,38 +201,35 @@ def cmd_covering(cfg: dict, seed: int | None) -> Outcome:
     }, int(result.prediction_applies and not result.frame_confirmed))
 
 
-def cmd_frame_bounds(cfg: dict, seed: int | None) -> Outcome:
+@command("frame-bounds", spectrum=REQUIRED, sampling=SAMPLING, grid_nodes=512,
+         subspace=Section({"margin": 10.0}, optional=True), seed=0, trials=50)
+def cmd_frame_bounds(cfg: dict) -> Outcome:
     spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
-    e_set = _sampling_set(cfg, seed)
-    grid = geometry.build_grid(spectrum, cfg.get("grid_nodes", 512))
-    sub_cfg = cfg.get("subspace")
-    subspace = None
-    if sub_cfg:
-        subspace = frames.interior_taper_subspace(
-            grid, e_set.window, margin=sub_cfg.get("margin", 10.0),
-            spacing=sub_cfg.get("spacing"))
+    e_set = _sampling_set(cfg["sampling"])
+    grid = geometry.build_grid(spectrum, cfg["grid_nodes"])
+    subspace = None if cfg["subspace"] is None else frames.interior_taper_subspace(
+        grid, e_set.window, margin=cfg["subspace"]["margin"])
     report_fb = frames.frame_bounds(e_set, grid, subspace=subspace)
-    base_seed = seed if seed is not None else cfg.get("seed", 0)
     rows = []
-    for t in range(cfg.get("trials", 50)):
+    for t in range(cfg["trials"]):
         if subspace is not None:
-            sig = frames.random_subspace_signal(grid, subspace, base_seed + t)
+            sig = frames.random_subspace_signal(grid, subspace, cfg["seed"] + t)
         else:
-            sig = spectral.random_coeff_signal(grid, base_seed + t)
+            sig = spectral.random_coeff_signal(grid, cfg["seed"] + t)
         energy = float(np.sum(np.abs(frames.analysis(sig, e_set).values) ** 2))
         rows.append([t, energy / sig.norm_sq()])
     return Outcome({"frame_report": report_fb.to_json()},
                    tables={"rayleigh.csv": (["trial", "rayleigh"], rows)})
 
 
-def cmd_reconstruct(cfg: dict, seed: int | None) -> Outcome:
+@command("reconstruct", spectrum=REQUIRED, sampling=SAMPLING, grid_nodes=33, seed=0,
+         tol=1e-8, max_iter=200)
+def cmd_reconstruct(cfg: dict) -> Outcome:
     spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
-    e_set = _sampling_set(cfg, seed)
-    base_seed = seed if seed is not None else cfg.get("seed", 0)
-    truth = spectral.random_pw_signal(spectrum, cfg.get("grid_nodes", 33), base_seed)
+    e_set = _sampling_set(cfg["sampling"])
+    truth = spectral.random_pw_signal(spectrum, cfg["grid_nodes"], cfg["seed"])
     samples = frames.analysis(truth, e_set)
-    final = frames.reconstruct(samples, truth.grid, tol=cfg.get("tol", 1e-8),
-                               max_iter=cfg.get("max_iter", 200))
+    final = frames.reconstruct(samples, truth.grid, tol=cfg["tol"], max_iter=cfg["max_iter"])
     err_num = np.sqrt(float(np.sum(truth.grid.weights *
                                    np.abs(final.signal.coeffs - truth.coeffs) ** 2)))
     rel_err = err_num / truth.norm()
@@ -166,39 +244,35 @@ def cmd_reconstruct(cfg: dict, seed: int | None) -> Outcome:
         message=None if final.converged else "unconverged")
 
 
-def cmd_identity(cfg: dict, seed: int | None) -> Outcome:
+@command("identity", spectrum=REQUIRED, sampling=SAMPLING, enlarged_nodes=384, seed=0,
+         n_y=25, y_half=10.0, eta=1e-5, tolerance=1e-2, trials=5, poly_terms=5)
+def cmd_identity(cfg: dict) -> Outcome:
     spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
-    e_set = _sampling_set(cfg, seed)
-    eps = cfg.get("eps") or bal.default_enlargement(spectrum)
-    grid = geometry.build_grid(geometry.enlarge(spectrum, eps),
-                               cfg.get("enlarged_nodes", 384))
+    e_set = _sampling_set(cfg["sampling"])
+    eps = bal.default_enlargement(spectrum)
+    grid = geometry.build_grid(geometry.enlarge(spectrum, eps), cfg["enlarged_nodes"])
     window = bal.ingham_window(eps, dim=spectrum.dim)
-    base_seed = seed if seed is not None else cfg.get("seed", 0)
-    rng = np.random.default_rng(base_seed)
-    n_y = cfg.get("n_y", 25)
-    y_half = cfg.get("y_half", 10.0)
-    ys = rng.uniform(-y_half, y_half, size=(n_y, spectrum.dim))
-    solver = bal.BalayageSolver(e_set, grid, eta=cfg.get("eta", 1e-5), reg=cfg.get("reg", 1e-8))
-    tol = cfg.get("tolerance", 1e-2)
+    rng = np.random.default_rng(cfg["seed"])
+    ys = rng.uniform(-cfg["y_half"], cfg["y_half"], size=(cfg["n_y"], spectrum.dim))
+    solver = bal.BalayageSolver(e_set, grid, eta=cfg["eta"], reg=bal._HELPER_REG)
     residuals = []
-    rows = []
-    for t in range(cfg.get("trials", 5)):
-        poly = spectral.random_trig_polynomial(spectrum, cfg.get("poly_terms", 5),
-                                               base_seed + 100 + t)
+    for t in range(cfg["trials"]):
+        poly = spectral.random_trig_polynomial(spectrum, cfg["poly_terms"], cfg["seed"] + 100 + t)
         residuals.append(bal.fundamental_identity_residual(poly, e_set, grid, window, ys,
                                                            solver=solver))
-    for y in ys:
-        sol = solver.solve(y)
-        rows.append([float(y[0]), sol.fit_residual, sol.l1_mass])
+    sols = solver.solve_many(ys)
+    tol = cfg["tolerance"]
     return Outcome(
         {"identity_residuals": residuals, "max_residual": max(residuals), "tolerance": tol},
         0 if max(residuals) <= tol else 1,
-        tables={"solves.csv": (["y", "residual", "l1_mass"], rows)})
+        tables={"solves.csv": (["y", "residual", "l1_mass"],
+                               [[float(s.y[0]), s.fit_residual, s.l1_mass] for s in sols])},
+        meta=_balayage_meta(sols))
 
 
-def cmd_stft(cfg: dict, seed: int | None) -> Outcome:
-    refine = cfg.get("refine", 1)
-    f, grid, g0, tf = tfm.gaussian_identity_fixture("isometry", refine=refine)
+@command("stft", isometry_tol=1e-3, tf_identity_tol=1e-3, closed_form_tol=1e-2)
+def cmd_stft(cfg: dict) -> Outcome:
+    f, grid, g0, tf = tfm.gaussian_identity_fixture("isometry")
     iso = tfm.isometry_check(f, grid, g0, tf).deviation
     v = tfm.stft(f, grid, g0, tf)
     xs, ws = (a.ravel().tolist() for a in np.meshgrid(tf.time.nodes, tf.freq.nodes,
@@ -210,13 +284,12 @@ def cmd_stft(cfg: dict, seed: int | None) -> Outcome:
                             # hypot rounds as the scalar complex abs; np.abs may not
                             list(zip(xs, ws, np.hypot(v.real, v.imag).ravel().tolist()))),
     }
-    f, grid, g0, tf = tfm.gaussian_identity_fixture("tf_identity", refine=refine)
+    f, grid, g0, tf = tfm.gaussian_identity_fixture("tf_identity")
     tf_dev = tfm.tf_identity_check(f, grid, g0, tf, spectral_half=2.5)
-    f, grid, g0, tf = tfm.gaussian_identity_fixture("closed_form", refine=refine)
+    f, grid, g0, tf = tfm.gaussian_identity_fixture("closed_form")
     closed_dev = tfm.stft_fourier_closed_form(f, grid, g0, tf)
-    tol_iso = cfg.get("isometry_tol", 1e-3)
-    tol_tf = cfg.get("tf_identity_tol", 1e-3)
-    tol_closed = cfg.get("closed_form_tol", 1e-2)
+    tol_iso, tol_tf, tol_closed = (cfg["isometry_tol"], cfg["tf_identity_tol"],
+                                   cfg["closed_form_tol"])
     ok = iso <= tol_iso and tf_dev <= tol_tf and closed_dev <= tol_closed
     return Outcome({
         "isometry_deviation": iso,
@@ -227,62 +300,59 @@ def cmd_stft(cfg: dict, seed: int | None) -> Outcome:
     }, 0 if ok else 1, tables=tables)
 
 
-def cmd_gabor(cfg: dict, seed: int | None) -> Outcome:
-    step = cfg.get("step", 0.1)
-    grid = tfm.UniformGrid.symmetric(cfg.get("time_half", 8.0), step)
-    g0 = tfm.gaussian_window(step=step)
-    base_seed = seed if seed is not None else cfg.get("seed", 0)
-    lattice = tfm.phase_lattice(cfg.get("a", 0.5), cfg.get("b", 0.5),
-                                 cfg.get("time_extent", 5.0), cfg.get("freq_extent", 3.0),
-                                 jitter=cfg.get("jitter", 0.0), seed=base_seed)
+@command("gabor", step=0.1, time_half=8.0, seed=0, a=0.5, b=0.5, time_extent=5.0,
+         freq_extent=3.0, jitter=0.0, error_tol=1e-3, cond_threshold=1e8)
+def cmd_gabor(cfg: dict) -> Outcome:
+    grid = tfm.UniformGrid.symmetric(cfg["time_half"], cfg["step"])
+    g0 = tfm.gaussian_window(step=cfg["step"])
+    lattice = tfm.phase_lattice(cfg["a"], cfg["b"], cfg["time_extent"], cfg["freq_extent"],
+                                 jitter=cfg["jitter"], seed=cfg["seed"])
     t = grid.nodes
     f_vals = (np.exp(-np.pi * (t - 0.3) ** 2) * np.exp(2j * np.pi * 0.2 * t)
               + 0.5 * np.exp(-np.pi * (t + 0.5) ** 2))
-    tol = cfg.get("error_tol", 1e-3)
     result = tfm.gabor_reconstruct(f_vals, grid, g0, lattice,
-                                    cond_threshold=cfg.get("cond_threshold", 1e8))
+                                    cond_threshold=cfg["cond_threshold"])
     return Outcome({
         "reconstruction_error": result.error,
         "iterations": result.iterations,
         "condition": result.condition,
-        "tolerance": tol,
-    }, 0 if result.error <= tol else 1)
+        "tolerance": cfg["error_tol"],
+    }, 0 if result.error <= cfg["error_tol"] else 1)
 
 
-def cmd_psido(cfg: dict, seed: int | None) -> Outcome:
+@command("psido", spectrum=REQUIRED, sampling=SAMPLING,
+         terms=Section({"lambda": REQUIRED, "eps": REQUIRED, "b_width": 0.5, "b_half": 1.0,
+                        "order": 8, "amplitude": 1.0}, many=True),
+         seed=0, n_k=25, eta=1e-5, trials=10)
+def cmd_psido(cfg: dict) -> Outcome:
     spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
-    e_set = _sampling_set(cfg, seed)
+    e_set = _sampling_set(cfg["sampling"])
     terms = []
     for td in cfg["terms"]:
         b = psido.SpectralFactor.from_callable(
-            lambda g, w=td.get("b_width", 0.5): np.exp(-(g / w) ** 2),
-            -td.get("b_half", 1.0), td.get("b_half", 1.0))
-        terms.append(psido.symbol_term(td["lambda"], td["eps"], b,
-                                       order=td.get("order", 8),
-                                       amplitude=td.get("amplitude", 1.0)))
+            lambda g, w=td["b_width"]: np.exp(-(g / w) ** 2), -td["b_half"], td["b_half"])
+        terms.append(psido.symbol_term(td["lambda"], td["eps"], b, order=td["order"],
+                                       amplitude=td["amplitude"]))
     symbol = psido.KNSymbol(terms=terms, spectrum=spectrum)
     validation = psido.validate_symbol_class(symbol)
     if not validation.ok:
         return Outcome({"validation_failures": [list(f) for f in validation.failures]}, 1,
                        message=f"symbol validation failed: {validation.failures}")
-    eps = cfg.get("eps") or bal.default_enlargement(spectrum)
-    egrid = geometry.build_grid(geometry.enlarge(spectrum, eps),
-                                cfg.get("enlarged_nodes", 384))
+    eps = bal.default_enlargement(spectrum)
+    egrid = geometry.build_grid(geometry.enlarge(spectrum, eps), 384)
     window = bal.ingham_window(eps, dim=1)
-    base_seed = seed if seed is not None else cfg.get("seed", 0)
-    ys = np.random.default_rng(base_seed).uniform(-10.0, 10.0, size=(cfg.get("n_k", 25), 1))
-    k_hat = bal.balayage_constant(e_set, egrid, ys, eta=cfg.get("eta", 1e-5))
+    ys = np.random.default_rng(cfg["seed"]).uniform(-10.0, 10.0, size=(cfg["n_k"], 1))
+    solver = bal.BalayageSolver(e_set, egrid, eta=cfg["eta"], reg=bal._HELPER_REG)
+    k_hat = bal.balayage_constant(e_set, egrid, ys, solver=solver)
     lower_const = 1.0 / (k_hat.value * window.l2_norm) ** 2
-    lam_grid = geometry.build_grid(spectrum, cfg.get("grid_nodes", 256))
-    bessel = frames.frame_bounds(e_set, lam_grid).upper
-    f_grid = tfm.UniformGrid.symmetric(cfg.get("f_half", 12.0), cfg.get("f_step", 0.25))
-    gamma = np.linspace(-cfg.get("gamma_half", 0.7), cfg.get("gamma_half", 0.7),
-                        cfg.get("gamma_nodes", 141))
+    bessel = frames.frame_bounds(e_set, geometry.build_grid(spectrum, 256)).upper
+    f_grid = tfm.UniformGrid.symmetric(12.0, 0.25)
+    gamma = np.linspace(-0.7, 0.7, 141)
     gw = np.full(gamma.size, gamma[1] - gamma[0])
     trials = []
     envelope = np.exp(-((f_grid.nodes / 8.0) ** 2))
-    for t in range(cfg.get("trials", 10)):
-        rng_t = np.random.default_rng(base_seed + 200 + t)
+    for t in range(cfg["trials"]):
+        rng_t = np.random.default_rng(cfg["seed"] + 200 + t)
         f_vals = envelope * (rng_t.standard_normal(f_grid.count)
                              + 1j * rng_t.standard_normal(f_grid.count))
         chk = psido.psido_frame_check(symbol, f_vals, f_grid, e_set, gamma, gw,
@@ -296,18 +366,7 @@ def cmd_psido(cfg: dict, seed: int | None) -> Outcome:
         "bessel_bound": bessel,
         "trials": trials,
         "all_ok": bool(ok),
-    }, 0 if ok else 1)
-
-
-_COMMANDS = {
-    "covering": cmd_covering,
-    "frame-bounds": cmd_frame_bounds,
-    "reconstruct": cmd_reconstruct,
-    "identity": cmd_identity,
-    "stft": cmd_stft,
-    "gabor": cmd_gabor,
-    "psido": cmd_psido,
-}
+    }, 0 if ok else 1, meta=_balayage_meta(solver.solve_many(ys)))
 
 
 def main(argv=None) -> int:
@@ -317,14 +376,19 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
+                        help="override every seed the config reads")
     args = parser.parse_args(argv)
     out_dir = Path(args.out)
     try:
-        cfg = _load_config(args.config)
+        raw = _load_config(args.config)
+        cfg = FIELDS[args.command].resolve(raw, "config")
+        if args.seed is not None:   # every seed the command reads
+            for section in (cfg, cfg.get("sampling") or {}):
+                if "seed" in section:
+                    section["seed"] = args.seed
         out_dir.mkdir(parents=True, exist_ok=True)
         started = time.time()
-        outcome = _COMMANDS[args.command](cfg, args.seed)
+        outcome = _COMMANDS[args.command](cfg)
     except (bal.BalayageInfeasibleError, frames.NotAFrameError) as exc:
         prefix = "balayage infeasible: " if isinstance(exc, bal.BalayageInfeasibleError) else ""
         outcome = Outcome({"error": str(exc)}, 1, message=f"{prefix}{exc}")
@@ -340,7 +404,7 @@ def main(argv=None) -> int:
         print(outcome.message, file=sys.stderr)
     for name, (header, rows) in outcome.tables.items():
         _write_csv(out_dir, name, header, rows)
-    _write_json(out_dir, "report.json", {**outcome.report, "config_hash": _config_hash(cfg)})
+    _write_json(out_dir, "report.json", {**outcome.report, "config_hash": _config_hash(raw)})
     _write_json(out_dir, "meta.json", {
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "elapsed_seconds": time.time() - started,

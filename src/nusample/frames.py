@@ -153,12 +153,12 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
     return lo / (lo + hi)
 
 
-def interior_taper_subspace(grid: SpectralGrid, window, margin: float,
-                            spacing: float | None = None) -> np.ndarray:
+def interior_taper_subspace(grid: SpectralGrid, window, margin: float) -> np.ndarray:
     """Orthonormal basis (in sqrt-weight coordinates) of tapered shifts.
 
     Columns span signals of the form  taper(g) * exp(-2 pi i x0 . g)  with
-    shift centers x0 on a grid inside the window shrunk by ``margin``.  The
+    shift centers x0 on a grid inside the window shrunk by ``margin``, of step
+    0.8 / (2 h) along an axis where the spectrum's bounding box is [-h, h].  The
     taper is a smooth cutoff that is 1 on the inner 0.4 of the spectrum
     (measured in the gauge) and vanishes at its boundary, so the basis signals
     decay rapidly in time and stay concentrated near their centers.
@@ -167,12 +167,7 @@ def interior_taper_subspace(grid: SpectralGrid, window, margin: float,
     spec = grid.spectrum
     dim = spec.dim
     win = np.asarray(window, dtype=float).reshape(dim, 2)
-    bbox = spec.bounding_box()
-    half = bbox[:, 1]
-    if spacing is None:
-        steps = 0.8 / (2.0 * half)
-    else:
-        steps = np.broadcast_to(np.asarray(spacing, dtype=float), (dim,))
+    steps = 0.8 / (2.0 * spec.bounding_box()[:, 1])
     axes = []
     for (lo, hi), st in zip(win, steps):
         lo_m, hi_m = lo + margin, hi - margin
@@ -520,8 +515,7 @@ class CoveringExperiment:
 
 def covering_frame_experiment(spectrum: SpectrumSet, sampling_set: SamplingSet,
                               rho: float, region, resolution: float,
-                              grid_nodes: int = 64, margin: float = 5.0,
-                              spacing: float | None = None) -> CoveringExperiment:
+                              grid_nodes: int = 64, margin: float = 5.0) -> CoveringExperiment:
     """Covering criterion versus measured frame bounds on the shrunk spectrum.
 
     Checks that translates of the polar body by the sampling points cover the
@@ -533,7 +527,7 @@ def covering_frame_experiment(spectrum: SpectrumSet, sampling_set: SamplingSet,
     cov = covering_check(sampling_set, spectrum.polar(), region, resolution)
     rho_ok = rho < 0.25
     grid = build_grid(spectrum.scaled(rho), grid_nodes)
-    q = interior_taper_subspace(grid, sampling_set.window, margin=margin, spacing=spacing)
+    q = interior_taper_subspace(grid, sampling_set.window, margin=margin)
     report = frame_bounds(sampling_set, grid, subspace=q)
     return CoveringExperiment(covering=cov, rho_ok=rho_ok, report=report)
 

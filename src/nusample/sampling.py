@@ -8,7 +8,6 @@ an infinite-set statement, so the window is carried explicitly.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,10 +77,6 @@ class SamplingSet:
         if window is None:
             window = np.stack([pts.min(axis=0), pts.max(axis=0)], axis=1)
         return cls(dim=dim, points=pts, window=np.asarray(window, dtype=float))
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
 
 
 def separation(sampling_set: SamplingSet) -> float:

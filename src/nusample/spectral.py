@@ -21,7 +21,6 @@ against.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -238,11 +237,6 @@ def signal_from_json(data: dict) -> BandlimitedSignal:
                         spectrum=spectrum)
     coeffs = np.asarray(data["coeffs_re"], dtype=float) + 1j * np.asarray(data["coeffs_im"], dtype=float)
     return BandlimitedSignal(grid=grid, coeffs=coeffs)
-
-
-def signal_save_json(signal: BandlimitedSignal, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(signal_to_json(signal), fh, sort_keys=True)
 
 
 def signal_to_csv(signal: BandlimitedSignal, path) -> None:

@@ -61,6 +61,13 @@ class TestInghamWindow:
         assert win.spectral_profile_at([[0.505, 0.0]]) == 0.0
         assert win.l2_norm > 0
 
+    @pytest.mark.parametrize("eps,nodes", [(0.5, 64), (0.1, 101)])
+    def test_two_dimensional_profile_inside_closed_ball(self, eps, nodes):
+        win = bal.ingham_window(eps, dim=2, profile_nodes=nodes)
+        assert np.all(np.linalg.norm(win.profile_nodes, axis=1) <= eps)
+        assert np.all(win.profile_values >= 0)
+        assert np.sum(win.profile_values) * (eps / nodes) ** 2 == pytest.approx(1.0)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             bal.ingham_window(0.0)

@@ -73,6 +73,12 @@ def test_wrong_schema_exits_2(tmp_path):
     assert run("covering", bad, tmp_path / "out") == 2
 
 
+def test_non_object_config_exits_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([1, 2]))
+    assert run("covering", bad, tmp_path / "out") == 2
+
+
 def test_missing_field_exits_2(tmp_path):
     cfg = json.loads((CONFIG_DIR / "covering.json").read_text())
     del cfg["spectrum"]
@@ -95,8 +101,9 @@ def test_missing_points_file_exits_2(tmp_path):
     (lambda cfg: cfg.update(region=[[-10.0, 10.0], [-10.0, 10.0]]), "region dimension"),
     (lambda cfg: cfg.update(resolution="abc"), "not supported between instances of 'str'"),
     (lambda cfg: cfg.update(sampling=EMPTY_POINTS), "empty sampling set"),
+    (lambda cfg: cfg["sampling"].update(kind="grid"), "unknown sampling kind 'grid'"),
 ], ids=["jitter-above-half-delta", "negative-resolution", "region-dim-mismatch",
-        "string-resolution", "empty-points"])
+        "string-resolution", "empty-points", "unknown-sampling-kind"])
 def test_bad_config_value_exits_2(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIG_DIR / "covering.json").read_text())
     edit(cfg)
@@ -215,3 +222,96 @@ def test_seed_override_changes_jittered_set(tmp_path):
     rep_a = json.loads((out_a / "report.json").read_text())
     rep_b = json.loads((out_b / "report.json").read_text())
     assert rep_a["frame_report"] != rep_b["frame_report"]
+
+
+def _unknown_field_cases():
+    """Each shipped config with each place that takes fields: the top level,
+    and ``sampling``, ``subspace`` and the first ``terms`` entry where it has
+    them."""
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        for place in ("top", "sampling", "subspace", "terms"):
+            if place == "top" or place in cfg:
+                yield pytest.param(path, place, id=f"{path.stem}-{place}")
+
+
+@pytest.mark.parametrize("config,place", _unknown_field_cases())
+def test_unknown_field_exits_2(tmp_path, capsys, config, place):
+    cfg = json.loads(config.read_text())
+    target = cfg if place == "top" else cfg["terms"][0] if place == "terms" else cfg[place]
+    target["no_such_field"] = 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(config.stem.replace("_", "-"), bad, out) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown field 'no_such_field'")
+    assert not (out / "report.json").exists()
+
+
+def test_csv_points_with_header_and_comment_run(tmp_path):
+    points = tmp_path / "points.csv"
+    points.write_text("x\n# a jittered unit grid\n"
+                      + "".join(f"{k + 0.1 * (-1) ** k}\n" for k in range(-20, 21)))
+    cfg = json.loads((CONFIG_DIR / "covering.json").read_text())
+    cfg["sampling"] = {"kind": "csv", "path": str(points)}
+    good = tmp_path / "csv.json"
+    good.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run("covering", good, out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["frame_report"]["sample_count"] == 41
+
+
+def test_psido_symbol_outside_spectrum_exits_1(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "psido.json").read_text())
+    cfg["terms"][0]["lambda"] = 0.2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run("psido", bad, out) == 1
+    assert capsys.readouterr().err.startswith("symbol validation failed")
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"validation_failures", "config_hash"}
+    assert report["validation_failures"]
+
+
+@pytest.mark.parametrize("command,edit", [
+    ("identity", {"n_y": 4, "trials": 1}),
+    ("psido", {"n_k": 4, "trials": 1}),
+])
+def test_balayage_counters_in_meta(tmp_path, command, edit):
+    cfg = json.loads((CONFIG_DIR / f"{command}.json").read_text())
+    cfg.update(edit)
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(command, small, out) == 0
+    counters = json.loads((out / "meta.json").read_text())["balayage"]
+    assert set(counters) == {"centers", "iterations", "converged", "reweighted"}
+    assert counters["centers"] == 4
+    assert 0 <= counters["converged"] <= counters["centers"]
+    assert 0 <= counters["reweighted"] <= counters["centers"]
+    assert 0 <= counters["iterations"] <= 20 * counters["centers"]   # max_irls steps each
+    assert "balayage" not in json.loads((out / "report.json").read_text())
+
+
+def test_seed_flag_sets_every_seed_the_command_reads(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "frame_bounds.json").read_text())
+    cfg["trials"] = 3
+    cfg["sampling"]["jitter"] = 0.2
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(cfg))
+    cfg["seed"] = cfg["sampling"]["seed"] = 7
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(cfg))
+    assert cli.main(["frame-bounds", "--config", str(base), "--out", str(tmp_path / "flag"),
+                     "--seed", "7"]) == 0
+    assert run("frame-bounds", seeded, tmp_path / "config") == 0
+    assert run("frame-bounds", base, tmp_path / "base") == 0
+
+    def result(out):
+        report = json.loads((tmp_path / out / "report.json").read_text())
+        return report["frame_report"], (tmp_path / out / "rayleigh.csv").read_text()
+
+    assert result("flag") == result("config")   # both the set and the trial signals
+    assert result("flag") != result("base")

@@ -8,13 +8,21 @@ tables and pass.
 
 Every defaulted keyword option of a public function or method is set by some
 call in the package, its tests or its benchmark; an option nothing sets is a
-constant."""
+constant.  Every public function and method is used there, outside its own
+definition.  Every config field a CLI command declares is set by a shipped
+config or a test.  Importing the package loads neither ``scipy.signal`` nor
+``scipy.stats``."""
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import nusample
+from nusample import cli
 
 SOURCES = {path.stem: path for path in sorted(Path(nusample.__file__).parent.glob("*.py"))}
 ALLOWED = {("spectral", "_exp_matrix"), ("spectral", "_exp_factors")}
@@ -171,3 +179,123 @@ def test_option_scan_sees_every_way_of_setting():
     assert unset_options({"mod": src}, ["t.call('s', f, 1, 2, c=3)\npartial(K, 0, y=1)\n"
                                         "m(**kw)\n"]) == []
     assert set(unset_options({"mod": src}, ["f(*args)\n"])) == unset - {("mod", "f", "b")}
+
+
+def public_names(source: str) -> list:
+    """Names of the module's public functions and of its public classes'
+    public methods.  A function under a decorator call, such as a CLI
+    command's ``@command(...)``, is used through that registration."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if not any(isinstance(d, ast.Call) for d in node.decorator_list):
+                out.append(node.name)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            out += [fn.name for fn in node.body
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+    return out
+
+
+def references(source: str) -> set:
+    """Every name the source reads, bare or as an attribute, except where a
+    function mentions its own name inside its own body."""
+    refs = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and node.id not in inside:
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            refs.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
+    return refs
+
+
+def unused_names(sources: dict, callers: list) -> list:
+    """(module, name) of every public function or method no caller uses."""
+    used = set().union(*(references(src) for src in callers))
+    return [(mod, name) for mod, src in sources.items() for name in public_names(src)
+            if name not in used]
+
+
+def test_every_public_name_is_used():
+    callers = [path.read_text() for d in CALLER_DIRS for path in sorted((REPO / d).rglob("*.py"))]
+    sources = {name: path.read_text() for name, path in SOURCES.items()}
+    assert unused_names(sources, callers) == []
+
+
+def test_name_scan_sees_every_use():
+    src = ("def f(n):\n    return f(n - 1)\n"
+           "class K:\n    def m(self):\n        pass\n    def _p(self):\n        pass\n"
+           "@register('x')\ndef r():\n    pass\n")
+    assert public_names(src) == ["f", "m"]
+    assert unused_names({"mod": src}, [src]) == [("mod", "f"), ("mod", "m")]
+    assert unused_names({"mod": src}, [src, "g = f\nk.m()\n"]) == []
+
+
+def test_import_leaves_out_scipy_signal_and_stats():
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, nusample; "
+         "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")}).stdout
+    assert loaded.strip() == "[]"
+
+
+# config fields no shipped config sets; each is set by a test in tests/test_cli.py
+TEST_SET_FIELDS = {("gabor", "cond_threshold"), ("sampling:points", "dim"),
+                   ("sampling:points", "points"), ("sampling:points", "window"),
+                   ("sampling:csv", "path")}
+
+
+def declared_fields(fields: dict, owner: str) -> set:
+    """(owner, name) of every declared field; a nested section owns its own
+    fields and its ``kind``, and the fields of one kind are owned by
+    ``<section>:<kind>``."""
+    out = set()
+    for name, decl in fields.items():
+        out.add((owner, name))
+        if isinstance(decl, cli.Section) and decl.by_kind:
+            out.add((name, "kind"))
+            for kind, sub in decl.fields.items():
+                out |= declared_fields(sub, f"{name}:{kind}")
+        elif isinstance(decl, cli.Section):
+            out |= declared_fields(decl.fields, name)
+    return out
+
+
+def set_fields(fields: dict, data: dict, owner: str) -> set:
+    """(owner, name) of every field ``data`` sets, named as in
+    :func:`declared_fields`."""
+    out = set()
+    for name, value in data.items():
+        out.add((owner, name))
+        decl = fields[name]
+        if isinstance(decl, cli.Section):
+            for item in value if decl.many else [value]:
+                if decl.by_kind:
+                    if "kind" in item:
+                        out.add((name, "kind"))
+                    kind = item.get("kind", next(iter(decl.fields)))
+                    rest = {k: v for k, v in item.items() if k != "kind"}
+                    out |= set_fields(decl.fields[kind], rest, f"{name}:{kind}")
+                else:
+                    out |= set_fields(decl.fields, item, name)
+    return out
+
+
+def test_every_config_field_is_set():
+    declared, set_by_configs = set(), set()
+    for name, fields in cli.FIELDS.items():
+        declared |= declared_fields(fields.fields, name)
+    for path in sorted((REPO / "configs").glob("*.json")):
+        name = path.stem.replace("_", "-")
+        set_by_configs |= set_fields(cli.FIELDS[name].fields, json.loads(path.read_text()),
+                                     name)
+    assert declared - set_by_configs == TEST_SET_FIELDS
+    cli_tests = (REPO / "tests" / "test_cli.py").read_text()
+    assert [f for _, f in sorted(TEST_SET_FIELDS) if f'"{f}"' not in cli_tests] == []
