@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 from .geometry import SpectralGrid, as_points
 from .sampling import SamplingSet
@@ -37,6 +37,12 @@ from .spectral import TrigPolynomial, eval_trigpoly, exp_table
 
 _SVD_CUTOFF = 1e-10   # relative singular-value cutoff of the least-squares start
 _HELPER_REG = 1e-8    # l1 weight of the solvers the one-shot helpers build
+# Panel width of the per-step triangular-pentagonal QR.  scipy's LAPACK links
+# its own OpenBLAS beside numpy's.  At wider panels its block updates thread,
+# and with 2 OpenBLAS threads the two pools then contend for the cores: on a
+# 2-core host a sweep benchmark op took 114-130 ms at width 7 or 8, against
+# 28-37 ms at width 4 (23-34 ms with 1 thread, where widths 3-8 are alike).
+_TPQRT_NB = 4
 
 
 class BalayageInfeasibleError(RuntimeError):
@@ -85,7 +91,7 @@ class InghamWindow:
         b = exp_table(pts, self.bump_nodes) @ (self.bump_values * self.bump_cell)
         b0 = float(np.sum(self.bump_values) * self.bump_cell)
         vals = np.abs(b) ** 2 / b0**2
-        return vals if vals.size > 1 else float(vals[0])
+        return vals if vals.size != 1 else float(vals[0])
 
     def spectral_profile_at(self, gamma) -> np.ndarray:
         """h-hat by interpolation on its profile; exactly zero outside the ball."""
@@ -105,6 +111,18 @@ class InghamWindow:
 def default_enlargement(spectrum) -> float:
     """Default enlargement radius for sweep grids: 5% of the spectrum diameter."""
     return 0.05 * spectrum.diameter()
+
+
+def _five_smooth(m: int) -> int:
+    """The least integer >= m with no prime factor above 5."""
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
 
 def ingham_window(eps: float, dim: int = 1, profile_nodes: int = 401) -> InghamWindow:
@@ -131,7 +149,9 @@ def ingham_window(eps: float, dim: int = 1, profile_nodes: int = 401) -> InghamW
         grid_vals = _bump(r / half)
         cell = step**2
         m = 2 * n - 1   # the size of the linear self-convolution, so nothing wraps around
-        psi2 = np.fft.irfft2(np.fft.rfft2(grid_vals, s=(m, m)) ** 2, s=(m, m)) * cell
+        fft_len = _five_smooth(m)   # a fast FFT length; the padding is cropped off again
+        spec = np.fft.rfft2(grid_vals, s=(fft_len, fft_len))
+        psi2 = np.fft.irfft2(spec**2, s=(fft_len, fft_len))[:m, :m] * cell
         ax = (np.arange(m) - (m - 1) / 2.0) * step
         px, py = np.meshgrid(ax, ax, indexing="ij")
         # the exact support lies in the closed eps-ball; FFT rounding picks neither
@@ -196,11 +216,12 @@ class RhsFit:
 class BalayageSolver:
     """Shared machinery for repeated sweeps of different centers onto one set.
 
-    Precomputes the exponential system on the grid and one thin SVD of its
-    square-root-weighted form, which gives both the truncated pseudo-inverse
-    and the factors of every reweighted step; memoizes solutions per center.
-    Individual solves are deterministic and independent of one another: each
-    only reads the precomputed factors.
+    Precomputes the exponential system on the grid, one thin SVD
+    U diag(s) V^H of its square-root-weighted form, which gives the truncated
+    pseudo-inverse of the least-squares start, and one QR factorization
+    diag(s) V^H = Q R, whose triangle R every reweighted step starts from;
+    memoizes solutions per center.  Individual solves are deterministic and
+    independent of one another: each only reads the precomputed factors.
     """
 
     def __init__(self, sampling_set: SamplingSet, grid: SpectralGrid,
@@ -220,10 +241,16 @@ class BalayageSolver:
         # on diag(s) V^H and never square the condition number through the
         # Gram matrix; the truncated pseudo-inverse is shared across solves
         u, s, vh = np.linalg.svd(self._sqw[:, None] * self._phi, full_matrices=False)
-        self._uh = u.conj().T
-        self._sv = s[:, None] * vh
         keep = s > _SVD_CUTOFF * s[0]
         self._pinv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+        # diag(s) V^H = Q R, once: the top (n+1) x (n+1) block of each step's
+        # [R, Q^H U^H sqrt(w) b; 0, 0] is upper triangular, with zero rows
+        # below row k when there are fewer grid nodes k than points n
+        q, r = np.linalg.qr(s[:, None] * vh)
+        k, n = r.shape
+        self._rot = q.conj().T @ u.conj().T     # (k, nodes): Q^H U^H
+        self._top = np.zeros((n + 1, n + 1), dtype=complex, order="F")
+        self._top[:k, :n] = r
         self._cache: dict[bytes, BalayageSolution] = {}
 
     def _target(self, y: np.ndarray) -> np.ndarray:
@@ -239,42 +266,51 @@ class BalayageSolver:
 
             || sqrt(w) (Phi a - b) ||^2 + reg * sum |a_x| .
 
-        With sqrt(w) Phi = U diag(s) V^H the precomputed thin SVD, each
-        reweighted step solves the stacked least-squares problem
+        With sqrt(w) Phi = U diag(s) V^H the precomputed thin SVD and
+        diag(s) V^H = Q R its precomputed QR, each reweighted step solves
+        the least-squares problem
 
-            [diag(s) V^H; D] a ~ [U^H sqrt(w) b; 0],   D = diag(sqrt(reg / (2 m_x)))
+            [R; D] a ~ [Q^H U^H sqrt(w) b; 0],   D = diag(sqrt(reg / (2 m_x)))
 
         by an orthogonal factorization, never through the normal equations;
-        m_x is |a_x| of the previous iterate, floored at 1e-6 max |a|.
-        Iteration stops once the relative step falls to 1e-11; when that does
-        not happen within ``max_irls`` steps, the last iterate is taken as the
+        m_x is |a_x| of the previous iterate, floored at 1e-6 max |a|.  The
+        right-hand side is rotated once per call, and a step factors only the
+        upper-triangular block over the diagonal one, with LAPACK's
+        triangular-pentagonal QR, then back-substitutes.  Iteration stops
+        once the relative step falls to 1e-11; when that does not happen
+        within ``max_irls`` steps, the last iterate is taken as the
         reweighted result.  Either way that result replaces the start only
         while its residual stays within max(eta, start residual).
 
         Returns the coefficients and their sup-norm residual over the grid
         nodes, with the number of IRLS steps run, whether the step rule was
         met (always so when ``reg`` is 0 and no step is due), and whether the
-        reweighted result was kept.
+        reweighted result was kept.  Raises ``numpy.linalg.LinAlgError`` when
+        a step's triangle has a zero pivot.
         """
         a0 = self._pinv @ (self._sqw * b)
         r0 = float(np.max(np.abs(self._phi @ a0 - b)))
         if self.reg <= 0:
             return RhsFit(a0, r0, iterations=0, converged=True, reweighted=False)
         a = a0
-        k, n = self._sv.shape
-        # [diag(s) V^H, U^H sqrt(w) b; D, 0]: the last column of its R factor
-        # carries the orthogonally transformed right-hand side
-        stack = np.zeros((k + n, n + 1), dtype=complex)
-        stack[:k, :n] = self._sv
-        stack[:k, n] = self._uh @ (self._sqw * b)
+        n = self._top.shape[1] - 1
+        # [R, Q^H U^H sqrt(w) b; 0, 0] over [D, 0]: the last column of the
+        # factored triangle carries the orthogonally transformed right-hand side
+        top = self._top.copy(order="F")
+        top[:self._rot.shape[0], n] = self._rot @ (self._sqw * b)
+        bottom = np.zeros((n, n + 1), dtype=complex, order="F")
         iterations, converged = 0, False
         while iterations < self.max_irls and not converged:
             maj = np.maximum(np.abs(a), 1e-6 * max(np.max(np.abs(a)), 1e-300))
-            np.fill_diagonal(stack[k:, :n], np.sqrt(0.5 * self.reg / maj))
-            # numpy's QR, not scipy's: the two link separate OpenBLAS pools,
-            # and alternating between them per step stalls threaded BLAS
-            r = np.linalg.qr(stack, mode="r")
-            a_new = solve_triangular(r[:n, :n], r[:n, n])
+            np.fill_diagonal(bottom, np.sqrt(0.5 * self.reg / maj))
+            tri, _, _, info = lapack.ztpqrt(n, _TPQRT_NB, top, bottom)
+            if info == 0:   # ztpqrt fails only on an illegal argument
+                a_new, info = lapack.ztrtrs(tri[:n, :n], tri[:n, n])
+            if info > 0:
+                raise np.linalg.LinAlgError(
+                    f"singular matrix: resolution failed at diagonal {info - 1}")
+            if info < 0:
+                raise ValueError(f"illegal value in LAPACK argument {-info}")
             converged = bool(np.max(np.abs(a_new - a))
                              <= 1e-11 * max(np.max(np.abs(a_new)), 1e-30))
             a = a_new
@@ -348,6 +384,13 @@ def balayage_constant(sampling_set: SamplingSet, grid: SpectralGrid, ysample,
     return BalayageConstant(value=float(masses[k]), argmax_y=sols[k].y, masses=masses)
 
 
+def _window_rows(window: InghamWindow, sampling_set: SamplingSet, ys: np.ndarray) -> np.ndarray:
+    """h(x - y) for every center y (rows) and sampling point x (columns), from
+    one window evaluation on the stacked differences."""
+    diffs = sampling_set.points[None, :, :] - ys[:, None, :]
+    return np.reshape(window(diffs.reshape(-1, sampling_set.dim)), (len(ys), sampling_set.size))
+
+
 def fundamental_identity_residual(poly: TrigPolynomial, sampling_set: SamplingSet,
                                   grid: SpectralGrid, window: InghamWindow, ysample,
                                   solver: BalayageSolver | None = None) -> float:
@@ -369,8 +412,7 @@ def fundamental_identity_residual(poly: TrigPolynomial, sampling_set: SamplingSe
     f_at_x = np.atleast_1d(eval_trigpoly(poly, sampling_set.points))
     worst = 0.0
     sols = solver.solve_many(ys)
-    for yv, fy, sol in zip(ys, f_at_y, sols):
-        hvals = np.atleast_1d(window(sampling_set.points - yv))
+    for fy, sol, hvals in zip(f_at_y, sols, _window_rows(window, sampling_set, ys)):
         recon = np.sum(f_at_x * sol.coeffs * hvals)
         worst = max(worst, abs(fy - recon))
     return worst / scale
@@ -402,12 +444,10 @@ def lp_balayage_bound(sampling_set: SamplingSet, grid: SpectralGrid, window: Ing
     wts = np.asarray(k_weights, dtype=float)
     kv = np.asarray(k_values, dtype=complex)
     sols = solver.solve_many(ys)
+    live = np.flatnonzero(kv != 0.0)
     kx = np.zeros(sampling_set.size, dtype=complex)
-    for yv, wt, val, sol in zip(ys, wts, kv, sols):
-        if val == 0.0:
-            continue
-        hvals = np.atleast_1d(window(sampling_set.points - yv))
-        kx += sol.coeffs * hvals * (wt * val)
+    for i, hvals in zip(live, _window_rows(window, sampling_set, ys[live])):
+        kx += sols[i].coeffs * hvals * (wts[i] * kv[i])
     lhs = float(np.sum(np.abs(kx) ** p))
     norm_p = float(np.sum(wts * np.abs(kv) ** p))
     ratio = lhs / norm_p if norm_p > 0 else 0.0

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 _SHAPES = ("box", "ball", "polytope")
 _MEMBERSHIP_TOL = 1e-12
@@ -92,6 +91,8 @@ class SpectrumSet:
     @cached_property
     def _hull_system(self):
         """Half-space form A x <= b of the 2-d vertex polytope (b > 0)."""
+        from scipy.spatial import ConvexHull, QhullError   # lazily: a slow import
+
         try:
             hull = ConvexHull(self.vertices)
         except QhullError as exc:

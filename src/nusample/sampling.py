@@ -11,7 +11,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .geometry import as_points
 
@@ -83,6 +82,8 @@ def separation(sampling_set: SamplingSet) -> float:
     """Minimum pairwise Euclidean distance; undefined for fewer than 2 points."""
     if sampling_set.size < 2:
         raise ValueError("undefined separation: need at least 2 points")
+    from scipy.spatial.distance import pdist   # lazily: a slow import
+
     return float(pdist(sampling_set.points).min())
 
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from nusample import balayage as bal
 from nusample import geometry as geo
 from nusample import spectral as spc
-from nusample.sampling import SamplingSet, generate_jittered_grid
+from nusample.sampling import SamplingSet, generate_jittered_grid, symmetrize
 
 QUARTER_BAND = geo.SpectrumSet.box([0.25])
 EPS = 0.05 * QUARTER_BAND.diameter()
@@ -154,6 +157,93 @@ class TestSolve:
         data = solver.solve([0.13]).to_json()
         assert set(data) == {"y", "coeffs_re", "coeffs_im", "fit_residual", "l1_mass"}
         assert len(data["coeffs_re"]) == solver.sampling_set.size
+
+
+def dense_qr_fit(solver, b):
+    """``solve_rhs`` with each IRLS step a dense QR of the whole stack
+    [diag(s) V^H, U^H sqrt(w) b; D, 0]: the oracle of the factored step."""
+    a0 = solver._pinv @ (solver._sqw * b)
+    r0 = float(np.max(np.abs(solver._phi @ a0 - b)))
+    u, s, vh = np.linalg.svd(solver._sqw[:, None] * solver._phi, full_matrices=False)
+    k, n = vh.shape
+    stack = np.zeros((k + n, n + 1), dtype=complex)
+    stack[:k, :n] = s[:, None] * vh
+    stack[:k, n] = u.conj().T @ (solver._sqw * b)
+    a, iterations, converged = a0, 0, False
+    while iterations < solver.max_irls and not converged:
+        maj = np.maximum(np.abs(a), 1e-6 * max(np.max(np.abs(a)), 1e-300))
+        np.fill_diagonal(stack[k:, :n], np.sqrt(0.5 * solver.reg / maj))
+        r = np.linalg.qr(stack, mode="r")
+        a_new = solve_triangular(r[:n, :n], r[:n, n])
+        converged = bool(np.max(np.abs(a_new - a))
+                         <= 1e-11 * max(np.max(np.abs(a_new)), 1e-30))
+        a = a_new
+        iterations += 1
+    r1 = float(np.max(np.abs(solver._phi @ a - b)))
+    if r1 <= max(solver.eta, r0):
+        return bal.RhsFit(a, r1, iterations, converged, reweighted=True)
+    return bal.RhsFit(a0, r0, iterations, converged, reweighted=False)
+
+
+class TestFactoredStep:
+    """The per-step triangular-pentagonal QR against the dense stacked QR."""
+
+    @staticmethod
+    def assert_matches_oracle(solver, y):
+        b = solver._target(np.array([y]))
+        fit, ref = solver.solve_rhs(b), dense_qr_fit(solver, b)
+        assert np.max(np.abs(fit.coeffs - ref.coeffs)) <= 1e-10 * np.max(np.abs(ref.coeffs))
+        assert (fit.iterations, fit.converged, fit.reweighted) == \
+            (ref.iterations, ref.converged, ref.reweighted)
+        return fit
+
+    # 384 grid nodes exceed the 81 points; at 32 nodes R is upper trapezoidal
+    @pytest.mark.parametrize("nodes", [384, 32])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("reg", [1e-12, 1e-8])
+    def test_matches_dense_qr(self, nodes, seed, reg):
+        grid = geo.build_grid(geo.enlarge(QUARTER_BAND, EPS), nodes)
+        e_set = generate_jittered_grid(0.5, 0.15, [[-20.0, 20.0]], seed=seed)
+        solver = bal.BalayageSolver(e_set, grid, eta=1e-5, reg=reg)
+        assert (grid.size < e_set.size) == (nodes == 32)
+        for y in np.random.default_rng(seed).uniform(-10, 10, 3):
+            self.assert_matches_oracle(solver, y)
+
+    def test_matches_dense_qr_through_convergence(self, enlarged_grid):
+        e_set = generate_jittered_grid(0.5, 0.15, [[-20.0, 20.0]], seed=0)
+        solver = bal.BalayageSolver(e_set, enlarged_grid, eta=1e-5, max_irls=200)
+        fit = self.assert_matches_oracle(solver, np.random.default_rng(0).uniform(-10, 10, 3)[1])
+        assert fit.converged and fit.iterations < 200
+
+    def test_zero_pivot_raises(self):
+        # half of this l1 weight underflows, so D = 0 and the rows of the
+        # triangle below the k < n rows of R have no pivot
+        grid = geo.build_grid(geo.enlarge(QUARTER_BAND, EPS), 32)
+        e_set = generate_jittered_grid(0.5, 0.15, [[-20.0, 20.0]], seed=0)
+        solver = bal.BalayageSolver(e_set, grid, eta=1e-5, reg=5e-324)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solver.solve([2.31])
+
+
+@st.composite
+def symmetric_sets(draw):
+    """Jittered sets on [0.25, 20] joined with their reflections, so sorted
+    in ascending order point i and point -1 - i are mirror images."""
+    delta = draw(st.floats(0.4, 0.6))
+    jitter = draw(st.floats(0.0, 0.2))
+    seed = draw(st.integers(0, 2**31 - 1))
+    return symmetrize(generate_jittered_grid(delta, jitter, [[0.25, 20.0]], seed=seed))
+
+
+class TestSymmetryProperties:
+    # the sweep of the one-shot helper, at the l1 weight the CLI also uses
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(symmetric_sets(), st.floats(0.1, 10.0))
+    def test_conjugation_symmetry_on_symmetric_sets(self, e_set, y):
+        grid = geo.build_grid(geo.enlarge(QUARTER_BAND, EPS), 384)
+        a_pos = bal.solve_balayage(e_set, grid, [y], eta=1e-5).coeffs
+        a_neg = bal.solve_balayage(e_set, grid, [-y], eta=1e-5).coeffs
+        assert np.max(np.abs(a_neg - np.conj(a_pos[::-1]))) <= 1e-6
 
 
 class TestBalayageConstant:

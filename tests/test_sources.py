@@ -240,7 +240,8 @@ def test_name_scan_sees_every_use():
 def test_import_leaves_out_scipy_signal_and_stats():
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, nusample; "
-         "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"],
+         "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.spatial') "
+         "if m in sys.modules))"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")}).stdout
     assert loaded.strip() == "[]"
