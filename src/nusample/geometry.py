@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -287,15 +288,72 @@ class CoveringReport:
 
 
 def _region_axes(region, resolution: float) -> list[np.ndarray]:
+    """Grid values per axis: lo, lo + resolution, ... up to hi, for finite lo <= hi."""
+    if not resolution > 0 or not np.isfinite(resolution):
+        raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     region = np.asarray(region, dtype=float)
     if region.ndim == 1:
         region = region.reshape(1, 2)
+    for k, (lo, hi) in enumerate(region):
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+            raise ValueError(f"region axis {k} has bounds [{lo}, {hi}]; need finite lo <= hi")
     return [np.arange(lo, hi + resolution / 2.0, resolution) for lo, hi in region]
 
 
-def _region_grid(region, resolution: float) -> np.ndarray:
-    axes = _region_axes(region, resolution)
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+def _index_boxes(axes, pts, half) -> tuple[np.ndarray, np.ndarray]:
+    """Per axis and point, the index range [start, stop) of the grid values v
+    with y - half <= v <= y + half, as (dim, n) arrays."""
+    starts = np.stack([np.searchsorted(ax, pts[:, k] - half[k], side="left")
+                       for k, ax in enumerate(axes)])
+    stops = np.stack([np.searchsorted(ax, pts[:, k] + half[k], side="right")
+                      for k, ax in enumerate(axes)])
+    return starts, stops
+
+
+def _surely_covered(axes, pts, body: SpectrumSet) -> np.ndarray:
+    """Pass 1 of :func:`covering_check`: the grid cells inside some translate
+    of a box inscribed in ``body``, as a boolean array over the grid."""
+    h = body.bounding_box()[:, 1]
+    corners = h * np.array(list(product((-1.0, 1.0), repeat=body.dim)))
+    # A convex body holds a box when it holds the box's corners, so the box of
+    # half-widths h / max gauge(corners) is inscribed.  Shrunk by 1e-9
+    # relative, every cell in it has gauge(p - y) <= 1 - 1e-9 exactly, which
+    # leaves room for the rounding of p - y and of the gauge (about 1e-16 times
+    # the body's outer over inner radius); 4 ulps of the largest coordinate
+    # absorb the rounding of y -+ inner in the search.
+    scale = max(np.max(np.abs(pts)), *(np.max(np.abs(ax)) for ax in axes))
+    inner = h / np.max(body.gauge(corners)) * (1.0 - 1e-9) - 4.0 * np.spacing(scale)
+    starts, stops = _index_boxes(axes, pts, inner)
+    keep = np.all(stops > starts, axis=0)
+    # a difference array holds +-1 at the corners of each box; its running sum
+    # along every axis counts the boxes that hold a cell
+    count = np.zeros(tuple(ax.size + 1 for ax in axes), dtype=np.int64)
+    for upper in product((False, True), repeat=body.dim):
+        corner = tuple((hi if u else lo)[keep] for u, lo, hi in zip(upper, starts, stops))
+        np.add.at(count, corner, (-1) ** sum(upper))
+    for axis in range(body.dim):
+        count = np.cumsum(count, axis=axis)
+    return count[tuple(slice(ax.size) for ax in axes)] > 0
+
+
+def _test_open_cells(covered, axes, pts, body: SpectrumSet, resolution: float) -> None:
+    """Pass 2 of :func:`covering_check`: mark in ``covered`` each open cell p
+    with ``body.contains(p - y)`` for a sampling point y whose padded
+    bounding box reaches it."""
+    # A passing grid point has gauge(p - y) <= 1 + 1e-12, hence
+    # |p_k - y_k| <= (1 + 1e-12) h_k for the bounding half-widths h.  The
+    # relative pad of 1e-9 absorbs that tolerance and the rounding of p - y
+    # and of the gauge; the extra grid step absorbs the rounding of the
+    # window ends y_k -+ reach_k, so no passing point falls outside.
+    reach = (1.0 + 1e-9) * body.bounding_box()[:, 1] + resolution
+    starts, stops = _index_boxes(axes, pts, reach)
+    for i in np.flatnonzero(np.all(stops > starts, axis=0)):
+        window = tuple(slice(lo, hi) for lo, hi in zip(starts[:, i], stops[:, i]))
+        done = covered[window]   # a view: writes go to ``covered``
+        todo = np.nonzero(~done)
+        if todo[0].size:
+            cells = np.stack([ax[w][j] for ax, w, j in zip(axes, window, todo)], axis=1)
+            done[todo] = body.contains(cells - pts[i])
 
 
 def covering_check(sampling_set, body: SpectrumSet, region, resolution: float) -> CoveringReport:
@@ -305,51 +363,40 @@ def covering_check(sampling_set, body: SpectrumSet, region, resolution: float) -
     sampling point y.  The check is a finite-resolution surrogate for covering
     all of space: only the given region is examined, at the given grid step,
     and all uncovered grid points are returned as witnesses, in grid order.
+    The region's bounds must be finite with lo <= hi on each axis.
 
-    Each sampling point y tests only the grid points inside y plus the
-    body's bounding box (slightly padded), found per axis by binary search
-    on the regular grid; points whose box misses the region cost nothing.
-    The work therefore grows with the number of points times the grid cells
-    one translate spans, not times the whole grid, and no temporary exceeds
-    one translate's window.  Every grid point that can pass the membership
-    test lies inside the padded box, so the result equals the all-pairs
-    definition exactly: the same ``covered`` flag and the same witnesses in
-    the same order.  Deterministic for fixed inputs.
+    The check runs in two passes.  Both find the cells near a sampling point
+    per axis, by binary search on the regular grid.
+    Pass 1 marks, with no membership test, every cell inside some translate
+    of a box inscribed in the body, shrunk by 1e-9 relative and by a few ulps
+    of the coordinates; one difference array marks them all.  Such a cell
+    has gauge(p - y) <= 1 - 1e-9, so the membership test would pass it.
+    Pass 2 runs the membership test ``body.contains(p - y)`` on the cells
+    still open, only on those inside y plus the body's bounding box
+    (slightly padded), and skips each translate whose box holds no open
+    cell.  It does not run when pass 1 covers the region.  Every cell that
+    can pass the test lies inside that box.
+    So the result equals the all-pairs definition exactly: the same
+    ``covered`` flag and the same witnesses in the same order.  The work
+    grows with the number of points plus the grid size and, when pass 1
+    leaves cells open, with the cells each translate's box reaches.
+    Deterministic for fixed inputs.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
-    pts = np.asarray(getattr(sampling_set, "points", sampling_set), dtype=float)
     axes = _region_axes(region, resolution)
     if len(axes) != body.dim:
         raise ValueError("region dimension does not match the body")
-    cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    grid = cells.reshape(-1, body.dim)
-    if pts.size == 0:
-        return CoveringReport(False, grid, grid.shape[0], resolution)
-    if pts.ndim <= 1:
-        pts = pts.reshape(-1, 1)
-    if pts.ndim != 2 or pts.shape[1] != body.dim:
-        raise ValueError(f"sampling points have dim {pts.shape[-1]}, body has dim {body.dim}")
-    covered = np.zeros(cells.shape[:-1], dtype=bool)
-    # A passing grid point has gauge(p - y) <= 1 + 1e-12, hence
-    # |p_k - y_k| <= (1 + 1e-12) h_k for the bounding half-widths h.  The
-    # relative pad of 1e-9 absorbs that tolerance and the rounding of p - y
-    # and of the gauge; the extra grid step absorbs the rounding of the
-    # window ends y_k -+ reach_k, so no passing point falls outside.
-    reach = (1.0 + 1e-9) * body.bounding_box()[:, 1] + resolution
-    starts = [np.searchsorted(ax, pts[:, k] - reach[k], side="left")
-              for k, ax in enumerate(axes)]
-    stops = [np.searchsorted(ax, pts[:, k] + reach[k], side="right")
-             for k, ax in enumerate(axes)]
-    for i, y in enumerate(pts):
-        window = tuple(slice(lo[i], hi[i]) for lo, hi in zip(starts, stops))
-        local = cells[window]
-        if local.size == 0:
-            continue
-        hit = body.contains(local.reshape(-1, body.dim) - y)
-        covered[window] |= hit.reshape(local.shape[:-1])
-    witnesses = grid[~covered.ravel()]
-    return CoveringReport(witnesses.shape[0] == 0, witnesses, grid.shape[0], resolution)
+    pts = np.asarray(getattr(sampling_set, "points", sampling_set), dtype=float)
+    covered = np.zeros(tuple(ax.size for ax in axes), dtype=bool)
+    if pts.size:
+        if pts.ndim <= 1:
+            pts = pts.reshape(-1, 1)
+        if pts.ndim != 2 or pts.shape[1] != body.dim:
+            raise ValueError(f"sampling points have dim {pts.shape[-1]}, body has dim {body.dim}")
+        covered = _surely_covered(axes, pts, body)
+        if not covered.all():
+            _test_open_cells(covered, axes, pts, body, resolution)
+    witnesses = np.stack([ax[j] for ax, j in zip(axes, np.nonzero(~covered))], axis=1)
+    return CoveringReport(witnesses.shape[0] == 0, witnesses, covered.size, resolution)
 
 
 def build_grid(spectrum: SpectrumSet, target_nodes: int) -> SpectralGrid:

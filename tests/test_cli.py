@@ -102,8 +102,12 @@ def test_missing_points_file_exits_2(tmp_path):
     (lambda cfg: cfg.update(resolution="abc"), "not supported between instances of 'str'"),
     (lambda cfg: cfg.update(sampling=EMPTY_POINTS), "empty sampling set"),
     (lambda cfg: cfg["sampling"].update(kind="grid"), "unknown sampling kind 'grid'"),
+    (lambda cfg: cfg.update(region=[[10.0, -10.0]]), "region axis 0 has bounds [10.0, -10.0]"),
+    (lambda cfg: cfg.update(resolution=float("nan")), "resolution must be positive and finite, got nan"),
+    (lambda cfg: cfg.update(resolution=float("inf")), "resolution must be positive and finite, got inf"),
 ], ids=["jitter-above-half-delta", "negative-resolution", "region-dim-mismatch",
-        "string-resolution", "empty-points", "unknown-sampling-kind"])
+        "string-resolution", "empty-points", "unknown-sampling-kind", "reversed-region",
+        "nan-resolution", "infinite-resolution"])
 def test_bad_config_value_exits_2(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIG_DIR / "covering.json").read_text())
     edit(cfg)

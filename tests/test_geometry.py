@@ -9,6 +9,19 @@ from nusample import geometry as geo
 from nusample.sampling import SamplingSet
 
 
+def _region_axes(region, resolution):
+    """The covering grid by its definition: each axis runs from lo in steps
+    of ``resolution`` up to hi."""
+    region = np.asarray(region, dtype=float).reshape(-1, 2)
+    return [np.arange(lo, hi + resolution / 2.0, resolution) for lo, hi in region]
+
+
+def _region_grid(region, resolution):
+    """The covering grid's cells in grid (C) order."""
+    axes = _region_axes(region, resolution)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 def lattice_2d(step, extent):
     ax = step * np.arange(-int(extent / step), int(extent / step) + 1)
     gx, gy = np.meshgrid(ax, ax, indexing="ij")
@@ -177,7 +190,7 @@ class TestCovering:
         pts = lattice_2d(1.0, 3.0)
         # oracle: every grid point of the region is within l1 distance 1 of a
         # lattice point (brute force over the same grid)
-        grid = geo._region_grid([[-1, 1], [-1, 1]], 0.05)
+        grid = _region_grid([[-1, 1], [-1, 1]], 0.05)
         dists = np.abs(grid[:, None, :] - pts[None, :, :]).sum(axis=2).min(axis=1)
         assert np.all(dists <= 1.0 + 1e-12)
         e_set = SamplingSet(dim=2, points=pts, window=[[-3, 3], [-3, 3]])
@@ -216,6 +229,24 @@ class TestCovering:
         # membership tolerance, so p counts as covered
         rep = geo.covering_check([-1e-13], geo.SpectrumSet.box([1.0]), [[1.0, 1.0]], 0.5)
         assert rep.covered and rep.n_grid == 1
+
+    @pytest.mark.parametrize("region,message", [
+        ([[1.0, 0.0], [0.0, 1.0]], r"region axis 0 has bounds \[1.0, 0.0\]"),
+        ([[-1.0, 1.0], [0.5, -0.5]], r"region axis 1 has bounds \[0.5, -0.5\]"),
+        ([[-1.0, np.nan], [-1.0, 1.0]], r"region axis 0 has bounds \[-1.0, nan\]"),
+        ([[-1.0, 1.0], [-np.inf, 1.0]], r"region axis 1 has bounds \[-inf, 1.0\]"),
+    ], ids=["reversed-x", "reversed-y", "nan-bound", "infinite-bound"])
+    def test_bad_region_rejected(self, region, message):
+        e_set = SamplingSet(dim=2, points=np.zeros((1, 2)), window=[[-1, 1], [-1, 1]])
+        with pytest.raises(ValueError, match=message):
+            geo.covering_check(e_set, self.cross, region, 0.5)
+        with pytest.raises(ValueError, match=message):
+            geo.covering_check(np.empty((0, 2)), self.cross, region, 0.5)
+
+    @pytest.mark.parametrize("resolution", [0.0, -0.5, np.nan, np.inf])
+    def test_bad_resolution_rejected(self, resolution):
+        with pytest.raises(ValueError, match=f"resolution must be positive and finite, got {resolution}"):
+            geo.covering_check(np.zeros((1, 2)), self.cross, [[-1, 1], [-1, 1]], resolution)
 
     def test_points_of_wrong_dim_rejected(self):
         line = np.linspace(-3.0, 3.0, 40)
@@ -267,10 +298,50 @@ def covering_cases(draw):
 
 def _all_pairs_witnesses(pts, body, region, resolution):
     """Grid points p with p - y outside the body for every sampling point y."""
-    grid = geo._region_grid(region, resolution)
+    grid = _region_grid(region, resolution)
     diff = (grid[:, None, :] - pts[None, :, :]).reshape(-1, body.dim)
     hit = body.contains(diff).reshape(grid.shape[0], pts.shape[0])
     return grid, grid[~hit.any(axis=1)]
+
+
+@st.composite
+def stressed_covering_cases(draw):
+    """Cases that press on the inscribed-box pass of the covering check:
+    regions offset near +-1e6, where rounding y -+ inner errs by up to 6e-11;
+    regions many translates wide; and thin tilted rhombi, whose inscribed box
+    is small.  Bodies are a whole number of grid steps wide, and on-grid sets
+    put their points on grid cells, so cells fall on body boundaries."""
+    dim = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["box", "ball", "rhombus"] if dim == 2 else ["box", "ball"]))
+    resolution = draw(st.sampled_from([0.01, 0.05, 0.1]))
+    size = draw(st.integers(1, 3)) * resolution
+    if kind == "box":
+        body = geo.SpectrumSet.box([size] * dim)
+    elif kind == "ball":
+        body = geo.SpectrumSet.ball(size, dim)
+    else:
+        tilt = draw(st.floats(0.0, np.pi))
+        u = np.array([np.cos(tilt), np.sin(tilt)])
+        v = draw(st.floats(0.02, 0.2)) * np.array([-u[1], u[0]])
+        body = geo.SpectrumSet.polytope(3.0 * size * np.array([u, -u, v, -v]))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6])) + draw(st.floats(-1.0, 1.0))
+    lo = offset + np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim)))
+    steps = draw(st.lists(st.integers(0, 30 if dim == 2 else 400), min_size=dim, max_size=dim))
+    region = np.stack([lo, lo + resolution * np.array(steps)], axis=1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    on_grid = draw(st.booleans())
+    if on_grid:   # every k-th grid cell
+        k = draw(st.integers(2, 4))
+        axes = [ax[::k] for ax in _region_axes(region, resolution)]
+    else:         # a lattice around the region, dense or sparse
+        half = body.bounding_box()[:, 1]
+        delta = draw(st.floats(0.5, 3.0)) * np.min(half)
+        axes = [a + delta * np.arange(np.floor(-2.0 * h / delta), np.ceil((b - a + 2.0 * h) / delta) + 1)
+                for (a, b), h in zip(region, half)]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    if not on_grid:
+        pts = pts + draw(st.sampled_from([0.0, 0.2, 0.45])) * size * rng.uniform(-1.0, 1.0, pts.shape)
+    return pts, body, region, resolution
 
 
 class TestCoveringProperties:
@@ -283,6 +354,58 @@ class TestCoveringProperties:
         assert rep.n_grid == grid.shape[0]
         assert rep.covered == (witnesses.shape[0] == 0)
         assert np.array_equal(rep.witnesses, witnesses)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(stressed_covering_cases())
+    def test_matches_all_pairs_definition_under_stress(self, case):
+        pts, body, region, resolution = case
+        grid, witnesses = _all_pairs_witnesses(pts, body, region, resolution)
+        rep = geo.covering_check(pts, body, region, resolution)
+        assert rep.n_grid == grid.shape[0]
+        assert rep.covered == (witnesses.shape[0] == 0)
+        assert np.array_equal(rep.witnesses, witnesses)
+
+    @pytest.mark.parametrize("offset", [1e6, -1e6])
+    @pytest.mark.parametrize("dim,size,every", [(1, 1, 2), (1, 2, 3), (2, 1, 2), (2, 1, 3)])
+    def test_cells_on_body_boundaries_at_large_offsets(self, offset, dim, size, every):
+        # near 1e6 the distance between grid cells ``size`` steps of 0.01 apart
+        # rounds to either side of the body's half-width, and y + inner rounds
+        # by up to 6e-11, so pass 1 must leave the ulps of y out of its box
+        resolution = 0.01
+        lo = offset + np.array([0.37, -0.61])[:dim]
+        region = np.stack([lo, lo + resolution * (200 if dim == 1 else 30)], axis=1)
+        body = geo.SpectrumSet.box([size * resolution] * dim)
+        axes = [ax[::every] for ax in _region_axes(region, resolution)]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        grid, witnesses = _all_pairs_witnesses(pts, body, region, resolution)
+        rep = geo.covering_check(pts, body, region, resolution)
+        assert witnesses.shape[0] > 0
+        assert np.array_equal(rep.witnesses, witnesses)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_body_narrower_than_coordinate_ulps(self, dim):
+        # the inscribed box shrinks to below zero width: pass 1 marks nothing
+        # and the membership test alone decides
+        region = np.array([[1e6, 1e6 + 1e-9]] * dim)
+        pts = np.array([[1e6] * dim, [1e6 + 1e-9] * dim])
+        body = geo.SpectrumSet.box([1e-10] * dim)
+        grid, witnesses = _all_pairs_witnesses(pts, body, region, 1e-10)
+        rep = geo.covering_check(pts, body, region, 1e-10)
+        assert 0 < witnesses.shape[0] < grid.shape[0]
+        assert np.array_equal(rep.witnesses, witnesses)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(covering_cases() | stressed_covering_cases())
+    def test_inscribed_box_pass_marks_only_passing_cells(self, case):
+        # each cell that pass 1 marks for a point y passes the membership
+        # test for y, and a point that is itself a cell marks that cell
+        pts, body, region, resolution = case
+        axes = _region_axes(region, resolution)
+        cells = _region_grid(region, resolution)
+        for y in pts:
+            marked = geo._surely_covered(axes, y[None, :], body).ravel()
+            assert np.all(body.contains(cells[marked] - y))
+            assert marked[np.all(cells == y, axis=1)].all()
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(covering_cases(), st.integers(0, 2**32 - 1))
