@@ -93,20 +93,6 @@ class InghamWindow:
         vals = np.abs(b) ** 2 / b0**2
         return vals if vals.size != 1 else float(vals[0])
 
-    def spectral_profile_at(self, gamma) -> np.ndarray:
-        """h-hat by interpolation on its profile; exactly zero outside the ball."""
-        pts = as_points(gamma, self.dim)
-        r = np.linalg.norm(pts, axis=1)
-        if self.dim == 1:
-            vals = np.interp(pts[:, 0], self.profile_nodes[:, 0], self.profile_values,
-                             left=0.0, right=0.0)
-        else:
-            prof_r = np.linalg.norm(self.profile_nodes, axis=1)
-            order = np.argsort(prof_r)
-            vals = np.interp(r, prof_r[order], self.profile_values[order], left=None, right=0.0)
-        vals = np.where(r > self.eps, 0.0, vals)
-        return vals if vals.size > 1 else float(vals[0])
-
 
 def default_enlargement(spectrum) -> float:
     """Default enlargement radius for sweep grids: 5% of the spectrum diameter."""
@@ -185,15 +171,6 @@ class BalayageSolution:
     iterations: int         # IRLS steps run (0 without reweighting)
     converged: bool         # the IRLS step rule was met, or no reweighting was due
     reweighted: bool        # the IRLS result replaced the least-squares start
-
-    def to_json(self) -> dict:
-        return {
-            "y": self.y.tolist(),
-            "coeffs_re": self.coeffs.real.tolist(),
-            "coeffs_im": self.coeffs.imag.tolist(),
-            "fit_residual": self.fit_residual,
-            "l1_mass": self.l1_mass,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,13 +327,6 @@ class BalayageSolver:
 
     def solve_many(self, ys) -> list[BalayageSolution]:
         return [self.solve(p) for p in as_points(ys, self.sampling_set.dim)]
-
-
-def solve_balayage(sampling_set: SamplingSet, grid: SpectralGrid, y,
-                   eta: float = 1e-6) -> BalayageSolution:
-    """One-shot sweep of a point mass at ``y`` with l1 weight 1e-8; see
-    :class:`BalayageSolver`."""
-    return BalayageSolver(sampling_set, grid, eta=eta, reg=_HELPER_REG).solve(y)
 
 
 @dataclass(frozen=True)

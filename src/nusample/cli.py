@@ -63,14 +63,29 @@ REQUIRED = object()   # a field with no default
 
 
 @dataclass(frozen=True)
+class Count:
+    """A field holding a number of trials, terms or centers: an integer >= 1,
+    so that no command passes by checking nothing; ``default`` when left
+    out."""
+
+    default: int
+
+    def resolve(self, value, where: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{where} must be an integer >= 1, got {value!r}")
+        return value
+
+
+@dataclass(frozen=True)
 class Section:
     """A JSON object with declared fields: a command's config, or a field
     holding objects of its own.
 
-    ``fields`` maps each name to its default, to REQUIRED or to a Section.
-    With ``by_kind`` it maps each value of the object's ``kind`` field to such
-    a map instead, the first kind being the default.  A ``many`` section holds
-    a list of objects; an ``optional`` one may be left out and then reads None.
+    ``fields`` maps each name to its default, to REQUIRED, to a Count or to a
+    Section.  With ``by_kind`` it maps each value of the object's ``kind``
+    field to such a map instead, the first kind being the default.  A ``many``
+    section holds a list of objects; an ``optional`` one may be left out and
+    then reads None.
     """
 
     fields: dict
@@ -100,7 +115,9 @@ class Section:
         out = {}
         for name, decl in fields.items():
             section = isinstance(decl, Section)
-            if name in data:
+            if isinstance(decl, Count):
+                out[name] = decl.resolve(data.get(name, decl.default), name)
+            elif name in data:
                 out[name] = decl.resolve(data[name], name) if section else data[name]
             elif decl is REQUIRED or (section and not decl.optional):
                 raise KeyError(name)
@@ -245,7 +262,8 @@ def cmd_reconstruct(cfg: dict) -> Outcome:
 
 
 @command("identity", spectrum=REQUIRED, sampling=SAMPLING, enlarged_nodes=384, seed=0,
-         n_y=25, y_half=10.0, eta=1e-5, tolerance=1e-2, trials=5, poly_terms=5)
+         n_y=Count(25), y_half=10.0, eta=1e-5, tolerance=1e-2, trials=Count(5),
+         poly_terms=Count(5))
 def cmd_identity(cfg: dict) -> Outcome:
     spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
     e_set = _sampling_set(cfg["sampling"])
@@ -323,7 +341,7 @@ def cmd_gabor(cfg: dict) -> Outcome:
 @command("psido", spectrum=REQUIRED, sampling=SAMPLING,
          terms=Section({"lambda": REQUIRED, "eps": REQUIRED, "b_width": 0.5, "b_half": 1.0,
                         "order": 8, "amplitude": 1.0}, many=True),
-         seed=0, n_k=25, eta=1e-5, trials=10)
+         seed=0, n_k=Count(25), eta=1e-5, trials=Count(10))
 def cmd_psido(cfg: dict) -> Outcome:
     spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
     e_set = _sampling_set(cfg["sampling"])

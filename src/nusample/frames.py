@@ -1,13 +1,12 @@
 """Fourier-frame engine on the discretized Paley-Wiener model.
 
 Analysis maps a spectral coefficient vector to its time samples on a point
-set; synthesis stacks sampled exponentials back into a coefficient vector.
-Frame bounds are the extreme singular values squared of the weighted analysis
-matrix, either over the full coefficient space or compressed to a subspace of
-time-localized signals.  The subspace matters: a finite sampling window can
-never frame the full discretized space (the analysis map has finite rank), so
-tightness statements are made for signals concentrated away from the window
-edge, built here from smoothly tapered, shifted spectral envelopes.
+set.  Frame bounds are the extreme singular values squared of the weighted
+analysis matrix, either over the full coefficient space or compressed to a
+subspace of time-localized signals.  The subspace matters: a finite sampling
+window can never frame the full discretized space (the analysis map has finite
+rank), so tightness statements are made for signals concentrated away from the
+window edge, built here from smoothly tapered, shifted spectral envelopes.
 
 Also included: conjugate-gradient reconstruction from samples, the dilation
 inequality checker (three dilates, one sampling set), the weighted frame
@@ -88,17 +87,6 @@ def analysis(signal: BandlimitedSignal, sampling_set: SamplingSet) -> SampleVect
     coefficients against the sampled exponentials."""
     return SampleVector(sampling_set=sampling_set,
                         values=evaluate(signal, sampling_set.points))
-
-
-def frame_operator_apply(samples: SampleVector, grid: SpectralGrid) -> BandlimitedSignal:
-    """Synthesis: coefficients G_k = sum_x v_x exp(-2 pi i x . g_k).
-
-    Composing with :func:`analysis` yields the discrete frame operator; the
-    two maps are adjoint with respect to the weighted spectral inner product
-    and the plain sample-space dot product.
-    """
-    coeffs = exp_table(samples.sampling_set.points, grid.nodes, sign=-1).T @ samples.values
-    return BandlimitedSignal(grid=grid, coeffs=coeffs)
 
 
 def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
@@ -257,7 +245,7 @@ def reconstruct(samples: SampleVector, grid: SpectralGrid,
                 lambda u: e @ (w * (eh @ u)), v, None, tol, max_iter)
             coeffs = eh @ c
         else:
-            # spectral-space frame operator S F = frame_operator_apply(v)
+            # spectral-space frame operator S F = E^H v
             coeffs, it, residual, converged, history = _conjugate_gradients(
                 lambda f: eh @ (e @ (w * f)), eh @ v, w, tol, max_iter)
     return ReconstructionResult(signal=BandlimitedSignal(grid=grid, coeffs=coeffs),
@@ -530,34 +518,3 @@ def covering_frame_experiment(spectrum: SpectrumSet, sampling_set: SamplingSet,
     q = interior_taper_subspace(grid, sampling_set.window, margin=margin)
     report = frame_bounds(sampling_set, grid, subspace=q)
     return CoveringExperiment(covering=cov, rho_ok=rho_ok, report=report)
-
-
-# -- binary dump ---------------------------------------------------------------
-
-
-def dump_matrix(path, matrix: np.ndarray) -> None:
-    """Dense row-major little-endian float64 dump with an int64 header
-    (rows, cols, is_complex); complex matrices interleave re, im per entry."""
-    m = np.ascontiguousarray(matrix)
-    is_complex = np.iscomplexobj(m)
-    header = np.array([m.shape[0], m.shape[1], int(is_complex)], dtype="<i8")
-    with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        if is_complex:
-            inter = np.empty((m.shape[0], m.shape[1] * 2), dtype="<f8")
-            inter[:, 0::2] = m.real
-            inter[:, 1::2] = m.imag
-            fh.write(inter.tobytes())
-        else:
-            fh.write(m.astype("<f8").tobytes())
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = np.frombuffer(fh.read(24), dtype="<i8")
-        rows, cols, is_complex = (int(v) for v in header)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if is_complex:
-        data = data.reshape(rows, cols * 2)
-        return data[:, 0::2] + 1j * data[:, 1::2]
-    return data.reshape(rows, cols)

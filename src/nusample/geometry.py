@@ -102,7 +102,7 @@ class SpectrumSet:
         b = -hull.equations[:, 2]
         if np.any(b <= 0):
             raise ValueError("polytope does not contain the origin in its interior")
-        return a, b, hull
+        return a, b
 
     # -- geometry queries -------------------------------------------------
 
@@ -115,7 +115,7 @@ class SpectrumSet:
             return np.linalg.norm(p, axis=1) / self.radius
         if self.dim == 1:
             return np.abs(p[:, 0]) / np.max(np.abs(self.vertices))
-        a, b, _ = self._hull_system
+        a, b = self._hull_system
         return np.max((p @ a.T) / b, axis=1)
 
     def contains(self, points, tol: float = _MEMBERSHIP_TOL) -> np.ndarray:
@@ -131,7 +131,7 @@ class SpectrumSet:
         elif self.dim == 1:
             d = np.max(np.abs(self.vertices)) - abs(p[0])
         else:
-            a, b, _ = self._hull_system
+            a, b = self._hull_system
             d = np.min((b - a @ p) / np.linalg.norm(a, axis=1))
         return float(d)
 
@@ -144,15 +144,6 @@ class SpectrumSet:
         else:
             h = np.max(np.abs(self.vertices), axis=0)
         return np.stack([-h, h], axis=1)
-
-    def volume(self) -> float:
-        if self.shape == "box":
-            return float(np.prod(2.0 * self.half_widths))
-        if self.shape == "ball":
-            return 2.0 * self.radius if self.dim == 1 else float(np.pi * self.radius**2)
-        if self.dim == 1:
-            return 2.0 * float(np.max(np.abs(self.vertices)))
-        return float(self._hull_system[2].volume)
 
     # -- constructions -----------------------------------------------------
 
@@ -186,7 +177,7 @@ class SpectrumSet:
         if self.dim == 1:
             m = np.max(np.abs(self.vertices))
             return SpectrumSet.polytope([[1.0 / m], [-1.0 / m]])
-        a, b, _ = self._hull_system
+        a, b = self._hull_system
         verts = a / b[:, None]
         verts = np.vstack([verts, -verts])
         verts = np.unique(np.round(verts, 12), axis=0)
@@ -208,7 +199,7 @@ class SpectrumSet:
         if self.dim == 1:
             m = np.max(np.abs(self.vertices))
             return self.scaled((m + eps) / m)
-        a, b, _ = self._hull_system
+        a, b = self._hull_system
         inradius = np.min(b / np.linalg.norm(a, axis=1))
         return self.scaled(1.0 + eps / inradius)
 
@@ -220,16 +211,6 @@ class SpectrumSet:
         return 2.0 * float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
     # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        out = {"dim": self.dim, "shape": self.shape}
-        if self.shape == "box":
-            out["half_widths"] = self.half_widths.tolist()
-        elif self.shape == "ball":
-            out["radius"] = self.radius
-        else:
-            out["vertices"] = self.vertices.tolist()
-        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "SpectrumSet":
@@ -260,13 +241,6 @@ class SpectralGrid:
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
-
-    def same_as(self, other: "SpectralGrid") -> bool:
-        return (
-            self.nodes.shape == other.nodes.shape
-            and np.array_equal(self.nodes, other.nodes)
-            and np.array_equal(self.weights, other.weights)
-        )
 
 
 def lambda_norm(spectrum: SpectrumSet, gamma) -> float:

@@ -18,9 +18,6 @@ separable term that norm factors as ||a|| * ||b||.
 """
 from __future__ import annotations
 
-import csv
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +52,6 @@ class SpectralFactor:
     def at(self, gamma) -> np.ndarray:
         return interp_complex(np.asarray(gamma, dtype=float), self.nodes, self.values)
 
-    def l2_norm(self) -> float:
-        # trapezoid on the stored nodes
-        return float(np.sqrt(np.trapezoid(np.abs(self.values) ** 2, self.nodes)))
-
 
 @dataclass(frozen=True, eq=False)
 class SymbolTerm:
@@ -73,25 +66,6 @@ class SymbolTerm:
     def a_at(self, y) -> np.ndarray:
         w = self.eps / self.order
         return self.amplitude * np.sinc(2.0 * w * np.asarray(y, dtype=float)) ** self.order
-
-    def a_l2_norm(self) -> float:
-        """Exact-support route: Parseval on the iterated box convolution."""
-        w = self.eps / self.order
-        n = 2001
-        grid = np.linspace(-w, w, n)
-        dg = grid[1] - grid[0]
-        prof = np.ones(n)
-        for _ in range(self.order - 1):
-            prof = np.convolve(prof, np.ones(n)) * dg
-        # profile of the transform of sinc(2wy)^order, scaled so a(0)=amplitude
-        scale = abs(self.amplitude) / (prof.sum() * dg)
-        return float(np.sqrt(np.sum((scale * prof) ** 2) * dg))
-
-    def to_json(self, profile_path: str) -> dict:
-        return {"lambda": self.lam, "eps": self.eps, "order": self.order,
-                "amplitude_re": complex(self.amplitude).real,
-                "amplitude_im": complex(self.amplitude).imag,
-                "b_profile": profile_path}
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,20 +86,6 @@ class KNSymbol:
             u[j] = term.a_at(y) * np.exp(-2j * np.pi * y * term.lam)
             b[j] = term.b.at(g)
         return u, b
-
-    def eval_matrix(self, y_nodes, gamma_nodes) -> np.ndarray:
-        """s(y, g) on the product grid, shape (n_y, n_gamma)."""
-        u, b = self.factors(y_nodes, gamma_nodes)
-        return u.T @ b
-
-    def l2_bound(self) -> float:
-        """Triangle-inequality bound sum_j ||a_j|| ||b_j|| on the symbol norm."""
-        return float(sum(t.a_l2_norm() * t.b.l2_norm() for t in self.terms))
-
-
-def symbol_eval(symbol: KNSymbol, y: float, gamma: float) -> complex:
-    """Pointwise finite-sum evaluation."""
-    return complex(symbol.eval_matrix([y], [gamma])[0, 0])
 
 
 def symbol_term(lam: float, eps: float, b: SpectralFactor, order: int = 8,
@@ -266,42 +226,3 @@ def psido_frame_check(symbol: KNSymbol, f_values, f_grid: UniformGrid,
     return PsidoCheck(lhs=lhs, mid=mid, rhs=rhs,
                       lower_ok=bool(lhs <= mid * (1.0 + _SLACK)),
                       upper_ok=bool(mid <= rhs * (1.0 + _SLACK)))
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def symbol_save(symbol: KNSymbol, path, profile_prefix: str = "term") -> None:
-    """JSON description with per-term frequency profiles in CSV side files."""
-    base = os.path.dirname(os.fspath(path))
-    terms = []
-    for j, term in enumerate(symbol.terms):
-        prof = f"{profile_prefix}{j}_b.csv"
-        with open(os.path.join(base, prof), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gamma", "re", "im"])
-            for g, v in zip(term.b.nodes, term.b.values):
-                writer.writerow([g, v.real, v.imag])
-        terms.append(term.to_json(prof))
-    with open(path, "w") as fh:
-        json.dump({"spectrum": symbol.spectrum.to_json(), "terms": terms}, fh, sort_keys=True)
-
-
-def symbol_load(path) -> KNSymbol:
-    base = os.path.dirname(os.fspath(path))
-    with open(path) as fh:
-        data = json.load(fh)
-    spectrum = SpectrumSet.from_json(data["spectrum"])
-    terms = []
-    for td in data["terms"]:
-        rows = []
-        with open(os.path.join(base, td["b_profile"]), newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                rows.append([float(c) for c in row])
-        arr = np.asarray(rows)
-        b = SpectralFactor(nodes=arr[:, 0], values=arr[:, 1] + 1j * arr[:, 2])
-        terms.append(SymbolTerm(lam=td["lambda"], eps=td["eps"], order=td["order"],
-                                amplitude=td["amplitude_re"] + 1j * td["amplitude_im"], b=b))
-    return KNSymbol(terms=terms, spectrum=spectrum)

@@ -1,4 +1,4 @@
-"""Finite sampling configurations: separation, density, generators.
+"""Finite sampling configurations: density, generators, symmetrization.
 
 A sampling set is a finite list of distinct time-domain points together with
 the bounding window inside which it is meant to be dense.  The window matters:
@@ -45,18 +45,6 @@ class SamplingSet:
     def size(self) -> int:
         return self.points.shape[0]
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "points": self.points.tolist(),
-            "window": self.window.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SamplingSet":
-        return cls(dim=data["dim"], points=np.asarray(data["points"], dtype=float),
-                   window=np.asarray(data["window"], dtype=float))
-
     @classmethod
     def from_csv(cls, path, window=None) -> "SamplingSet":
         """Read one point per row; window defaults to the point bounding box."""
@@ -76,19 +64,6 @@ class SamplingSet:
         if window is None:
             window = np.stack([pts.min(axis=0), pts.max(axis=0)], axis=1)
         return cls(dim=dim, points=pts, window=np.asarray(window, dtype=float))
-
-
-def separation(sampling_set: SamplingSet) -> float:
-    """Minimum pairwise Euclidean distance; undefined for fewer than 2 points."""
-    if sampling_set.size < 2:
-        raise ValueError("undefined separation: need at least 2 points")
-    from scipy.spatial.distance import pdist   # lazily: a slow import
-
-    return float(pdist(sampling_set.points).min())
-
-
-def is_separated(sampling_set: SamplingSet, r: float) -> bool:
-    return separation(sampling_set) >= r
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ against.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -133,10 +132,6 @@ class BandlimitedSignal:
         if c.shape != (self.grid.size,):
             raise ValueError("coefficient length does not match grid size")
 
-    @property
-    def spectrum(self) -> SpectrumSet:
-        return self.grid.spectrum
-
     def norm_sq(self) -> float:
         return float(np.sum(self.grid.weights * np.abs(self.coeffs) ** 2))
 
@@ -158,13 +153,6 @@ def evaluate(signal: BandlimitedSignal, x) -> complex | np.ndarray:
     the rows of an (m, dim) array."""
     return _character_sum(x, signal.grid.nodes, signal.grid.weights * signal.coeffs,
                           signal.grid.spectrum.dim)
-
-
-def pw_inner(f: BandlimitedSignal, g: BandlimitedSignal) -> complex:
-    """Weighted spectral inner product sum_k w_k F_k conj(G_k)."""
-    if not f.grid.same_as(g.grid):
-        raise ValueError("grid mismatch in pw_inner")
-    return complex(np.sum(f.grid.weights * f.coeffs * np.conj(g.coeffs)))
 
 
 def random_pw_signal(spectrum: SpectrumSet, nodes: int, seed: int) -> BandlimitedSignal:
@@ -215,48 +203,3 @@ def random_trig_polynomial(spectrum: SpectrumSet, n_terms: int, seed: int) -> Tr
         freqs = np.vstack([freqs, cand])[:n_terms]
     coefs = rng.standard_normal(n_terms) + 1j * rng.standard_normal(n_terms)
     return TrigPolynomial(frequencies=freqs, coefficients=coefs, spectrum=spectrum)
-
-
-# -- serialization ---------------------------------------------------------
-
-def signal_to_json(signal: BandlimitedSignal) -> dict:
-    return {
-        "dim": signal.spectrum.dim,
-        "spectrum": signal.spectrum.to_json(),
-        "nodes": signal.grid.nodes.tolist(),
-        "weights": signal.grid.weights.tolist(),
-        "coeffs_re": signal.coeffs.real.tolist(),
-        "coeffs_im": signal.coeffs.imag.tolist(),
-    }
-
-
-def signal_from_json(data: dict) -> BandlimitedSignal:
-    spectrum = SpectrumSet.from_json(data["spectrum"])
-    grid = SpectralGrid(nodes=np.asarray(data["nodes"], dtype=float),
-                        weights=np.asarray(data["weights"], dtype=float),
-                        spectrum=spectrum)
-    coeffs = np.asarray(data["coeffs_re"], dtype=float) + 1j * np.asarray(data["coeffs_im"], dtype=float)
-    return BandlimitedSignal(grid=grid, coeffs=coeffs)
-
-
-def signal_to_csv(signal: BandlimitedSignal, path) -> None:
-    """Columns: node coordinates, weight, coefficient real/imag parts."""
-    dim = signal.spectrum.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"node_{i}" for i in range(dim)] + ["weight", "re", "im"])
-        for node, w, c in zip(signal.grid.nodes, signal.grid.weights, signal.coeffs):
-            writer.writerow(list(node) + [w, c.real, c.imag])
-
-
-def signal_from_csv(path, spectrum: SpectrumSet) -> BandlimitedSignal:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        for row in reader:
-            rows.append([float(c) for c in row])
-    arr = np.asarray(rows, dtype=float)
-    dim = spectrum.dim
-    grid = SpectralGrid(nodes=arr[:, :dim], weights=arr[:, dim], spectrum=spectrum)
-    return BandlimitedSignal(grid=grid, coeffs=arr[:, dim + 1] + 1j * arr[:, dim + 2])

@@ -121,15 +121,6 @@ class WindowFunction:
         if v.shape != (self.grid.count,):
             raise ValueError("window sample count mismatch")
 
-    @classmethod
-    def from_samples(cls, grid: UniformGrid, values, kind: str = "sampled") -> "WindowFunction":
-        """Window from samples scaled to unit L2 norm."""
-        v = np.asarray(values, dtype=complex)
-        n = np.sqrt(np.sum(np.abs(v) ** 2) * grid.step)
-        if n == 0:
-            raise ValueError("cannot normalize the zero window")
-        return cls(grid=grid, values=v / n, kind=kind)
-
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.step))
 
@@ -191,19 +182,6 @@ def stft(f_values, f_grid: UniformGrid, window: WindowFunction,
     prod = f * padded[np.clip(k, 0, padded.size - 1)]          # (n_x, n_t)
     kernel = exp_table(f_grid.nodes, tf.freq.nodes, sign=-1)     # (n_t, n_freq)
     return (prod @ kernel) * f_grid.step
-
-
-def stft_at(f_values, f_grid: UniformGrid, window: WindowFunction,
-            points: np.ndarray) -> np.ndarray:
-    """V_g f at arbitrary phase-space points (n, 2) using off-grid window
-    evaluation (exact for Gaussian windows)."""
-    f = np.asarray(f_values, dtype=complex)
-    t = f_grid.nodes
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    out = np.empty(pts.shape[0], dtype=complex)
-    for i, (s, sigma) in enumerate(pts):
-        out[i] = np.sum(f * np.conj(window.at(t - s)) * np.exp(-2j * np.pi * t * sigma))
-    return out * f_grid.step
 
 
 @dataclass(frozen=True)
@@ -381,13 +359,6 @@ class PhaseSpaceSamples:
     def size(self) -> int:
         return self.points.shape[0]
 
-    def sampling_set(self) -> SamplingSet:
-        """View as a 2-d sampling set (for separation / density analysis)."""
-        lo = self.points.min(axis=0)
-        hi = self.points.max(axis=0)
-        return SamplingSet(dim=2, points=self.points,
-                           window=np.stack([lo, hi], axis=1))
-
 
 def phase_lattice(a: float, b: float, time_extent: float, freq_extent: float,
                   jitter: float = 0.0, seed: int | None = None) -> PhaseSpaceSamples:
@@ -412,25 +383,6 @@ def _atom_matrix(grid: UniformGrid, window: WindowFunction,
     sigma = samples.points[:, 1]
     shifts = window.at(t[:, None] - s[None, :])
     return exp_table(sigma, t).T * shifts
-
-
-def gabor_frame_operator(f_values, grid: UniformGrid, window: WindowFunction,
-                         samples: PhaseSpaceSamples) -> np.ndarray:
-    """Apply S f = sum_n <f, atom_n> atom_n by direct summation (Hermitian,
-    positive semidefinite; returns grid samples of S f)."""
-    f = np.asarray(f_values, dtype=complex)
-    if samples.size == 0:
-        return np.zeros_like(f)
-    atoms = _atom_matrix(grid, window, samples)
-    coeffs = (atoms.conj().T @ f) * grid.step
-    return atoms @ coeffs
-
-
-def gabor_coefficients(f_values, grid: UniformGrid, window: WindowFunction,
-                       samples: PhaseSpaceSamples) -> np.ndarray:
-    """<f, atom_n> per node; identical to the transform at the nodes."""
-    atoms = _atom_matrix(grid, window, samples)
-    return (atoms.conj().T @ np.asarray(f_values, dtype=complex)) * grid.step
 
 
 def reference_test_subspace(grid: UniformGrid, time_extent: float,
@@ -515,35 +467,3 @@ def gabor_reconstruct(f_values, grid: UniformGrid, window: WindowFunction,
     err = np.sqrt(float(np.vdot(x - f, x - f).real)) / fnorm
     return GaborResult(values=x, error=float(err), iterations=it, condition=condition,
                        converged=converged, history=history)
-
-
-def bandlimited_pair(omega: float, t_support: float, grid: UniformGrid,
-                     seed: int) -> tuple[np.ndarray, WindowFunction]:
-    """Fixture pair (f, g) whose transform has compactly supported 2-d spectrum.
-
-    g is bandlimited with a smooth even transform supported in [-omega, omega];
-    f is even, supported in [-t_support, t_support], with four random cosine
-    terms.  Then the transform of V_g f lives in [-omega, omega] x
-    [-t_support, t_support], the only constructive instance of the support
-    hypothesis used by the non-uniform Gabor expansion checks.
-    """
-    rng = np.random.default_rng(seed)
-    t = grid.nodes
-    # window: inverse transform of a smooth even bump on [-omega, omega]
-    n_gamma = 257
-    gamma = np.linspace(-omega, omega, n_gamma)
-    prof = np.zeros(n_gamma)
-    inner = np.abs(gamma) < omega
-    prof[inner] = np.exp(-1.0 / (1.0 - (gamma[inner] / omega) ** 2))
-    dg = gamma[1] - gamma[0]
-    g_vals = (exp_table(t, gamma) @ prof) * dg
-    g = WindowFunction.from_samples(grid, g_vals, kind="sampled")
-    # signal: even, compactly supported, random even cosine content
-    mask = np.abs(t) < t_support
-    envelope = np.zeros_like(t)
-    envelope[mask] = np.exp(-1.0 / (1.0 - (t[mask] / t_support) ** 2))
-    coefs = rng.standard_normal(4)
-    f_vals = envelope * sum(c * np.cos(2.0 * np.pi * k * t / (2 * t_support))
-                            for k, c in enumerate(coefs))
-    return f_vals.astype(complex), g
-

@@ -119,6 +119,30 @@ def test_bad_config_value_exits_2(tmp_path, capsys, edit, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,config,name,value", [
+    ("psido", "psido.json", "trials", 0),
+    ("psido", "psido.json", "trials", -2),
+    ("identity", "identity.json", "trials", 0),
+    ("identity", "identity.json", "poly_terms", 0),
+    ("identity", "identity.json", "poly_terms", 2.5),
+    ("identity", "identity.json", "trials", True),
+    ("identity", "identity.json", "n_y", 0),
+    ("psido", "psido.json", "n_k", 0),
+], ids=["psido-no-trials", "psido-negative-trials", "identity-no-trials",
+        "identity-zero-polynomial", "identity-fractional-terms", "identity-boolean-trials",
+        "identity-no-centers", "psido-no-centers"])
+def test_bad_count_exits_2(tmp_path, capsys, command, config, name, value):
+    # a count of 0 would check nothing: no trial, no center, or the zero polynomial
+    cfg = json.loads((CONFIG_DIR / config).read_text())
+    cfg[name] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert run(command, bad, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {name} must be an integer >= 1, got {value!r}\n"
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_empty_sampling_set_frame_bounds_exits_2(tmp_path, capsys):
     cfg = json.loads((CONFIG_DIR / "frame_bounds.json").read_text())
     cfg["sampling"] = EMPTY_POINTS

@@ -17,6 +17,17 @@ def uniform_set(delta, half_window, seed=0):
     return generate_jittered_grid(delta, 0.0, [[-half_window, half_window]], seed=seed)
 
 
+def frame_operator_apply(samples, grid):
+    """Synthesis: coefficients G_k = sum_x v_x exp(-2 pi i x . g_k).
+
+    Composing with :func:`frames.analysis` yields the discrete frame operator;
+    the two maps are adjoint with respect to the weighted spectral inner
+    product and the plain sample-space dot product.
+    """
+    coeffs = spc.exp_table(samples.sampling_set.points, grid.nodes, sign=-1).T @ samples.values
+    return spc.BandlimitedSignal(grid=grid, coeffs=coeffs)
+
+
 class TestAnalysisSynthesis:
     def test_flat_spectrum_samples_spike_at_zero(self):
         grid = geo.build_grid(UNIT_BAND, 512)
@@ -48,7 +59,7 @@ class TestAnalysisSynthesis:
         grid = geo.build_grid(UNIT_BAND, 64)
         e_set = SamplingSet(dim=1, points=[0.0, 1.0], window=[[-2, 2]])
         v = frames.SampleVector(sampling_set=e_set, values=np.array([1.0, 0.0], dtype=complex))
-        g = frames.frame_operator_apply(v, grid)
+        g = frame_operator_apply(v, grid)
         assert np.allclose(g.coeffs, 1.0)
 
     def test_adjoint_identity(self):
@@ -60,7 +71,8 @@ class TestAnalysisSynthesis:
             sampling_set=e_set,
             values=rng.standard_normal(e_set.size) + 1j * rng.standard_normal(e_set.size))
         lhs = np.sum(frames.analysis(f, e_set).values * np.conj(v.values))
-        rhs = spc.pw_inner(f, frames.frame_operator_apply(v, grid))
+        g = frame_operator_apply(v, grid)
+        rhs = np.sum(grid.weights * f.coeffs * np.conj(g.coeffs))   # weighted inner
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_zero_samples_synthesize_zero(self):
@@ -68,7 +80,23 @@ class TestAnalysisSynthesis:
         e_set = uniform_set(1.0, 3.0)
         v = frames.SampleVector(sampling_set=e_set,
                                 values=np.zeros(e_set.size, dtype=complex))
-        assert not np.any(frames.frame_operator_apply(v, grid).coeffs)
+        assert not np.any(frame_operator_apply(v, grid).coeffs)
+
+
+@st.composite
+def sets_with_added_points(draw):
+    """A jittered 1-d set on [-20, 20], and the same set with 1 to 5 points
+    added inside its window."""
+    delta = draw(st.floats(0.4, 0.95))
+    jitter = draw(st.floats(0.0, 0.49)) * delta
+    base = generate_jittered_grid(delta, jitter, [[-20.0, 20.0]],
+                                  seed=draw(st.integers(0, 2**31 - 1)))
+    lo, hi = base.window[0]
+    added = np.array(draw(st.lists(st.floats(lo, hi), min_size=1, max_size=5, unique=True)))
+    added = added[~np.isin(added, base.points[:, 0])]   # a point may be sampled only once
+    richer = SamplingSet(dim=1, points=np.vstack([base.points, added[:, None]]),
+                         window=base.window)
+    return base, richer
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +141,7 @@ class TestFrameBounds:
             unit = np.zeros(grid.size, dtype=complex)
             unit[k] = 1.0
             f = spc.BandlimitedSignal(grid=grid, coeffs=unit)
-            s_f = frames.frame_operator_apply(frames.analysis(f, e_set), grid)
+            s_f = frame_operator_apply(frames.analysis(f, e_set), grid)
             cols.append(s_f.coeffs)
         m = grid.weights[:, None] * np.stack(cols, axis=1)   # matrix of S in the weighted inner
         asym = np.max(np.abs(m - m.conj().T)) / np.max(np.abs(m))
@@ -150,6 +178,18 @@ class TestFrameBounds:
         rep_b = frames.frame_bounds(richer, grid512, subspace=subspace)
         assert rep_b.lower >= rep_a.lower - 1e-12
         assert rep_b.upper >= rep_a.upper - 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(sets_with_added_points())
+    def test_adding_points_never_lowers_the_bounds(self, sets):
+        # the frame operator only gains positive semidefinite terms
+        base, richer = sets
+        grid = geo.build_grid(UNIT_BAND, 128)
+        q = frames.interior_taper_subspace(grid, base.window, margin=5.0)
+        upper = [frames.frame_bounds(s, grid).upper for s in (base, richer)]
+        lower = [frames.frame_bounds(s, grid, subspace=q).lower for s in (base, richer)]
+        assert upper[1] >= upper[0] * (1 - 1e-12)
+        assert lower[1] >= lower[0] * (1 - 1e-12)
 
     def test_plancherel_polya_sampled_energy(self, grid512):
         e_set = generate_jittered_grid(0.7, 0.1, [[-30, 30]], seed=2)
@@ -459,15 +499,3 @@ class TestCoveringExperiment:
                                                region=[[-10.0, 10.0]], resolution=0.05)
         assert not res.rho_ok and not res.prediction_applies
         assert res.report.upper > 0   # report still attached
-
-
-def test_matrix_dump_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    real = rng.standard_normal((5, 7))
-    cplx = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    for name, m in (("real.bin", real), ("cplx.bin", cplx)):
-        path = tmp_path / name
-        frames.dump_matrix(path, m)
-        back = frames.load_matrix(path)
-        assert back.shape == m.shape
-        assert np.array_equal(back, m)

