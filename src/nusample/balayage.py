@@ -29,11 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .geometry import SpectralGrid, as_points
 from .sampling import SamplingSet
-from .spectral import TrigPolynomial, eval_trigpoly, exp_table
+from .spectral import TrigPolynomial, eval_trigpoly, exp_sum, exp_table
 
 _SVD_CUTOFF = 1e-10   # relative singular-value cutoff of the least-squares start
 _HELPER_REG = 1e-8    # l1 weight of the solvers the one-shot helpers build
@@ -88,7 +87,7 @@ class InghamWindow:
 
     def __call__(self, x) -> np.ndarray:
         pts = as_points(x, self.dim)
-        b = exp_table(pts, self.bump_nodes) @ (self.bump_values * self.bump_cell)
+        b = exp_sum(pts, self.bump_nodes, self.bump_values * self.bump_cell)
         b0 = float(np.sum(self.bump_values) * self.bump_cell)
         vals = np.abs(b) ** 2 / b0**2
         return vals if vals.size != 1 else float(vals[0])
@@ -212,6 +211,10 @@ class BalayageSolver:
         self.eta = float(eta)
         self.reg = float(reg)
         self.max_irls = int(max_irls)
+        # imported here, not with the module: the five CLI commands that
+        # never solve a balayage system then load no scipy.linalg
+        from scipy.linalg import lapack
+        self._tpqrt, self._trtrs = lapack.ztpqrt, lapack.ztrtrs
         self._phi = exp_table(sampling_set.points, grid.nodes, sign=-1).T   # (nodes, points)
         self._sqw = np.sqrt(grid.weights)
         # thin SVD U diag(s) V^H of the weighted system: reweighted steps solve
@@ -280,9 +283,9 @@ class BalayageSolver:
         while iterations < self.max_irls and not converged:
             maj = np.maximum(np.abs(a), 1e-6 * max(np.max(np.abs(a)), 1e-300))
             np.fill_diagonal(bottom, np.sqrt(0.5 * self.reg / maj))
-            tri, _, _, info = lapack.ztpqrt(n, _TPQRT_NB, top, bottom)
+            tri, _, _, info = self._tpqrt(n, _TPQRT_NB, top, bottom)
             if info == 0:   # ztpqrt fails only on an illegal argument
-                a_new, info = lapack.ztrtrs(tri[:n, :n], tri[:n, n])
+                a_new, info = self._trtrs(tri[:n, :n], tri[:n, n])
             if info > 0:
                 raise np.linalg.LinAlgError(
                     f"singular matrix: resolution failed at diagonal {info - 1}")

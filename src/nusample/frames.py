@@ -1,8 +1,9 @@
 """Fourier-frame engine on the discretized Paley-Wiener model.
 
 Analysis maps a spectral coefficient vector to its time samples on a point
-set.  Frame bounds are the extreme singular values squared of the weighted
-analysis matrix, either over the full coefficient space or compressed to a
+set.  Frame bounds are the extreme eigenvalues of the Gram matrix of the
+weighted analysis matrix, taken on its smaller side (so the matrix is never
+decomposed itself), either over the full coefficient space or compressed to a
 subspace of time-localized signals.  The subspace matters: a finite sampling
 window can never frame the full discretized space (the analysis map has finite
 rank), so tightness statements are made for signals concentrated away from the
@@ -21,7 +22,8 @@ O(N log N) per step, after one pass over factor tables of the sampled
 exponentials (the ACT method of Feichtinger, Groechenig and Strohmer).  Grids
 off a lattice keep the dense product with the sampled exponential matrix.
 Every such table comes from :func:`~nusample.spectral.exp_table`, and
-analysis is :func:`~nusample.spectral.evaluate` on the sampling points.
+analysis is :func:`~nusample.spectral.evaluate` on the sampling points, which
+sums the exponentials against the coefficients without forming the table.
 """
 from __future__ import annotations
 
@@ -104,8 +106,13 @@ def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
     (node spacing) along an axis alias onto the same row, so the node count
     per axis should exceed the sampling window extent in those units.
 
-    A lower value below 1e-12 times max(upper, 1) is reported as 0, i.e. not
-    a frame at this scale.
+    The bounds are the extreme squared singular values of the weighted
+    analysis matrix (compressed to the subspace when one is given), taken as
+    the eigenvalues of its Gram matrix on the smaller side (method
+    ``dense-gram`` or ``dense-gram/subspace-<rank>``).  The Gram's rounding
+    error on an eigenvalue is about eps * upper in absolute terms, far below
+    the floor: a lower value below 1e-12 times max(upper, 1) is reported as
+    0, i.e. not a frame at this scale.
     """
     if sampling_set.size == 0:
         raise ValueError("empty sampling set")
@@ -113,24 +120,29 @@ def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
         raise CapacityError(f"grid size {grid.size} exceeds dense capacity {_DENSE_CAPACITY}")
     u = exp_table(sampling_set.points, grid.nodes) * np.sqrt(grid.weights)  # (samples, nodes)
     if subspace is None:
-        svals = np.linalg.svd(u, compute_uv=False)
-        upper = float(svals[0] ** 2)
-        lower = float(svals[-1] ** 2) if sampling_set.size >= grid.size else 0.0
-        method = "dense-svd"
+        a, method = u, "dense-gram"
     else:
         q = np.asarray(subspace)
         if q.shape[0] != grid.size:
             raise ValueError("subspace rows must match grid size")
-        c = u @ q                                       # (samples, rank)
-        svals = np.linalg.svd(c, compute_uv=False)
-        upper = float(svals[0] ** 2)
-        lower = float(svals[-1] ** 2) if sampling_set.size >= q.shape[1] else 0.0
-        method = f"dense-svd/subspace-{q.shape[1]}"
+        a, method = u @ q, f"dense-gram/subspace-{q.shape[1]}"   # (samples, rank)
+    sq = _squared_singular_values(a)
+    upper = float(sq[-1])
+    lower = float(sq[0]) if a.shape[0] >= a.shape[1] else 0.0
     if lower < _EIG_FLOOR * max(upper, 1.0):
         lower = 0.0
     condition = np.inf if lower == 0.0 else upper / lower
     return FrameReport(lower=lower, upper=upper, condition=condition,
                        node_count=grid.size, sample_count=sampling_set.size, method=method)
+
+
+def _squared_singular_values(a: np.ndarray) -> np.ndarray:
+    """Squared singular values of ``a``, ascending: the eigenvalues of the
+    Gram matrix of its smaller side (a a^H when ``a`` has no more rows than
+    columns, a^H a otherwise), with negative rounding clipped to 0."""
+    ah = a.conj().T
+    gram = a @ ah if a.shape[0] <= a.shape[1] else ah @ a
+    return np.maximum(np.linalg.eigvalsh(gram), 0.0)
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
@@ -187,7 +199,7 @@ def random_subspace_signal(grid: SpectralGrid, subspace: np.ndarray, seed: int) 
     normalized; it depends on the span of Q only, not on the basis chosen."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    return subspace_signal(grid, subspace, subspace.conj().T @ z)
+    return subspace_signal(grid, subspace, (z.conj() @ subspace).conj())
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ import numpy as np
 from .frames import _SLACK
 from .geometry import SpectrumSet
 from .sampling import SamplingSet
-from .spectral import exp_table
+from .spectral import exp_sum, exp_table
 from .timefreq import UniformGrid, interp_complex
 
 
@@ -165,7 +165,7 @@ def validate_symbol_class(symbol: KNSymbol) -> SymbolValidation:
         peak = abs(np.sum(a) * step)            # transform value at 0 (the maximum)
         nyquist = 0.5 / step
         probe = np.linspace(term.eps * 1.05, 0.8 * nyquist, 64)
-        leak = np.max(np.abs((exp_table(probe, y, sign=-1) @ a) * step)) / peak
+        leak = np.max(np.abs(exp_sum(probe, y, a, sign=-1) * step)) / peak
         leak_ok = leak < 1e-8
         reports.append(TermValidation(index=j, ball_inside=bool(ball_ok),
                                       boundary_margin=float(margin),

@@ -16,7 +16,10 @@ the product of two tables of about sqrt(n) columns (the chirp-z split, exact
 up to rounding); other nodes, and lattice subsets so sparse that the factor
 tables would hold more columns than there are nodes, get the dense
 :func:`_exp_matrix`, which is also the reference the builder is tested
-against.
+against.  Where only the table's product with a coefficient vector is
+needed, as in time evaluation, :func:`exp_sum` contracts the coefficients
+with the same factor tables one at a time (the factored sums of the ACT
+method of Feichtinger, Groechenig and Strohmer) and never forms the table.
 """
 from __future__ import annotations
 
@@ -87,6 +90,21 @@ def _lattice_indices(nodes: np.ndarray):
     return idx, origin, steps
 
 
+def _lattice_split(points, nodes, sign: int):
+    """The signed points x (m, dim), the nodes g (n, dim), and the lattice of
+    :func:`_lattice_indices`, or None where the dense product is used: off a
+    lattice, and on lattice subsets so sparse that the factor tables of
+    :func:`_exp_factors` would hold more columns than there are nodes."""
+    g = np.asarray(nodes, dtype=float)
+    g = g[:, None] if g.ndim == 1 else g
+    x = sign * np.asarray(points, dtype=float).reshape(-1, g.shape[1])
+    lattice = _lattice_indices(g) if g.size else None
+    if lattice is not None and sum(sum(_factor_columns(int(n) + 1))
+                                   for n in lattice[0].max(axis=0)) > g.shape[0]:
+        lattice = None
+    return x, g, lattice
+
+
 def exp_table(points, nodes, sign: int = 1) -> np.ndarray:
     """exp(sign 2 pi i x . g_k), shape (points, nodes); ``nodes`` is (n, dim)
     and ``points`` (m, dim), either flat when dim is 1.
@@ -97,15 +115,10 @@ def exp_table(points, nodes, sign: int = 1) -> np.ndarray:
     sparse that the factors hold more columns than there are nodes, fall back
     to :func:`_exp_matrix`.  Put the lattice side of a product in ``nodes``.
     """
-    g = np.asarray(nodes, dtype=float)
-    g = g[:, None] if g.ndim == 1 else g
-    x = sign * np.asarray(points, dtype=float).reshape(-1, g.shape[1])
-    lattice = _lattice_indices(g) if g.size else None
+    x, g, lattice = _lattice_split(points, nodes, sign)
     if lattice is None:
         return _exp_matrix(x, g)
     idx, origin, steps = lattice
-    if sum(sum(_factor_columns(int(n) + 1)) for n in idx.max(axis=0)) > g.shape[0]:
-        return _exp_matrix(x, g)
     table = None
     for a, k in enumerate(idx.T):
         fa, fb = _exp_factors(x[:, a], origin[a], steps[a], int(k.max()) + 1)
@@ -117,6 +130,35 @@ def exp_table(points, nodes, sign: int = 1) -> np.ndarray:
             part = fa[:, q] * fb[:, j]
         table = part if table is None else table * part
     return table
+
+
+def exp_sum(points, nodes, coeffs, sign: int = 1) -> np.ndarray:
+    """``exp_table(points, nodes, sign) @ coeffs`` for a coefficient vector
+    (n,), without the (points, nodes) table.
+
+    On lattice nodes the coefficients are scattered into the box of the
+    factor split, with axes (q_1, j_1, q_2, j_2, ...) where lattice index
+    k_a = J_a q_a + j_a, and the sum over the box is contracted one factor
+    table at a time: the last factor by one matrix product, each remaining
+    one row by row (one small matrix-vector product per point).  Nodes
+    where :func:`exp_table` takes the dense table take its product here.
+    """
+    x, g, lattice = _lattice_split(points, nodes, sign)
+    if lattice is None:
+        return _exp_matrix(x, g) @ coeffs
+    idx, origin, steps = lattice
+    factors, at = [], []
+    for a, k in enumerate(idx.T):
+        fa, fb = _exp_factors(x[:, a], origin[a], steps[a], int(k.max()) + 1)
+        factors += [fa, fb]
+        at += np.divmod(k, fb.shape[1])
+    box = np.zeros([f.shape[1] for f in factors], dtype=complex)
+    box[tuple(at)] = coeffs
+    out = factors[-1] @ box.reshape(-1, box.shape[-1]).T   # (points, rest of the box)
+    for f in factors[-2::-1]:
+        rows = out.reshape(x.shape[0], out.shape[1] // f.shape[1], f.shape[1])
+        out = np.matmul(rows, f[:, :, None])[..., 0]
+    return out[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +184,7 @@ class BandlimitedSignal:
 def _character_sum(x, freqs: np.ndarray, coeffs: np.ndarray, dim: int):
     """sum_k c_k exp(2 pi i x . l_k) at a single point (a complex scalar) or
     at the rows of an (m, dim) array (an (m,) vector)."""
-    vals = exp_table(as_points(x, dim), freqs) @ coeffs
+    vals = exp_sum(as_points(x, dim), freqs, coeffs)
     if np.ndim(x) == 0 or (np.ndim(x) == 1 and dim > 1):
         return complex(vals[0])
     return vals

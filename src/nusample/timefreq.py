@@ -23,7 +23,7 @@ import numpy as np
 
 from .frames import NotAFrameError, _conjugate_gradients
 from .sampling import SamplingSet
-from .spectral import BandlimitedSignal, evaluate, exp_table
+from .spectral import BandlimitedSignal, evaluate, exp_sum, exp_table
 
 _ALIGN_TOL = 1e-9
 
@@ -205,8 +205,8 @@ def isometry_check(f_values, f_grid: UniformGrid, window: WindowFunction,
 
 def _forward_transform(values, grid: UniformGrid, freq_nodes: np.ndarray) -> np.ndarray:
     """Quadrature Fourier transform of grid samples at arbitrary frequencies."""
-    return (exp_table(freq_nodes, grid.nodes, sign=-1) @
-            np.asarray(values, dtype=complex)) * grid.step
+    return exp_sum(freq_nodes, grid.nodes, np.asarray(values, dtype=complex),
+                   sign=-1) * grid.step
 
 
 def tf_identity_check(f_values, f_grid: UniformGrid, window: WindowFunction,

@@ -109,7 +109,57 @@ def subspace(grid512):
     return frames.interior_taper_subspace(grid512, [[-40.0, 40.0]], margin=10.0)
 
 
+def dense_svd_bounds(sampling_set, grid, subspace=None):
+    """(lower, upper) frame bounds as the extreme squared singular values of
+    the dense weighted analysis matrix, compressed to the subspace when one
+    is given; lower is 0 when there are fewer samples than columns."""
+    u = spc._exp_matrix(sampling_set.points, grid.nodes) * np.sqrt(grid.weights)
+    a = u if subspace is None else u @ subspace
+    svals = np.linalg.svd(a, compute_uv=False)
+    return (svals[-1] ** 2 if a.shape[0] >= a.shape[1] else 0.0), svals[0] ** 2
+
+
+# (spectrum, nodes per axis, delta, window half-width, subspace margin or None)
+ORACLE_CASES = [
+    (UNIT_BAND, 64, 0.5, 30.0, None),    # full grid, 121 samples over 64 nodes
+    (UNIT_BAND, 64, 0.5, 10.0, None),    # full grid, 41 samples under 64 nodes
+    (UNIT_BAND, 64, 1.0, 31.5, None),    # full grid, 63 samples under 64 nodes
+    (UNIT_BAND, 64, 0.5, 30.0, 5.0),     # subspace of rank 51, 121 samples
+    (UNIT_BAND, 64, 0.9, 30.0, 5.0),     # subspace, 67 samples
+    (UNIT_BAND, 64, 2.0, 30.0, 5.0),     # subspace, 31 samples under rank 50
+    (geo.SpectrumSet.ball(0.5), 20, 0.7, 9.0, None),   # 2-d, 625 samples over 316 nodes
+    (geo.SpectrumSet.ball(0.5), 20, 1.2, 9.0, None),   # 2-d, 225 samples under 316 nodes
+    (geo.SpectrumSet.ball(0.5), 20, 0.7, 9.0, 3.0),    # 2-d subspace of rank 184
+    (geo.SpectrumSet.ball(0.5), 20, 1.0, 9.0, 3.0),
+]
+
+
 class TestFrameBounds:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_dense_svd_oracle(self, case):
+        spec, nodes, delta, half, margin = case
+        grid = geo.build_grid(spec, nodes)
+        e_set = generate_jittered_grid(delta, 0.1 * delta, [[-half, half]] * spec.dim, seed=1)
+        q = None if margin is None else frames.interior_taper_subspace(
+            grid, e_set.window, margin=margin)
+        rep = frames.frame_bounds(e_set, grid, subspace=q)
+        lower, upper = dense_svd_bounds(e_set, grid, q)
+        assert rep.upper == pytest.approx(upper, rel=1e-10, abs=0.0)
+        if lower > 1e-12 * max(upper, 1.0):
+            assert rep.lower == pytest.approx(lower, rel=1e-10, abs=0.0)
+        else:
+            assert rep.lower == 0.0
+
+    def test_gram_lower_error_is_eps_times_upper(self):
+        # an ill-conditioned full-grid frame (upper/lower about 7e6): the Gram's
+        # error on the least eigenvalue is absolute, about eps * upper
+        grid = geo.build_grid(UNIT_BAND, 64)
+        e_set = generate_jittered_grid(0.8, 0.3, [[-30.0, 30.0]], seed=1)
+        rep = frames.frame_bounds(e_set, grid)
+        lower, upper = dense_svd_bounds(e_set, grid)
+        assert upper / lower > 1e6
+        assert abs(rep.lower - lower) <= 1e-13 * upper
+
     def test_nyquist_tight(self, grid512, subspace):
         rep = frames.frame_bounds(uniform_set(1.0, 40.0), grid512, subspace=subspace)
         assert 0.95 <= rep.lower <= rep.upper <= 1.05

@@ -14,7 +14,7 @@ paper's claims (``tests/test_acceptance.py``); a name only unit tests call is
 a test oracle and lives in the tests.  Every name a module imports is read in
 that module.  Every config field a CLI command declares is set by a shipped
 config or a test.  Importing the package loads neither ``scipy.signal`` nor
-``scipy.stats``."""
+``scipy.stats``, and importing the CLI loads no ``scipy.linalg``."""
 import ast
 import json
 import os
@@ -281,6 +281,15 @@ def test_import_leaves_out_scipy_signal_and_stats():
         env={**os.environ, "PYTHONPATH": str(REPO / "src")}).stdout
     assert loaded.strip() == "[]"
 
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # only a BalayageSolver needs LAPACK's triangular-pentagonal QR
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, nusample.cli; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")}).stdout
+    assert loaded.strip() == "False"
 
 # config fields no shipped config sets; each is set by a test in tests/test_cli.py
 TEST_SET_FIELDS = {("gabor", "cond_threshold"), ("sampling:points", "dim"),

@@ -158,6 +158,58 @@ class TestExpTable:
         assert np.all(np.abs(got - spc._exp_matrix(x[:, None], nodes[:, None])) <= 1e-12)
 
 
+@st.composite
+def exp_sum_cases(draw):
+    """Points, nodes and complex coefficients for the factored exponential
+    sum: a 1-d or 2-d box, ball or polytope grid from build_grid, taken
+    whole, as a shuffled subset, jittered off the lattice, or as a sparse
+    lattice subset of three nodes (the dense product).  The point set may be
+    empty."""
+    dim = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["box", "ball", "polytope"]))
+    size = draw(st.floats(0.2, 2.0))
+    if kind == "box":
+        spec = geo.SpectrumSet.box([size, draw(st.floats(0.5, 2.0)) * size][:dim])
+    elif kind == "ball":
+        spec = geo.SpectrumSet.ball(size, dim)
+    elif dim == 1:
+        spec = geo.SpectrumSet.polytope([[size], [-size]])
+    else:
+        radii = np.array(draw(st.lists(st.floats(0.6, 1.0), min_size=3, max_size=3)))
+        angles = draw(st.floats(0.0, np.pi)) + np.pi / 3.0 * np.arange(3)
+        half = size * radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        spec = geo.SpectrumSet.polytope(np.vstack([half, -half]))
+    nodes = geo.build_grid(spec, draw(st.integers(8, 40 if dim == 2 else 300))).nodes
+    layout = draw(st.sampled_from(["lattice", "shuffled", "off", "sparse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "shuffled":
+        nodes = rng.permutation(nodes[rng.random(nodes.shape[0]) < 0.7])
+    elif layout == "off":
+        nodes = nodes + rng.uniform(-0.3, 0.3, nodes.shape) * np.ptp(nodes, axis=0) / 40
+    elif layout == "sparse":   # the first two nodes keep a lattice step between them
+        nodes = nodes[[0, 1, rng.integers(2, nodes.shape[0])]]
+    coeffs = rng.standard_normal(nodes.shape[0]) + 1j * rng.standard_normal(nodes.shape[0])
+    x = rng.uniform(-10.0, 10.0, (draw(st.integers(0, 40)), dim))
+    return x, nodes, coeffs, layout, draw(st.sampled_from([1, -1]))
+
+
+class TestExpSum:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(exp_sum_cases())
+    def test_matches_dense_product(self, case):
+        x, nodes, coeffs, layout, sign = case
+        factored = spc._lattice_split(x, nodes, sign)[2] is not None
+        if layout == "lattice":
+            assert factored
+        elif layout == "sparse":
+            assert spc._lattice_indices(nodes) is not None and not factored
+        got = spc.exp_sum(x, nodes, coeffs, sign=sign)
+        expect = spc._exp_matrix(sign * x, nodes) @ coeffs
+        assert got.shape == expect.shape == (x.shape[0],)
+        scale = np.max(np.abs(expect), initial=0.0)
+        assert np.all(np.abs(got - expect) <= 1e-12 * scale)
+
+
 class TestRandomSignal:
     def test_unit_norm(self):
         f = spc.random_pw_signal(UNIT_BAND, 128, seed=0)
