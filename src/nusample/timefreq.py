@@ -205,8 +205,7 @@ def isometry_check(f_values, f_grid: UniformGrid, window: WindowFunction,
 
 def _forward_transform(values, grid: UniformGrid, freq_nodes: np.ndarray) -> np.ndarray:
     """Quadrature Fourier transform of grid samples at arbitrary frequencies."""
-    return exp_sum(freq_nodes, grid.nodes, np.asarray(values, dtype=complex),
-                   sign=-1) * grid.step
+    return exp_sum(freq_nodes, grid.nodes, values, sign=-1) * grid.step
 
 
 def tf_identity_check(f_values, f_grid: UniformGrid, window: WindowFunction,

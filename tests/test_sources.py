@@ -282,7 +282,6 @@ def test_import_leaves_out_scipy_signal_and_stats():
     assert loaded.strip() == "[]"
 
 
-
 def test_cli_import_leaves_out_scipy_linalg():
     # only a BalayageSolver needs LAPACK's triangular-pentagonal QR
     loaded = subprocess.run(
@@ -290,6 +289,7 @@ def test_cli_import_leaves_out_scipy_linalg():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")}).stdout
     assert loaded.strip() == "False"
+
 
 # config fields no shipped config sets; each is set by a test in tests/test_cli.py
 TEST_SET_FIELDS = {("gabor", "cond_threshold"), ("sampling:points", "dim"),
