@@ -8,6 +8,11 @@ subspace of time-localized signals.  The subspace matters: a finite sampling
 window can never frame the full discretized space (the analysis map has finite
 rank), so tightness statements are made for signals concentrated away from the
 window edge, built here from smoothly tapered, shifted spectral envelopes.
+Their orthonormal basis, like the Gabor reference subspace of
+:mod:`~nusample.timefreq`, comes from one helper that takes the eigenvectors
+of the small Gram matrix of the spanning set and one Cholesky
+re-orthonormalization pass, in place of a thin SVD of the tall matrix; every
+result that uses it depends on the span only.
 
 Also included: conjugate-gradient reconstruction from samples, the dilation
 inequality checker (three dilates, one sampling set), the weighted frame
@@ -162,7 +167,11 @@ def interior_taper_subspace(grid: SpectralGrid, window, margin: float) -> np.nda
     taper is a smooth cutoff that is 1 on the inner 0.4 of the spectrum
     (measured in the gauge) and vanishes at its boundary, so the basis signals
     decay rapidly in time and stay concentrated near their centers.
-    Directions with singular value below 1e-3 of the largest are dropped.
+    Directions with singular value below 1e-3 of the largest are dropped;
+    the rank matches the thin SVD's unless a singular value lies within about
+    1e-10 relative of that cutoff (see :func:`_orthonormal_span`).  Only the
+    span is meant: frame bounds and :func:`random_subspace_signal` depend on
+    it alone, not on the basis chosen inside it.
     """
     spec = grid.spectrum
     dim = spec.dim
@@ -178,9 +187,27 @@ def interior_taper_subspace(grid: SpectralGrid, window, margin: float) -> np.nda
     shifts = np.stack([m.ravel() for m in mesh], axis=1)
     taper = _smooth_step((1.0 - spec.gauge(grid.nodes)) / 0.6)
     basis = (np.sqrt(grid.weights) * taper)[:, None] * exp_table(shifts, grid.nodes, sign=-1).T
-    q, svals, _ = np.linalg.svd(basis, full_matrices=False)
-    rank = int(np.sum(svals > 1e-3 * svals[0]))
-    return q[:, :rank]
+    return _orthonormal_span(basis, 1e-3)
+
+
+def _orthonormal_span(basis: np.ndarray, cutoff: float) -> np.ndarray:
+    """Orthonormal basis of the left singular directions of ``basis`` whose
+    singular value exceeds ``cutoff`` times the largest, without an SVD.
+
+    The eigenvectors v of the small Gram matrix basis^H basis with eigenvalue
+    above cutoff^2 times the largest give Q0 = basis v / sqrt(lambda), whose
+    columns are orthonormal only to about eps / cutoff^2.  One Cholesky pass,
+    Q0^H Q0 = L L^H and Q = Q0 L^-H, brings them to rounding (CholeskyQR2 of
+    Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, 2014); the r x r triangle
+    is inverted once rather than solved against every row.  The span is the
+    SVD's: the rank matches unless a singular value lies within about 1e-10
+    relative of the cutoff, where the Gram's rounding decides.
+    """
+    lam, v = np.linalg.eigh(basis.conj().T @ basis)
+    keep = lam > cutoff**2 * lam[-1]
+    q0 = basis @ (v[:, keep] / np.sqrt(lam[keep]))
+    chol = np.linalg.cholesky(q0.conj().T @ q0)
+    return q0 @ np.linalg.inv(chol).conj().T
 
 
 def subspace_signal(grid: SpectralGrid, subspace: np.ndarray, coeffs) -> BandlimitedSignal:

@@ -21,6 +21,11 @@ _SHAPES = ("box", "ball", "polytope")
 _MEMBERSHIP_TOL = 1e-12
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> float:
+    """z component of the cross product of two 2-vectors."""
+    return u[0] * v[1] - u[1] * v[0]
+
+
 def as_points(x, dim: int) -> np.ndarray:
     """Coerce scalars / lists / arrays to an (n, dim) float array."""
     a = np.asarray(x, dtype=float)
@@ -91,15 +96,29 @@ class SpectrumSet:
 
     @cached_property
     def _hull_system(self):
-        """Half-space form A x <= b of the 2-d vertex polytope (b > 0)."""
-        from scipy.spatial import ConvexHull, QhullError   # lazily: a slow import
+        """Half-space form A x <= b of the 2-d vertex polytope (b > 0), one
+        row per hull edge, with unit outward normals A.
 
-        try:
-            hull = ConvexHull(self.vertices)
-        except QhullError as exc:
-            raise ValueError(f"degenerate polytope: {exc}") from exc
-        a = hull.equations[:, :2]
-        b = -hull.equations[:, 2]
+        The hull is Andrew's monotone chain: the distinct vertices sorted by
+        (x, y), then a lower and an upper chain, each dropping every vertex
+        where the turn is not strictly counterclockwise, so repeated vertices
+        and vertices exactly on an edge leave no row.
+        """
+        v = np.unique(self.vertices, axis=0)   # sorted by (x, y)
+        chains = ([], [])
+        for chain, points in zip(chains, (v, v[::-1])):
+            for p in points:
+                while len(chain) >= 2 and _cross(chain[-1] - chain[-2], p - chain[-1]) <= 0:
+                    chain.pop()
+                chain.append(p)
+        # counterclockwise corners, each once: each chain ends where the other starts
+        corners = np.array(chains[0][:-1] + chains[1][:-1])
+        if corners.shape[0] < 3:
+            raise ValueError("degenerate polytope: the vertices are collinear")
+        edges = np.roll(corners, -1, axis=0) - corners
+        a = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b = np.sum(a * corners, axis=1)
         if np.any(b <= 0):
             raise ValueError("polytope does not contain the origin in its interior")
         return a, b

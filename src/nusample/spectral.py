@@ -67,16 +67,21 @@ def _lattice_indices(nodes: np.ndarray):
     equals origin + index * step to within a few ulps of the axis scale, with
     origin the smallest coordinate and step the smallest gap between distinct
     coordinates, and no two nodes share an index.  Returns (indices, origin,
-    steps) with nonnegative integer indices of shape (nodes, dim).
+    steps) with nonnegative integer indices of shape (nodes, dim).  Gaps and
+    shared indices are found by sorting and comparing neighbours, so no table
+    over the lattice box is made: a sparse subset makes the box arbitrarily
+    larger than the node count.
     """
     origin = nodes.min(axis=0)
     steps = np.ones(nodes.shape[1])
     idx = np.empty(nodes.shape, dtype=np.int64)
     for a, col in enumerate(nodes.T):
         tol = _LATTICE_ULPS * np.finfo(float).eps * np.max(np.abs(col))
-        coords = np.unique(col)
-        if coords.size > 1:
-            gap = np.min(np.diff(coords))
+        coords = np.sort(col)
+        gaps = np.diff(coords)
+        gaps = gaps[gaps > 0]
+        if gaps.size:
+            gap = gaps.min()
             if gap <= tol:
                 return None
             span = coords[-1] - coords[0]
@@ -84,8 +89,8 @@ def _lattice_indices(nodes: np.ndarray):
         idx[:, a] = np.rint((col - origin[a]) / steps[a])
         if np.max(np.abs(origin[a] + idx[:, a] * steps[a] - col)) > tol:
             return None
-    flat = np.ravel_multi_index(idx.T, idx.max(axis=0) + 1)
-    if np.unique(flat).size != flat.size:
+    flat = np.sort(np.ravel_multi_index(idx.T, idx.max(axis=0) + 1))
+    if np.any(flat[1:] == flat[:-1]):
         return None
     return idx, origin, steps
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import NotAFrameError, _conjugate_gradients
+from .frames import NotAFrameError, _conjugate_gradients, _orthonormal_span
 from .sampling import SamplingSet
 from .spectral import BandlimitedSignal, evaluate, exp_sum, exp_table
 
@@ -388,15 +388,16 @@ def reference_test_subspace(grid: UniformGrid, time_extent: float,
                             freq_extent: float) -> np.ndarray:
     """Orthonormal basis of phase-space-concentrated test signals: Gaussian
     atoms on the interior lattice 0.5 Z x 0.5 Z, without the directions whose
-    singular value is below 1e-2 of the largest.  Conditioning of the
-    frame operator is measured on this subspace, since the full grid space
-    always contains content no truncated atom family can reach."""
+    singular value is below 1e-2 of the largest (see
+    :func:`~nusample.frames._orthonormal_span`; the rank matches the SVD's
+    unless a singular value lies within about 1e-10 relative of the cutoff).
+    Conditioning of the frame operator is measured on this subspace, since
+    the full grid space always contains content no truncated atom family can
+    reach; the condition depends on the span only, not on the basis."""
     ref = phase_lattice(0.5, 0.5, time_extent, freq_extent)
     g0 = gaussian_window(step=grid.step)
     atoms = _atom_matrix(grid, g0, ref) * np.sqrt(grid.step)
-    q, svals, _ = np.linalg.svd(atoms, full_matrices=False)
-    rank = int(np.sum(svals > 1e-2 * svals[0]))
-    return q[:, :rank]
+    return _orthonormal_span(atoms, 1e-2)
 
 
 def gabor_frame_condition(grid: UniformGrid, window: WindowFunction,

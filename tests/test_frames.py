@@ -7,6 +7,7 @@ from nusample import balayage as bal
 from nusample import frames
 from nusample import geometry as geo
 from nusample import spectral as spc
+from nusample import timefreq as tfm
 from nusample.sampling import SamplingSet, generate_jittered_grid, symmetrize
 
 UNIT_BAND = geo.SpectrumSet.box([0.5])
@@ -272,6 +273,80 @@ class TestFrameBounds:
         sparse = frames.frame_bounds(
             generate_jittered_grid(2.0, 0.0, window, seed=0), grid, subspace=q)
         assert sparse.lower == 0.0
+
+
+def spanned_basis(module, build, *args, **kwargs):
+    """Run ``build`` and capture the (basis, cutoff) it hands to
+    ``_orthonormal_span`` through ``module``, with the basis it returns."""
+    seen = []
+    real = frames._orthonormal_span
+
+    def capture(basis, cutoff):
+        seen.append((basis, cutoff))
+        return real(basis, cutoff)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_orthonormal_span", capture)
+        q = build(*args, **kwargs)
+    (basis, cutoff), = seen
+    return basis, cutoff, q
+
+
+def svd_span(basis, cutoff):
+    """The thin-SVD definition: left singular vectors whose singular value
+    exceeds ``cutoff`` times the largest."""
+    u, svals, _ = np.linalg.svd(basis, full_matrices=False)
+    return u[:, :int(np.sum(svals > cutoff * svals[0]))]
+
+
+# (spectrum, nodes per axis, sampling step, window half-width, taper margin)
+TAPER_CASES = [
+    (UNIT_BAND, 64, 0.5, 30.0, 5.0),
+    (UNIT_BAND, 512, 1.0, 40.0, 10.0),
+    (UNIT_BAND, 4096, 1.0, 40.0, 10.0),
+    (geo.SpectrumSet.ball(0.5), 20, 0.7, 9.0, 3.0),
+    (geo.SpectrumSet.box([0.5, 0.5]), 24, 1.0, 10.0, 4.0),
+]
+
+
+class TestOrthonormalSpan:
+    """The Gram-eigenvector basis with one Cholesky pass against the thin
+    SVD: orthonormal to rounding, the SVD's rank and span, and the same frame
+    bounds and Gabor condition."""
+
+    @staticmethod
+    def check_against_svd(basis, cutoff, q):
+        assert q.shape[0] == basis.shape[0]
+        assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))) <= 1e-13
+        oracle = svd_span(basis, cutoff)
+        assert q.shape[1] == oracle.shape[1]
+        assert np.linalg.norm(oracle @ (oracle.conj().T @ q) - q, 2) <= 1e-8
+        return oracle
+
+    @pytest.mark.parametrize("case", TAPER_CASES)
+    def test_taper_subspace_matches_svd(self, case):
+        spec, nodes, delta, half, margin = case
+        grid = geo.build_grid(spec, nodes)
+        e_set = generate_jittered_grid(delta, 0.1 * delta, [[-half, half]] * spec.dim, seed=1)
+        basis, cutoff, q = spanned_basis(frames, frames.interior_taper_subspace,
+                                         grid, e_set.window, margin=margin)
+        assert cutoff == 1e-3
+        oracle = self.check_against_svd(basis, cutoff, q)
+        got, expect = (frames.frame_bounds(e_set, grid, subspace=s) for s in (q, oracle))
+        assert got.upper == pytest.approx(expect.upper, rel=1e-10, abs=0.0)
+        assert got.lower == pytest.approx(expect.lower, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("step", [0.1, 0.025])
+    def test_gabor_reference_subspace_matches_svd(self, step):
+        grid = tfm.UniformGrid.symmetric(8.0, step)
+        basis, cutoff, q = spanned_basis(tfm, tfm.reference_test_subspace, grid, 3.0, 1.5)
+        assert cutoff == 1e-2
+        oracle = self.check_against_svd(basis, cutoff, q)
+        g0 = tfm.gaussian_window(step=step)
+        for samples in (tfm.phase_lattice(0.5, 0.5, 5.0, 3.0),
+                        tfm.phase_lattice(0.5, 0.5, 5.0, 3.0, jitter=0.1, seed=3)):
+            got, expect = (tfm.gabor_frame_condition(grid, g0, samples, s) for s in (q, oracle))
+            assert got == pytest.approx(expect, rel=1e-10, abs=0.0)
 
 
 class TestReconstruct:

@@ -142,6 +142,69 @@ class TestPolar:
             assert np.array_equal(double.contains(pts, tol=1e-9), spec.contains(pts, tol=1e-9))
 
 
+def qhull_system(vertices):
+    """Half-space form A x <= b of a 2-d polytope from scipy's ConvexHull."""
+    eq = ConvexHull(vertices).equations
+    return eq[:, :2], -eq[:, 2]
+
+
+@st.composite
+def symmetric_polygons(draw):
+    """Vertex lists of symmetric 2-d polygons: random half vertices and
+    their negations, with some vertices repeated, or with points added on
+    hull edges (each with its negation, on the opposite edge)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = rng.normal(size=(draw(st.integers(1, 6)), 2)) * draw(st.floats(0.1, 10.0))
+    v = np.vstack([half, -half])
+    if np.linalg.matrix_rank(v, tol=1e-12) < 2:
+        v = np.vstack([v, [[0.0, 1.0], [0.0, -1.0]]])
+    extra = draw(st.sampled_from(["none", "repeated", "on-edge"]))
+    if extra == "repeated":
+        v = np.vstack([v, v[rng.integers(0, v.shape[0], 3)]])
+    elif extra == "on-edge":
+        corners = v[ConvexHull(v).vertices]   # counterclockwise
+        k = rng.integers(0, corners.shape[0], 2)
+        t = rng.uniform(0.1, 0.9, (2, 1))
+        on_edge = t * corners[k] + (1 - t) * np.roll(corners, -1, axis=0)[k]
+        v = np.vstack([v, on_edge, -on_edge])
+    return rng.permutation(v), rng
+
+
+class TestHull:
+    """The numpy hull against scipy's ConvexHull: gauge, boundary distance
+    and polar body."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(symmetric_polygons())
+    def test_matches_convex_hull(self, case):
+        v, rng = case
+        spec = geo.SpectrumSet.polytope(v)
+        a, b = qhull_system(v)
+        pts = rng.normal(size=(50, 2)) * np.max(np.abs(v))
+        gauge = np.max((pts @ a.T) / b, axis=1)
+        assert np.allclose(spec.gauge(pts), gauge, rtol=1e-12, atol=0.0)
+        for p in pts[:10] * (0.9 * rng.random((10, 1)) / gauge[:10, None]):
+            assert spec.boundary_distance(p) == pytest.approx(
+                np.min(b - a @ p), rel=1e-10, abs=1e-12 * np.max(b))
+        # the polar's gauge is the support function of the vertices
+        support = np.max(pts @ v.T, axis=1)
+        assert np.allclose(spec.polar().gauge(pts), support, rtol=1e-10, atol=0.0)
+
+    def test_normals_are_unit_and_outward(self):
+        a, b = geo.SpectrumSet.polytope(HEXAGON)._hull_system
+        assert a.shape == (6, 2)
+        assert np.allclose(np.linalg.norm(a, axis=1), 1.0, rtol=0, atol=1e-15)
+        # every vertex inside every half-plane, two vertices on each edge
+        slack = b - np.asarray(HEXAGON) @ a.T
+        assert np.all(slack >= -1e-15) and np.all(np.sum(slack <= 1e-15, axis=0) == 2)
+
+    def test_collinear_vertices_are_degenerate(self):
+        line = geo.SpectrumSet(dim=2, shape="polytope",
+                               vertices=np.array([[1.0, 2.0], [-1.0, -2.0], [0.5, 1.0]]))
+        with pytest.raises(ValueError, match="degenerate polytope"):
+            line._hull_system
+
+
 class TestScale:
     def test_box(self):
         out = geo.SpectrumSet.box([1.0, 1.0]).scaled(0.25)

@@ -14,7 +14,8 @@ paper's claims (``tests/test_acceptance.py``); a name only unit tests call is
 a test oracle and lives in the tests.  Every name a module imports is read in
 that module.  Every config field a CLI command declares is set by a shipped
 config or a test.  Importing the package loads neither ``scipy.signal`` nor
-``scipy.stats``, and importing the CLI loads no ``scipy.linalg``."""
+``scipy.stats``, and importing the CLI loads no ``scipy.linalg``.  No module
+imports ``scipy.spatial``: 2-d polytopes take their hull from numpy."""
 import ast
 import json
 import os
@@ -289,6 +290,24 @@ def test_cli_import_leaves_out_scipy_linalg():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")}).stdout
     assert loaded.strip() == "False"
+
+
+def test_polytope_hull_leaves_out_scipy_spatial():
+    # the 2-d hull is a numpy monotone chain; building and querying a polytope
+    # and its polar must not load scipy.spatial (nor, through it, scipy.sparse)
+    script = ("import sys\nfrom nusample.geometry import SpectrumSet\n"
+              "p = SpectrumSet.polytope([[0.5, 0.2], [-0.5, -0.2], [0.1, 0.55], [-0.1, -0.55]])\n"
+              "p.gauge([[0.1, 0.2]]); p.boundary_distance([0.0, 0.1]); p.polar().enlarged(0.1)\n"
+              "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse') if m in sys.modules))")
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")}).stdout
+    assert loaded.strip() == "[]"
+
+
+def test_src_imports_no_scipy_spatial():
+    for path in sorted((REPO / "src" / "nusample").glob("*.py")):
+        assert "scipy.spatial" not in path.read_text(), path.name
 
 
 # config fields no shipped config sets; each is set by a test in tests/test_cli.py

@@ -114,6 +114,87 @@ def exp_grid_cases(draw):
     return x, nodes, layout, draw(st.sampled_from([1, -1]))
 
 
+def lattice_indices_by_unique(nodes):
+    """The lattice test by its np.unique definition: per axis the step is the
+    smallest gap between the distinct coordinates, every coordinate lies
+    within 16 ulps of the axis scale of origin + index * step, and no two
+    nodes share a flat index."""
+    origin = nodes.min(axis=0)
+    steps = np.ones(nodes.shape[1])
+    idx = np.empty(nodes.shape, dtype=np.int64)
+    for a, col in enumerate(nodes.T):
+        tol = 16 * np.finfo(float).eps * np.max(np.abs(col))
+        coords = np.unique(col)
+        if coords.size > 1:
+            gap = np.min(np.diff(coords))
+            if gap <= tol:
+                return None
+            span = coords[-1] - coords[0]
+            steps[a] = span / np.rint(span / gap)
+        idx[:, a] = np.rint((col - origin[a]) / steps[a])
+        if np.max(np.abs(origin[a] + idx[:, a] * steps[a] - col)) > tol:
+            return None
+    flat = np.ravel_multi_index(idx.T, idx.max(axis=0) + 1)
+    if np.unique(flat).size != flat.size:
+        return None
+    return idx, origin, steps
+
+
+@st.composite
+def lattice_node_sets(draw):
+    """Nodes of a 1-d or 2-d box, ball or polytope grid from build_grid:
+    whole, a shuffled subset, jittered, with nodes repeated, or with a node
+    moved next to another by a few ulps of the axis scale, within the
+    lattice tolerance (4 ulps) or beyond it (64 ulps)."""
+    dim = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["box", "ball", "polytope"]))
+    size = draw(st.floats(0.2, 2.0))
+    if kind == "box":
+        spec = geo.SpectrumSet.box([size, draw(st.floats(0.5, 2.0)) * size][:dim])
+    elif kind == "ball":
+        spec = geo.SpectrumSet.ball(size, dim)
+    elif dim == 1:
+        spec = geo.SpectrumSet.polytope([[size], [-size]])
+    else:
+        spec = geo.SpectrumSet.polytope([[size, 0.2 * size], [-size, -0.2 * size],
+                                         [0.3 * size, size], [-0.3 * size, -size]])
+    nodes = geo.build_grid(spec, draw(st.integers(2, 30 if dim == 2 else 600))).nodes
+    layout = draw(st.sampled_from(["grid", "shuffled", "jittered", "repeated",
+                                   "near-4", "near-64"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "shuffled":   # a nonempty subset in random order
+        nodes = nodes[rng.permutation(nodes.shape[0])[:rng.integers(1, nodes.shape[0] + 1)]]
+    elif layout == "jittered":
+        nodes = nodes + rng.uniform(-0.2, 0.2, nodes.shape) * np.ptp(nodes, axis=0) / 30
+    elif layout == "repeated":
+        nodes = rng.permutation(np.vstack([nodes, nodes[rng.integers(0, nodes.shape[0], 3)]]))
+    elif layout.startswith("near"):
+        ulps = int(layout.split("-")[1])
+        near = nodes[rng.integers(0, nodes.shape[0])].copy()
+        axis = rng.integers(0, dim)
+        near[axis] += ulps * np.finfo(float).eps * np.max(np.abs(nodes[:, axis]))
+        nodes = np.vstack([nodes, near])
+    return nodes, layout
+
+
+class TestLatticeIndices:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(lattice_node_sets())
+    def test_matches_unique_definition(self, case):
+        nodes, layout = case
+        got, expect = spc._lattice_indices(nodes), lattice_indices_by_unique(nodes)
+        # a subset can miss the step: gaps of 2 and 3 steps give 5 / rint(5 / 2) = 2.5
+        if layout == "grid":
+            assert expect is not None
+        if layout in ("repeated", "near-4"):
+            assert expect is None
+        if expect is None:
+            assert got is None
+        else:
+            for g, e in zip(got, expect):
+                assert np.array_equal(g, e)
+
+
 class TestExpTable:
     # every entry has modulus 1, so the bounds below are relative
 
