@@ -10,12 +10,7 @@ least-squares problem solved by iteratively reweighted least squares; it
 succeeds only when the sup-norm residual over the grid meets the requested
 tolerance, which is the empirical stand-in for "balayage is possible at this
 density".  The maximal l1 coefficient mass over a sample of centers estimates
-the balayage constant of the pair (E, enlarged spectrum).  At the l1 weight
-1e-8 used by the CLI's ``identity`` and ``psido`` and by the one-shot helpers,
-the reweighted result fails the feasibility check at every center of the
-shipped configs, so there the masses, the constant and the ``psido`` lower
-constant built from it are those of the truncated-SVD least-squares start,
-not l1-minimal ones.
+the balayage constant of the pair (E, enlarged spectrum).
 
 The window h that glues the swept coefficients into a pointwise identity has
 h(0) = 1 and a transform supported exactly in the closed eps-ball.  It is
@@ -35,7 +30,6 @@ from .sampling import SamplingSet
 from .spectral import TrigPolynomial, eval_trigpoly, exp_sum, exp_table
 
 _SVD_CUTOFF = 1e-10   # relative singular-value cutoff of the least-squares start
-_HELPER_REG = 1e-8    # l1 weight of the solvers the one-shot helpers build
 # Panel width of the per-step triangular-pentagonal QR.  scipy's LAPACK links
 # its own OpenBLAS beside numpy's.  At wider panels its block updates thread,
 # and with 2 OpenBLAS threads the two pools then contend for the cores: on a
@@ -174,19 +168,13 @@ class BalayageSolution:
 
 @dataclass(frozen=True, eq=False)
 class RhsFit:
-    """Result of :meth:`BalayageSolver.solve_rhs` with its IRLS counters.
-
-    Unpacks as ``coeffs, residual``.
-    """
+    """Result of :meth:`BalayageSolver.solve_rhs` with its IRLS counters."""
 
     coeffs: np.ndarray
     residual: float
     iterations: int
     converged: bool
     reweighted: bool
-
-    def __iter__(self):
-        return iter((self.coeffs, self.residual))
 
 
 class BalayageSolver:
@@ -344,13 +332,11 @@ def balayage_constant(sampling_set: SamplingSet, grid: SpectralGrid, ysample,
                       solver: BalayageSolver | None = None) -> BalayageConstant:
     """Estimate the balayage constant as the max l1 mass over sampled centers.
 
-    Without a ``solver`` one is built with l1 weight 1e-8.
-
     Any infeasible center propagates as :class:`BalayageInfeasibleError` with
     the offending y attached.
     """
     if solver is None:
-        solver = BalayageSolver(sampling_set, grid, eta=eta, reg=_HELPER_REG)
+        solver = BalayageSolver(sampling_set, grid, eta=eta)
     sols = solver.solve_many(ysample)
     masses = np.array([s.l1_mass for s in sols])
     k = int(np.argmax(masses))
@@ -373,10 +359,10 @@ def fundamental_identity_residual(poly: TrigPolynomial, sampling_set: SamplingSe
     must have been built with the same enlargement radius used by the grid;
     under those hypotheses the identity holds up to the fit residual times the
     polynomial's coefficient mass.  Returns 0 for the zero polynomial.
-    Without a ``solver`` one is built with eta 1e-6 and l1 weight 1e-8.
+    Without a ``solver`` one is built with eta 1e-6.
     """
     if solver is None:
-        solver = BalayageSolver(sampling_set, grid, reg=_HELPER_REG)
+        solver = BalayageSolver(sampling_set, grid)
     ys = as_points(ysample, sampling_set.dim)
     f_at_y = np.atleast_1d(eval_trigpoly(poly, ys))
     scale = float(np.max(np.abs(f_at_y)))
@@ -407,12 +393,12 @@ def lp_balayage_bound(sampling_set: SamplingSet, grid: SpectralGrid, window: Ing
     quadrature over the test function's grid, sweeping every quadrature node
     (solutions are memoized in the solver).  Returns the ratio of the sampled
     p-energy to the function's own p-norm, for empirical boundedness checks.
-    Without a ``solver`` one is built with eta 1e-6 and l1 weight 1e-8.
+    Without a ``solver`` one is built with eta 1e-6.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
     if solver is None:
-        solver = BalayageSolver(sampling_set, grid, reg=_HELPER_REG)
+        solver = BalayageSolver(sampling_set, grid)
     ys = as_points(k_nodes, sampling_set.dim)
     wts = np.asarray(k_weights, dtype=float)
     kv = np.asarray(k_values, dtype=complex)

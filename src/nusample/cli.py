@@ -60,6 +60,11 @@ def _config_hash(cfg: dict) -> str:
 # -- declared fields --------------------------------------------------------------
 
 REQUIRED = object()   # a field with no default
+NUMBER = object()     # a number field with no default
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -81,9 +86,11 @@ class Section:
     """A JSON object with declared fields: a command's config, or a field
     holding objects of its own.
 
-    ``fields`` maps each name to its default, to REQUIRED, to a Count or to a
-    Section.  With ``by_kind`` it maps each value of the object's ``kind``
-    field to such a map instead, the first kind being the default.  A ``many``
+    ``fields`` maps each name to its default, to REQUIRED, to NUMBER, to a
+    Count or to a Section.  A field whose default is a number, and a NUMBER
+    field, takes only a number; a string or a bool there is a config error.
+    With ``by_kind`` it maps each value of the object's ``kind`` field to such
+    a map instead, the first kind being the default.  A ``many``
     section holds a list of objects; an ``optional`` one may be left out and
     then reads None.
     """
@@ -118,8 +125,13 @@ class Section:
             if isinstance(decl, Count):
                 out[name] = decl.resolve(data.get(name, decl.default), name)
             elif name in data:
-                out[name] = decl.resolve(data[name], name) if section else data[name]
-            elif decl is REQUIRED or (section and not decl.optional):
+                value = data[name]
+                if section:
+                    value = decl.resolve(value, name)
+                elif (decl is NUMBER or _is_number(decl)) and not _is_number(value):
+                    raise ConfigError(f"{name} must be a number, got {value!r}")
+                out[name] = value
+            elif decl is REQUIRED or decl is NUMBER or (section and not decl.optional):
                 raise KeyError(name)
             else:
                 out[name] = None if section else decl
@@ -128,7 +140,7 @@ class Section:
 
 SAMPLING = Section({
     "points": {"dim": REQUIRED, "points": REQUIRED, "window": REQUIRED},
-    "jittered": {"delta": REQUIRED, "window": REQUIRED, "jitter": 0.0, "seed": 0},
+    "jittered": {"delta": NUMBER, "window": REQUIRED, "jitter": 0.0, "seed": 0},
     "csv": {"path": REQUIRED},   # the window is the bounding box of the points
 }, by_kind=True)
 
@@ -199,8 +211,8 @@ def _balayage_meta(sols) -> dict:
                          "reweighted": sum(s.reweighted for s in sols)}}
 
 
-@command("covering", spectrum=REQUIRED, sampling=SAMPLING, rho=REQUIRED, region=REQUIRED,
-         resolution=REQUIRED, grid_nodes=64, subspace_margin=5.0)
+@command("covering", spectrum=REQUIRED, sampling=SAMPLING, rho=NUMBER, region=REQUIRED,
+         resolution=NUMBER, grid_nodes=64, subspace_margin=5.0)
 def cmd_covering(cfg: dict) -> Outcome:
     spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
     e_set = _sampling_set(cfg["sampling"])
@@ -272,7 +284,7 @@ def cmd_identity(cfg: dict) -> Outcome:
     window = bal.ingham_window(eps, dim=spectrum.dim)
     rng = np.random.default_rng(cfg["seed"])
     ys = rng.uniform(-cfg["y_half"], cfg["y_half"], size=(cfg["n_y"], spectrum.dim))
-    solver = bal.BalayageSolver(e_set, grid, eta=cfg["eta"], reg=bal._HELPER_REG)
+    solver = bal.BalayageSolver(e_set, grid, eta=cfg["eta"])
     residuals = []
     for t in range(cfg["trials"]):
         poly = spectral.random_trig_polynomial(spectrum, cfg["poly_terms"], cfg["seed"] + 100 + t)
@@ -339,7 +351,7 @@ def cmd_gabor(cfg: dict) -> Outcome:
 
 
 @command("psido", spectrum=REQUIRED, sampling=SAMPLING,
-         terms=Section({"lambda": REQUIRED, "eps": REQUIRED, "b_width": 0.5, "b_half": 1.0,
+         terms=Section({"lambda": NUMBER, "eps": NUMBER, "b_width": 0.5, "b_half": 1.0,
                         "order": 8, "amplitude": 1.0}, many=True),
          seed=0, n_k=Count(25), eta=1e-5, trials=Count(10))
 def cmd_psido(cfg: dict) -> Outcome:
@@ -360,7 +372,7 @@ def cmd_psido(cfg: dict) -> Outcome:
     egrid = geometry.build_grid(geometry.enlarge(spectrum, eps), 384)
     window = bal.ingham_window(eps, dim=1)
     ys = np.random.default_rng(cfg["seed"]).uniform(-10.0, 10.0, size=(cfg["n_k"], 1))
-    solver = bal.BalayageSolver(e_set, egrid, eta=cfg["eta"], reg=bal._HELPER_REG)
+    solver = bal.BalayageSolver(e_set, egrid, eta=cfg["eta"])
     k_hat = bal.balayage_constant(e_set, egrid, ys, solver=solver)
     lower_const = 1.0 / (k_hat.value * window.l2_norm) ** 2
     bessel = frames.frame_bounds(e_set, geometry.build_grid(spectrum, 256)).upper

@@ -28,7 +28,11 @@ def test_shipped_configs_pass(tmp_path, command, config):
     assert run(command, CONFIG_DIR / config, out) == 0
     report = json.loads((out / "report.json").read_text())
     assert "config_hash" in report
-    assert (out / "meta.json").exists()
+    meta = json.loads((out / "meta.json").read_text())
+    if command in ("identity", "psido"):
+        # every IRLS result passes the feasibility check, so the reported
+        # masses are the reweighted ones, not the least-squares start
+        assert meta["balayage"]["reweighted"] == meta["balayage"]["centers"] == 25
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -99,15 +103,16 @@ def test_missing_points_file_exits_2(tmp_path):
     (lambda cfg: cfg["sampling"].update(jitter=0.6), "jitter"),
     (lambda cfg: cfg.update(resolution=-0.05), "resolution must be positive"),
     (lambda cfg: cfg.update(region=[[-10.0, 10.0], [-10.0, 10.0]]), "region dimension"),
-    (lambda cfg: cfg.update(resolution="abc"), "not supported between instances of 'str'"),
+    (lambda cfg: cfg.update(resolution="abc"), "resolution must be a number, got 'abc'"),
+    (lambda cfg: cfg.update(rho=True), "rho must be a number, got True"),
     (lambda cfg: cfg.update(sampling=EMPTY_POINTS), "empty sampling set"),
     (lambda cfg: cfg["sampling"].update(kind="grid"), "unknown sampling kind 'grid'"),
     (lambda cfg: cfg.update(region=[[10.0, -10.0]]), "region axis 0 has bounds [10.0, -10.0]"),
     (lambda cfg: cfg.update(resolution=float("nan")), "resolution must be positive and finite, got nan"),
     (lambda cfg: cfg.update(resolution=float("inf")), "resolution must be positive and finite, got inf"),
 ], ids=["jitter-above-half-delta", "negative-resolution", "region-dim-mismatch",
-        "string-resolution", "empty-points", "unknown-sampling-kind", "reversed-region",
-        "nan-resolution", "infinite-resolution"])
+        "string-resolution", "boolean-rho", "empty-points", "unknown-sampling-kind",
+        "reversed-region", "nan-resolution", "infinite-resolution"])
 def test_bad_config_value_exits_2(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIG_DIR / "covering.json").read_text())
     edit(cfg)
@@ -140,6 +145,27 @@ def test_bad_count_exits_2(tmp_path, capsys, command, config, name, value):
     assert run(command, bad, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err == f"config error: {name} must be an integer >= 1, got {value!r}\n"
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command,config,place,name,value", [
+    ("gabor", "gabor.json", "top", "step", True),
+    ("identity", "identity.json", "top", "eta", "1e-5"),
+    ("identity", "identity.json", "sampling", "delta", False),
+    ("psido", "psido.json", "terms", "lambda", "0.1"),
+    ("psido", "psido.json", "terms", "eps", True),
+], ids=["gabor-boolean-step", "identity-string-eta", "identity-boolean-delta",
+        "psido-string-lambda", "psido-boolean-eps"])
+def test_non_number_exits_2(tmp_path, capsys, command, config, place, name, value):
+    # a bool would otherwise run as 0 or 1, and a string fail deep in the numerics
+    cfg = json.loads((CONFIG_DIR / config).read_text())
+    target = cfg if place == "top" else cfg["terms"][0] if place == "terms" else cfg[place]
+    target[name] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert run(command, bad, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {name} must be a number, got {value!r}\n"
     assert not (tmp_path / "out" / "report.json").exists()
 
 
