@@ -1,7 +1,7 @@
 """Balayage coefficient systems and compact-spectrum windows.
 
 Sweeping a point mass at y onto a sampling set E, relative to a spectrum, is
-realized here as a finite fit: find coefficients a_x with
+realized here as a finite fit: find real coefficients a_x with
 
     sum_{x in E} a_x exp(-2 pi i x . g)  ~  exp(-2 pi i y . g)
 
@@ -33,8 +33,8 @@ _SVD_CUTOFF = 1e-10   # relative singular-value cutoff of the least-squares star
 # Panel width of the per-step triangular-pentagonal QR.  scipy's LAPACK links
 # its own OpenBLAS beside numpy's.  At wider panels its block updates thread,
 # and with 2 OpenBLAS threads the two pools then contend for the cores: on a
-# 2-core host a sweep benchmark op took 114-130 ms at width 7 or 8, against
-# 28-37 ms at width 4 (23-34 ms with 1 thread, where widths 3-8 are alike).
+# 2-core host a sweep benchmark op took 33-39 ms at width 10 or 12 and 59 ms
+# at 16, against 27-30 ms at width 4 or 8 (23-25 ms with 1 thread at 4-8).
 _TPQRT_NB = 4
 
 
@@ -180,10 +180,10 @@ class RhsFit:
 class BalayageSolver:
     """Shared machinery for repeated sweeps of different centers onto one set.
 
-    Precomputes the exponential system on the grid, one thin SVD
-    U diag(s) V^H of its square-root-weighted form, which gives the truncated
-    pseudo-inverse of the least-squares start, and one QR factorization
-    diag(s) V^H = Q R, whose triangle R every reweighted step starts from;
+    Precomputes one thin SVD U diag(s) V^T of the stacked real form [Re; Im]
+    of the square-root-weighted exponential system, which gives the truncated
+    pseudo-inverse of the real least-squares start, and one QR factorization
+    diag(s) V^T = Q R, whose triangle R every reweighted step starts from;
     memoizes solutions per center.  Individual solves are deterministic and
     independent of one another: each only reads the precomputed factors.
     """
@@ -202,22 +202,24 @@ class BalayageSolver:
         # imported here, not with the module: the five CLI commands that
         # never solve a balayage system then load no scipy.linalg
         from scipy.linalg import lapack
-        self._tpqrt, self._trtrs = lapack.ztpqrt, lapack.ztrtrs
+        self._tpqrt, self._trtrs = lapack.dtpqrt, lapack.dtrtrs
         self._phi = exp_table(sampling_set.points, grid.nodes, sign=-1).T   # (nodes, points)
         self._sqw = np.sqrt(grid.weights)
-        # thin SVD U diag(s) V^H of the weighted system: reweighted steps solve
-        # on diag(s) V^H and never square the condition number through the
-        # Gram matrix; the truncated pseudo-inverse is shared across solves
-        u, s, vh = np.linalg.svd(self._sqw[:, None] * self._phi, full_matrices=False)
+        # thin SVD of the stacked weighted system: reweighted steps solve on
+        # diag(s) V^T and never square the condition number through the Gram
+        # matrix; the truncated pseudo-inverse is shared across solves
+        weighted = self._sqw[:, None] * self._phi
+        stacked = np.concatenate([weighted.real, weighted.imag])   # (2 nodes, points)
+        u, s, vt = np.linalg.svd(stacked, full_matrices=False)
         keep = s > _SVD_CUTOFF * s[0]
-        self._pinv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
-        # diag(s) V^H = Q R, once: the top (n+1) x (n+1) block of each step's
-        # [R, Q^H U^H sqrt(w) b; 0, 0] is upper triangular, with zero rows
-        # below row k when there are fewer grid nodes k than points n
-        q, r = np.linalg.qr(s[:, None] * vh)
+        self._pinv = (vt[keep].T / s[keep]) @ u[:, keep].T
+        # diag(s) V^T = Q R, once: the top (n+1) x (n+1) block of each step's
+        # [R, Q^T U^T c; 0, 0] is upper triangular, with zero rows below row
+        # k when the stacked system has fewer rows k than points n
+        q, r = np.linalg.qr(s[:, None] * vt)
         k, n = r.shape
-        self._rot = q.conj().T @ u.conj().T     # (k, nodes): Q^H U^H
-        self._top = np.zeros((n + 1, n + 1), dtype=complex, order="F")
+        self._rot = q.T @ u.T     # (k, 2 nodes): Q^T U^T
+        self._top = np.zeros((n + 1, n + 1), order="F")
         self._top[:k, :n] = r
         self._cache: dict[bytes, BalayageSolution] = {}
 
@@ -225,30 +227,35 @@ class BalayageSolver:
         return exp_table(y, self.grid.nodes, sign=-1)[0]
 
     def solve_rhs(self, b: np.ndarray) -> RhsFit:
-        """l1-regularized weighted least squares against an arbitrary target.
+        """Real l1-regularized weighted least squares against any target.
 
         Starts from the truncated-SVD least-squares solution of the weighted
         exponential system (relative singular-value cutoff 1e-10) and, when
         the l1 weight is positive, polishes it by iteratively reweighted
         least squares towards a stationary point of
 
-            || sqrt(w) (Phi a - b) ||^2 + reg * sum |a_x| .
+            || sqrt(w) (Phi a - b) ||^2 + reg * sum |a_x| ,   a real.
 
-        With sqrt(w) Phi = U diag(s) V^H the precomputed thin SVD and
-        diag(s) V^H = Q R its precomputed QR, each reweighted step solves
-        the least-squares problem
+        With c = [Re; Im] of sqrt(w) b, [Re; Im] of sqrt(w) Phi = U diag(s) V^T
+        the precomputed thin SVD and diag(s) V^T = Q R its precomputed QR,
+        each reweighted step solves the least-squares problem
 
-            [R; D] a ~ [Q^H U^H sqrt(w) b; 0],   D = diag(sqrt(reg / (2 m_x)))
+            [R; D] a ~ [Q^T U^T c; 0],   D = diag(sqrt(reg / (2 m_x)))
 
         by an orthogonal factorization, never through the normal equations;
         m_x is |a_x| of the previous iterate, floored at 1e-6 max |a|.  The
-        right-hand side is rotated once per call, and a step factors only the
-        upper-triangular block over the diagonal one, with LAPACK's
-        triangular-pentagonal QR, then back-substitutes.  Iteration stops
-        once the relative step falls to 1e-11; when that does not happen
-        within ``max_irls`` steps, the last iterate is taken as the
+        right-hand side is stacked and rotated once per call, and a step
+        factors only the upper-triangular block over the diagonal one, with
+        LAPACK's triangular-pentagonal QR, then back-substitutes.  Iteration
+        stops once the relative step falls to 1e-11; when that does not
+        happen within ``max_irls`` steps, the last iterate is taken as the
         reweighted result.  Either way that result replaces the start only
         while its residual stays within max(eta, start residual).
+
+        For a target with b(-g) = conj(b(g)) on a mirror-symmetric grid, as
+        every point mass is on a :func:`build_grid` grid of an origin-symmetric
+        spectrum, the real optimum is the complex one.  The residual is taken
+        on the complex system, so any other target's is still the true one.
 
         Returns the coefficients and their sup-norm residual over the grid
         nodes, with the number of IRLS steps run, whether the step rule was
@@ -256,23 +263,25 @@ class BalayageSolver:
         reweighted result was kept.  Raises ``numpy.linalg.LinAlgError`` when
         a step's triangle has a zero pivot.
         """
-        a0 = self._pinv @ (self._sqw * b)
+        wb = self._sqw * b
+        c = np.concatenate([wb.real, wb.imag])   # the stacked real right-hand side
+        a0 = self._pinv @ c
         r0 = float(np.max(np.abs(self._phi @ a0 - b)))
         if self.reg <= 0:
             return RhsFit(a0, r0, iterations=0, converged=True, reweighted=False)
         a = a0
         n = self._top.shape[1] - 1
-        # [R, Q^H U^H sqrt(w) b; 0, 0] over [D, 0]: the last column of the
-        # factored triangle carries the orthogonally transformed right-hand side
+        # [R, Q^T U^T c; 0, 0] over [D, 0]: the last column of the factored
+        # triangle carries the orthogonally transformed right-hand side
         top = self._top.copy(order="F")
-        top[:self._rot.shape[0], n] = self._rot @ (self._sqw * b)
-        bottom = np.zeros((n, n + 1), dtype=complex, order="F")
+        top[:self._rot.shape[0], n] = self._rot @ c
+        bottom = np.zeros((n, n + 1), order="F")
         iterations, converged = 0, False
         while iterations < self.max_irls and not converged:
             maj = np.maximum(np.abs(a), 1e-6 * max(np.max(np.abs(a)), 1e-300))
             np.fill_diagonal(bottom, np.sqrt(0.5 * self.reg / maj))
             tri, _, _, info = self._tpqrt(n, _TPQRT_NB, top, bottom)
-            if info == 0:   # ztpqrt fails only on an illegal argument
+            if info == 0:   # dtpqrt fails only on an illegal argument
                 a_new, info = self._trtrs(tri[:n, :n], tri[:n, n])
             if info > 0:
                 raise np.linalg.LinAlgError(
@@ -299,7 +308,7 @@ class BalayageSolver:
         match = np.all(self.sampling_set.points == yv, axis=1)
         if match.any():
             # a point mass already supported on E is its own sweep
-            coeffs = np.zeros(self.sampling_set.size, dtype=complex)
+            coeffs = np.zeros(self.sampling_set.size)
             coeffs[int(np.argmax(match))] = 1.0
             sol = BalayageSolution(y=yv, sampling_set=self.sampling_set, coeffs=coeffs,
                                    fit_residual=0.0, l1_mass=1.0, iterations=0,

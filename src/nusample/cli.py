@@ -61,10 +61,15 @@ def _config_hash(cfg: dict) -> str:
 
 REQUIRED = object()   # a field with no default
 NUMBER = object()     # a number field with no default
+INTEGER = object()    # an integer field with no default
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -86,9 +91,11 @@ class Section:
     """A JSON object with declared fields: a command's config, or a field
     holding objects of its own.
 
-    ``fields`` maps each name to its default, to REQUIRED, to NUMBER, to a
-    Count or to a Section.  A field whose default is a number, and a NUMBER
-    field, takes only a number; a string or a bool there is a config error.
+    ``fields`` maps each name to its default, to REQUIRED, to NUMBER, to
+    INTEGER, to a Count or to a Section.  A field whose default is an int,
+    and an INTEGER field, takes only an integer; one whose default is any
+    other number, and a NUMBER field, takes only a number.  A string or a
+    bool there, or a float in an integer field, is a config error.
     With ``by_kind`` it maps each value of the object's ``kind`` field to such
     a map instead, the first kind being the default.  A ``many``
     section holds a list of objects; an ``optional`` one may be left out and
@@ -128,10 +135,12 @@ class Section:
                 value = data[name]
                 if section:
                     value = decl.resolve(value, name)
+                elif (decl is INTEGER or _is_integer(decl)) and not _is_integer(value):
+                    raise ConfigError(f"{name} must be an integer, got {value!r}")
                 elif (decl is NUMBER or _is_number(decl)) and not _is_number(value):
                     raise ConfigError(f"{name} must be a number, got {value!r}")
                 out[name] = value
-            elif decl is REQUIRED or decl is NUMBER or (section and not decl.optional):
+            elif decl in (REQUIRED, NUMBER, INTEGER) or (section and not decl.optional):
                 raise KeyError(name)
             else:
                 out[name] = None if section else decl
@@ -139,7 +148,7 @@ class Section:
 
 
 SAMPLING = Section({
-    "points": {"dim": REQUIRED, "points": REQUIRED, "window": REQUIRED},
+    "points": {"dim": INTEGER, "points": REQUIRED, "window": REQUIRED},
     "jittered": {"delta": NUMBER, "window": REQUIRED, "jitter": 0.0, "seed": 0},
     "csv": {"path": REQUIRED},   # the window is the bounding box of the points
 }, by_kind=True)

@@ -60,17 +60,35 @@ def _exp_factors(x: np.ndarray, origin: float, step: float, n: int):
     return a, b
 
 
+def _gcd_step(gaps: np.ndarray, tol: float) -> float:
+    """The greatest common divisor of positive gaps, each within ``tol`` of
+    its true value, by Euclid's algorithm: a gap counts as a multiple of the
+    step when its remainder lies within the rounding carried through the
+    quotients.  Starts from the smallest gap, so on a full lattice axis the
+    step is that gap."""
+    step, err = gaps.min(), tol
+    while True:
+        q = np.rint(gaps / step)
+        rem = np.abs(gaps - q * step)
+        off = np.flatnonzero(rem > tol + q * err)
+        if not off.size:
+            return step
+        # gcd(step, gap) = gcd(step, remainder), and the remainder is at most step / 2
+        step, err = rem[off[0]], tol + q[off[0]] * err
+
+
 def _lattice_indices(nodes: np.ndarray):
     """Integer lattice coordinates of the nodes, or None off a lattice.
 
     The nodes lie on a regular lattice when along every axis each coordinate
     equals origin + index * step to within a few ulps of the axis scale, with
-    origin the smallest coordinate and step the smallest gap between distinct
-    coordinates, and no two nodes share an index.  Returns (indices, origin,
-    steps) with nonnegative integer indices of shape (nodes, dim).  Gaps and
-    shared indices are found by sorting and comparing neighbours, so no table
-    over the lattice box is made: a sparse subset makes the box arbitrarily
-    larger than the node count.
+    origin the smallest coordinate and step the greatest common divisor of
+    the gaps between distinct coordinates (:func:`_gcd_step`), and no two
+    nodes share an index.  Returns (indices, origin, steps) with nonnegative
+    integer indices of shape (nodes, dim).  Gaps and shared indices are found
+    by sorting and comparing neighbours, so no table over the lattice box is
+    made: a sparse subset makes the box arbitrarily larger than the node
+    count.
     """
     origin = nodes.min(axis=0)
     steps = np.ones(nodes.shape[1])
@@ -81,7 +99,7 @@ def _lattice_indices(nodes: np.ndarray):
         gaps = np.diff(coords)
         gaps = gaps[gaps > 0]
         if gaps.size:
-            gap = gaps.min()
+            gap = _gcd_step(gaps, 2 * tol)
             if gap <= tol:
                 return None
             span = coords[-1] - coords[0]
@@ -89,8 +107,10 @@ def _lattice_indices(nodes: np.ndarray):
         idx[:, a] = np.rint((col - origin[a]) / steps[a])
         if np.max(np.abs(origin[a] + idx[:, a] * steps[a] - col)) > tol:
             return None
-    flat = np.sort(np.ravel_multi_index(idx.T, idx.max(axis=0) + 1))
-    if np.any(flat[1:] == flat[:-1]):
+    # rows in lexicographic order, not flat indices, which overflow on a box
+    # of more than 2**63 cells
+    rows = idx[np.lexsort(idx.T)]
+    if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
         return None
     return idx, origin, steps
 

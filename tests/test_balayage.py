@@ -170,20 +170,14 @@ class TestSolve:
         assert sol.converged and sol.iterations < 200
 
 
-def dense_qr_fit(solver, b):
-    """``solve_rhs`` with each IRLS step a dense QR of the whole stack
-    [diag(s) V^H, U^H sqrt(w) b; D, 0]: the oracle of the factored step."""
-    a0 = solver._pinv @ (solver._sqw * b)
-    r0 = float(np.max(np.abs(solver._phi @ a0 - b)))
-    u, s, vh = np.linalg.svd(solver._sqw[:, None] * solver._phi, full_matrices=False)
-    k, n = vh.shape
-    stack = np.zeros((k + n, n + 1), dtype=complex)
-    stack[:k, :n] = s[:, None] * vh
-    stack[:k, n] = u.conj().T @ (solver._sqw * b)
+def irls_fit(solver, stack, rows, a0, r0, b):
+    """The IRLS loop of ``solve_rhs`` with each step a dense QR of the whole
+    ``stack`` [diag(s) V^H, U^H c; D, 0], D filling the rows below ``rows``."""
+    n = stack.shape[1] - 1
     a, iterations, converged = a0, 0, False
     while iterations < solver.max_irls and not converged:
         maj = np.maximum(np.abs(a), 1e-6 * max(np.max(np.abs(a)), 1e-300))
-        np.fill_diagonal(stack[k:, :n], np.sqrt(0.5 * solver.reg / maj))
+        np.fill_diagonal(stack[rows:, :n], np.sqrt(0.5 * solver.reg / maj))
         r = np.linalg.qr(stack, mode="r")
         a_new = solve_triangular(r[:n, :n], r[:n, n])
         converged = bool(np.max(np.abs(a_new - a))
@@ -194,6 +188,57 @@ def dense_qr_fit(solver, b):
     if r1 <= max(solver.eta, r0):
         return bal.RhsFit(a, r1, iterations, converged, reweighted=True)
     return bal.RhsFit(a0, r0, iterations, converged, reweighted=False)
+
+
+def dense_qr_fit(solver, b):
+    """``solve_rhs`` on the stacked real system, c = [Re; Im] of sqrt(w) b,
+    with each IRLS step a dense QR of [diag(s) V^T, U^T c; D, 0]: the oracle
+    of the factored step."""
+    weighted = solver._sqw[:, None] * solver._phi
+    c = np.concatenate([(solver._sqw * b).real, (solver._sqw * b).imag])
+    a0 = solver._pinv @ c
+    r0 = float(np.max(np.abs(solver._phi @ a0 - b)))
+    u, s, vt = np.linalg.svd(np.concatenate([weighted.real, weighted.imag]),
+                             full_matrices=False)
+    k, n = vt.shape
+    stack = np.zeros((k + n, n + 1))
+    stack[:k, :n] = s[:, None] * vt
+    stack[:k, n] = u.T @ c
+    return irls_fit(solver, stack, k, a0, r0, b)
+
+
+def complex_qr_fit(solver, b):
+    """The fit over complex coefficients, from its own complex SVD of
+    sqrt(w) Phi: truncated-SVD start, then IRLS steps that each take a dense
+    QR of [diag(s) V^H, U^H sqrt(w) b; D, 0].  An independent reference for
+    the real solver."""
+    u, s, vh = np.linalg.svd(solver._sqw[:, None] * solver._phi, full_matrices=False)
+    keep = s > 1e-10 * s[0]
+    a0 = (vh[keep].conj().T / s[keep]) @ (u[:, keep].conj().T @ (solver._sqw * b))
+    r0 = float(np.max(np.abs(solver._phi @ a0 - b)))
+    k, n = vh.shape
+    stack = np.zeros((k + n, n + 1), dtype=complex)
+    stack[:k, :n] = s[:, None] * vh
+    stack[:k, n] = u.conj().T @ (solver._sqw * b)
+    return irls_fit(solver, stack, k, a0, r0, b)
+
+
+def dense_qr_cases():
+    """Solvers and centers of the factored-step checks: the 768 stacked rows
+    of 384 grid nodes exceed the 81 points; at 32 nodes (64 rows) R is upper
+    trapezoidal."""
+    for reg in (1e-12, 1e-8):
+        for seed in range(4):
+            for nodes in (384, 32):
+                yield pytest.param(nodes, seed, reg, id=f"{reg:g}-{seed}-{nodes}")
+
+
+def dense_qr_solver(nodes, seed, reg):
+    grid = geo.build_grid(geo.enlarge(QUARTER_BAND, EPS), nodes)
+    e_set = generate_jittered_grid(0.5, 0.15, [[-20.0, 20.0]], seed=seed)
+    solver = bal.BalayageSolver(e_set, grid, eta=1e-5, reg=reg)
+    assert (2 * grid.size < e_set.size) == (nodes == 32)
+    return solver, np.random.default_rng(seed).uniform(-10, 10, 3)
 
 
 class TestFactoredStep:
@@ -208,17 +253,28 @@ class TestFactoredStep:
             (ref.iterations, ref.converged, ref.reweighted)
         return fit
 
-    # 384 grid nodes exceed the 81 points; at 32 nodes R is upper trapezoidal
-    @pytest.mark.parametrize("nodes", [384, 32])
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("reg", [1e-12, 1e-8])
+    @pytest.mark.parametrize("nodes,seed,reg", dense_qr_cases())
     def test_matches_dense_qr(self, nodes, seed, reg):
-        grid = geo.build_grid(geo.enlarge(QUARTER_BAND, EPS), nodes)
-        e_set = generate_jittered_grid(0.5, 0.15, [[-20.0, 20.0]], seed=seed)
-        solver = bal.BalayageSolver(e_set, grid, eta=1e-5, reg=reg)
-        assert (grid.size < e_set.size) == (nodes == 32)
-        for y in np.random.default_rng(seed).uniform(-10, 10, 3):
+        solver, ys = dense_qr_solver(nodes, seed, reg)
+        for y in ys:
             self.assert_matches_oracle(solver, y)
+
+    @pytest.mark.parametrize("nodes,seed,reg", dense_qr_cases())
+    def test_real_fit_matches_complex_fit(self, nodes, seed, reg):
+        # every point-mass target is conjugate-symmetric on the mirror-symmetric
+        # grid, so the best real coefficients are the best complex ones
+        solver, ys = dense_qr_solver(nodes, seed, reg)
+        for y in ys:
+            b = solver._target(np.array([y]))
+            fit, ref = solver.solve_rhs(b), complex_qr_fit(solver, b)
+            assert fit.coeffs.dtype == np.float64
+            mass, ref_mass = np.sum(np.abs(fit.coeffs)), np.sum(np.abs(ref.coeffs))
+            assert abs(mass - ref_mass) <= 1e-6 * ref_mass
+            assert (fit.iterations, fit.converged, fit.reweighted) == \
+                (ref.iterations, ref.converged, ref.reweighted)
+            # i b is conjugate-antisymmetric: no real coefficients fit it, and
+            # the residual, measured on the complex system, says so
+            assert solver.solve_rhs(1j * b).residual > solver.eta
 
     def test_matches_dense_qr_through_convergence(self, enlarged_grid):
         e_set = generate_jittered_grid(0.5, 0.15, [[-20.0, 20.0]], seed=0)

@@ -110,9 +110,14 @@ def test_missing_points_file_exits_2(tmp_path):
     (lambda cfg: cfg.update(region=[[10.0, -10.0]]), "region axis 0 has bounds [10.0, -10.0]"),
     (lambda cfg: cfg.update(resolution=float("nan")), "resolution must be positive and finite, got nan"),
     (lambda cfg: cfg.update(resolution=float("inf")), "resolution must be positive and finite, got inf"),
+    (lambda cfg: cfg.update(grid_nodes=64.5), "grid_nodes must be an integer, got 64.5"),
+    (lambda cfg: cfg["sampling"].update(seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda cfg: cfg.update(sampling={**EMPTY_POINTS, "dim": True, "points": [[0.0], [1.0]]}),
+     "dim must be an integer, got True"),
 ], ids=["jitter-above-half-delta", "negative-resolution", "region-dim-mismatch",
         "string-resolution", "boolean-rho", "empty-points", "unknown-sampling-kind",
-        "reversed-region", "nan-resolution", "infinite-resolution"])
+        "reversed-region", "nan-resolution", "infinite-resolution", "fractional-grid-nodes",
+        "fractional-sampling-seed", "boolean-points-dim"])
 def test_bad_config_value_exits_2(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIG_DIR / "covering.json").read_text())
     edit(cfg)

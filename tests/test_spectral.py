@@ -115,8 +115,8 @@ def exp_grid_cases(draw):
 
 
 def lattice_indices_by_unique(nodes):
-    """The lattice test by its np.unique definition: per axis the step is the
-    smallest gap between the distinct coordinates, every coordinate lies
+    """The lattice test on the smallest gap, by np.unique: per axis the step is
+    the smallest gap between the distinct coordinates, every coordinate lies
     within 16 ulps of the axis scale of origin + index * step, and no two
     nodes share a flat index."""
     origin = nodes.min(axis=0)
@@ -162,8 +162,13 @@ def lattice_node_sets(draw):
     layout = draw(st.sampled_from(["grid", "shuffled", "jittered", "repeated",
                                    "near-4", "near-64"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if layout == "shuffled":   # a nonempty subset in random order
-        nodes = nodes[rng.permutation(nodes.shape[0])[:rng.integers(1, nodes.shape[0] + 1)]]
+    subset = None
+    if layout == "shuffled":   # a nonempty subset in random order, its size log-uniform
+        pick = rng.permutation(nodes.shape[0])[:int(np.ceil(nodes.shape[0] ** rng.random()))]
+        subset = lattice_indices_by_unique(nodes)[0][pick]
+        subset -= subset.min(axis=0)
+        subset //= np.maximum(np.gcd.reduce(subset, axis=0), 1)
+        nodes = nodes[pick]
     elif layout == "jittered":
         nodes = nodes + rng.uniform(-0.2, 0.2, nodes.shape) * np.ptp(nodes, axis=0) / 30
     elif layout == "repeated":
@@ -174,25 +179,46 @@ def lattice_node_sets(draw):
         axis = rng.integers(0, dim)
         near[axis] += ulps * np.finfo(float).eps * np.max(np.abs(nodes[:, axis]))
         nodes = np.vstack([nodes, near])
-    return nodes, layout
+    # a shuffled subset also carries its lattice indices: those in the full
+    # grid, less their minimum, over the gcd of their gaps along each axis
+    return nodes, layout, subset
 
 
 class TestLatticeIndices:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(lattice_node_sets())
     def test_matches_unique_definition(self, case):
-        nodes, layout = case
+        nodes, layout, subset = case
         got, expect = spc._lattice_indices(nodes), lattice_indices_by_unique(nodes)
-        # a subset can miss the step: gaps of 2 and 3 steps give 5 / rint(5 / 2) = 2.5
         if layout == "grid":
             assert expect is not None
         if layout in ("repeated", "near-4"):
             assert expect is None
-        if expect is None:
-            assert got is None
-        else:
+        if subset is not None:
+            # every subset of a lattice is one, though gaps of 2 and 3 steps
+            # miss the step of the smallest gap: 5 / rint(5 / 2) = 2.5
+            assert got is not None and np.array_equal(got[0], subset)
+        if expect is not None:
             for g, e in zip(got, expect):
                 assert np.array_equal(g, e)
+        elif subset is None:
+            assert got is None
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.floats(-2.0, 2.0), st.floats(1e-3, 1.0), st.integers(1, 4),
+           st.lists(st.integers(0, 60), max_size=40), st.randoms(use_true_random=False))
+    def test_step_is_gcd_of_gaps(self, origin, step, multiple, more, order):
+        # nodes at 0, 2 and 5 steps, and more, of a lattice of step * multiple
+        k = np.unique(np.concatenate([[0, 2, 5], more])) * multiple
+        order.shuffle(k)
+        nodes = origin + step * k.astype(float)
+        got = spc._lattice_indices(nodes[:, None])
+        assert got is not None
+        assert np.array_equal(got[0][:, 0], k // multiple)
+        assert got[2][0] == pytest.approx(step * multiple, rel=1e-12)
+        x = np.linspace(-10.0, 10.0, 41)
+        expect = spc._exp_matrix(x[:, None], nodes[:, None])
+        assert np.all(np.abs(spc.exp_table(x, nodes) - expect) <= 1e-12)
 
 
 class TestExpTable:
@@ -225,6 +251,15 @@ class TestExpTable:
         expect = spc._exp_matrix(sign * x, nodes)
         assert got.shape == expect.shape == (x.shape[0], nodes.shape[0])
         assert np.all(np.abs(got - expect) <= 1e-12)
+
+    def test_lattice_box_past_int64_builds_dense(self):
+        # a gap of 20 ulps on both axes is a lattice step, and the box of
+        # about 1e14 steps per axis holds more cells than an int64 counts
+        a = np.array([0.0, 1.0, 1.0 + 20 * np.finfo(float).eps])
+        nodes = np.stack([a, a], axis=1)
+        assert spc._lattice_indices(nodes) is not None
+        x = np.random.default_rng(0).uniform(-10.0, 10.0, (7, 2))
+        assert np.all(np.abs(spc.exp_table(x, nodes) - spc._exp_matrix(x, nodes)) <= 1e-12)
 
     def test_sparse_lattice_subset_builds_dense(self, monkeypatch):
         # three nodes on a lattice of step 1e-6: the two factor tables would
