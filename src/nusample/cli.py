@@ -9,9 +9,10 @@ config hash) plus plot-ready CSV into the output directory, and maps failures
 to exit codes.  Timestamps and run facts live in a separate ``meta.json`` so
 reports stay byte-identical for identical configs and seeds.
 
-Each command declares the config fields it reads, with their defaults, where
-it is defined (:data:`FIELDS`); a field it does not declare is a
-configuration error, caught before any work.
+Each command declares the config fields it reads where it is defined
+(:data:`FIELDS`), each by its default or, when it has none, by the JSON type
+it must hold; a value of another type, and a field the command does not
+declare, is a configuration error, caught before any work.
 
 Exit codes: 0 = claims confirmed (or no prediction applicable), 1 = claim
 violated or numerical failure (balayage infeasible, not a frame; the report
@@ -59,31 +60,23 @@ def _config_hash(cfg: dict) -> str:
 
 # -- declared fields --------------------------------------------------------------
 
-REQUIRED = object()   # a field with no default
-NUMBER = object()     # a number field with no default
-INTEGER = object()    # an integer field with no default
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
+               dict: "a JSON object"}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class Count:
-    """A field holding a number of trials, terms or centers: an integer >= 1,
-    so that no command passes by checking nothing; ``default`` when left
-    out."""
-
-    default: int
-
-    def resolve(self, value, where: str) -> int:
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"{where} must be an integer >= 1, got {value!r}")
-        return value
+def _checked(value, decl, name: str):
+    """``value`` if it holds the type ``decl`` declares: ``decl`` itself when
+    it is a type, else the type of the default ``decl``.  A bool is never a
+    number and an int is one; an integer field whose default is at least 1
+    takes only integers >= 1, so that no command passes by checking nothing."""
+    kind = decl if isinstance(decl, type) else type(decl)
+    ok = (isinstance(value, (int, float) if kind is float else kind)
+          and not isinstance(value, bool))
+    if kind is int and decl is not int and decl >= 1 and not (ok and value >= 1):
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    if not ok:
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -91,15 +84,13 @@ class Section:
     """A JSON object with declared fields: a command's config, or a field
     holding objects of its own.
 
-    ``fields`` maps each name to its default, to REQUIRED, to NUMBER, to
-    INTEGER, to a Count or to a Section.  A field whose default is an int,
-    and an INTEGER field, takes only an integer; one whose default is any
-    other number, and a NUMBER field, takes only a number.  A string or a
-    bool there, or a float in an integer field, is a config error.
-    With ``by_kind`` it maps each value of the object's ``kind`` field to such
-    a map instead, the first kind being the default.  A ``many``
-    section holds a list of objects; an ``optional`` one may be left out and
-    then reads None.
+    ``fields`` maps each name to its default, to a Section, or, for a field
+    that has no default, to the JSON type it must hold (``int``, ``float``,
+    ``str``, ``list`` or ``dict``); every value is checked against the type
+    of its declaration (see :func:`_checked`).  With ``by_kind`` it maps each
+    value of the object's ``kind`` field to such a map instead, the first kind
+    being the default.  A ``many`` section holds a non-empty list of objects;
+    an ``optional`` one may be left out and then reads None.
     """
 
     fields: dict
@@ -112,10 +103,11 @@ class Section:
         A field that is not declared, or a required one left out, is a config
         error (the latter a ``KeyError``, reported as a missing field)."""
         if self.many:
+            if not isinstance(data, list) or not data:
+                raise ConfigError(f"{where} must be a non-empty list, got {data!r}")
             one = Section(self.fields)
             return [one.resolve(item, f"{where}[{i}]") for i, item in enumerate(data)]
-        if not isinstance(data, dict):
-            raise ConfigError(f"{where} must be a JSON object")
+        _checked(data, dict, where)
         fields = self.fields
         if self.by_kind:
             kind = data.get("kind", next(iter(fields)))
@@ -129,18 +121,10 @@ class Section:
         out = {}
         for name, decl in fields.items():
             section = isinstance(decl, Section)
-            if isinstance(decl, Count):
-                out[name] = decl.resolve(data.get(name, decl.default), name)
-            elif name in data:
+            if name in data:
                 value = data[name]
-                if section:
-                    value = decl.resolve(value, name)
-                elif (decl is INTEGER or _is_integer(decl)) and not _is_integer(value):
-                    raise ConfigError(f"{name} must be an integer, got {value!r}")
-                elif (decl is NUMBER or _is_number(decl)) and not _is_number(value):
-                    raise ConfigError(f"{name} must be a number, got {value!r}")
-                out[name] = value
-            elif decl in (REQUIRED, NUMBER, INTEGER) or (section and not decl.optional):
+                out[name] = decl.resolve(value, name) if section else _checked(value, decl, name)
+            elif isinstance(decl, type) or (section and not decl.optional):
                 raise KeyError(name)
             else:
                 out[name] = None if section else decl
@@ -148,9 +132,9 @@ class Section:
 
 
 SAMPLING = Section({
-    "points": {"dim": INTEGER, "points": REQUIRED, "window": REQUIRED},
-    "jittered": {"delta": NUMBER, "window": REQUIRED, "jitter": 0.0, "seed": 0},
-    "csv": {"path": REQUIRED},   # the window is the bounding box of the points
+    "points": {"dim": int, "points": list, "window": list},
+    "jittered": {"delta": float, "window": list, "jitter": 0.0, "seed": 0},
+    "csv": {"path": str},   # the window is the bounding box of the points
 }, by_kind=True)
 
 # each command's config fields, filled in by :func:`command`
@@ -162,7 +146,7 @@ def command(name: str, **fields):
     """Register ``fn(cfg) -> Outcome`` as command ``name`` reading ``fields``
     (besides ``schema``); ``cfg`` arrives resolved, every field present."""
     def register(fn):
-        FIELDS[name] = Section({"schema": REQUIRED, **fields})
+        FIELDS[name] = Section({"schema": int, **fields})
         _COMMANDS[name] = fn
         return fn
     return register
@@ -220,8 +204,8 @@ def _balayage_meta(sols) -> dict:
                          "reweighted": sum(s.reweighted for s in sols)}}
 
 
-@command("covering", spectrum=REQUIRED, sampling=SAMPLING, rho=NUMBER, region=REQUIRED,
-         resolution=NUMBER, grid_nodes=64, subspace_margin=5.0)
+@command("covering", spectrum=dict, sampling=SAMPLING, rho=float, region=list,
+         resolution=float, grid_nodes=64, subspace_margin=5.0)
 def cmd_covering(cfg: dict) -> Outcome:
     spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
     e_set = _sampling_set(cfg["sampling"])
@@ -239,7 +223,7 @@ def cmd_covering(cfg: dict) -> Outcome:
     }, int(result.prediction_applies and not result.frame_confirmed))
 
 
-@command("frame-bounds", spectrum=REQUIRED, sampling=SAMPLING, grid_nodes=512,
+@command("frame-bounds", spectrum=dict, sampling=SAMPLING, grid_nodes=512,
          subspace=Section({"margin": 10.0}, optional=True), seed=0, trials=50)
 def cmd_frame_bounds(cfg: dict) -> Outcome:
     spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
@@ -260,7 +244,7 @@ def cmd_frame_bounds(cfg: dict) -> Outcome:
                    tables={"rayleigh.csv": (["trial", "rayleigh"], rows)})
 
 
-@command("reconstruct", spectrum=REQUIRED, sampling=SAMPLING, grid_nodes=33, seed=0,
+@command("reconstruct", spectrum=dict, sampling=SAMPLING, grid_nodes=33, seed=0,
          tol=1e-8, max_iter=200)
 def cmd_reconstruct(cfg: dict) -> Outcome:
     spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
@@ -282,9 +266,8 @@ def cmd_reconstruct(cfg: dict) -> Outcome:
         message=None if final.converged else "unconverged")
 
 
-@command("identity", spectrum=REQUIRED, sampling=SAMPLING, enlarged_nodes=384, seed=0,
-         n_y=Count(25), y_half=10.0, eta=1e-5, tolerance=1e-2, trials=Count(5),
-         poly_terms=Count(5))
+@command("identity", spectrum=dict, sampling=SAMPLING, enlarged_nodes=384, seed=0,
+         n_y=25, y_half=10.0, eta=1e-5, tolerance=1e-2, trials=5, poly_terms=5)
 def cmd_identity(cfg: dict) -> Outcome:
     spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
     e_set = _sampling_set(cfg["sampling"])
@@ -359,10 +342,10 @@ def cmd_gabor(cfg: dict) -> Outcome:
     }, 0 if result.error <= cfg["error_tol"] else 1)
 
 
-@command("psido", spectrum=REQUIRED, sampling=SAMPLING,
-         terms=Section({"lambda": NUMBER, "eps": NUMBER, "b_width": 0.5, "b_half": 1.0,
+@command("psido", spectrum=dict, sampling=SAMPLING,
+         terms=Section({"lambda": float, "eps": float, "b_width": 0.5, "b_half": 1.0,
                         "order": 8, "amplitude": 1.0}, many=True),
-         seed=0, n_k=Count(25), eta=1e-5, trials=Count(10))
+         seed=0, n_k=25, eta=1e-5, trials=10)
 def cmd_psido(cfg: dict) -> Outcome:
     spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
     e_set = _sampling_set(cfg["sampling"])

@@ -233,14 +233,22 @@ class SpectrumSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "SpectrumSet":
+        """The set ``data`` describes; a ``dim`` that differs from the
+        dimension of a box's ``half_widths`` or a polytope's ``vertices`` is
+        an error, not ignored."""
         shape = data["shape"]
-        if shape == "box":
-            return cls.box(data["half_widths"])
         if shape == "ball":
             return cls.ball(data["radius"], data["dim"])
-        if shape == "polytope":
-            return cls.polytope(data["vertices"])
-        raise ValueError(f"unknown shape {shape!r}")
+        if shape == "box":
+            spectrum = cls.box(data["half_widths"])
+        elif shape == "polytope":
+            spectrum = cls.polytope(data["vertices"])
+        else:
+            raise ValueError(f"unknown shape {shape!r}")
+        if data.get("dim", spectrum.dim) != spectrum.dim:
+            raise ValueError(f"spectrum dim {data['dim']!r} differs from the dimension "
+                             f"{spectrum.dim} of its {shape}")
+        return spectrum
 
 
 @dataclass(frozen=True, eq=False)

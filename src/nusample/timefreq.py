@@ -133,15 +133,12 @@ class WindowFunction:
         return interp_complex(p, self.grid.nodes, self.values)
 
 
-def gaussian_window(dim: int = 1, half_width: float = 8.0,
-                    step: float = 1.0 / 3.0) -> WindowFunction:
+def gaussian_window(half_width: float = 8.0, step: float = 1.0 / 3.0) -> WindowFunction:
     """Unit-norm Gaussian 2^(1/4) exp(-pi x^2) sampled on a symmetric grid.
 
-    Only the one-dimensional window is provided; phase space is then
-    two-dimensional, which is the configuration every check here uses.
+    The window is one-dimensional; phase space is then two-dimensional,
+    which is the configuration every check here uses.
     """
-    if dim != 1:
-        raise ValueError("only dim=1 windows are supported")
     grid = UniformGrid.symmetric(half_width, step)
     vals = (2.0 ** 0.25) * np.exp(-np.pi * grid.nodes**2)
     return WindowFunction(grid=grid, values=vals.astype(complex), kind="gaussian")

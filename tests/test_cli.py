@@ -110,14 +110,21 @@ def test_missing_points_file_exits_2(tmp_path):
     (lambda cfg: cfg.update(region=[[10.0, -10.0]]), "region axis 0 has bounds [10.0, -10.0]"),
     (lambda cfg: cfg.update(resolution=float("nan")), "resolution must be positive and finite, got nan"),
     (lambda cfg: cfg.update(resolution=float("inf")), "resolution must be positive and finite, got inf"),
-    (lambda cfg: cfg.update(grid_nodes=64.5), "grid_nodes must be an integer, got 64.5"),
+    (lambda cfg: cfg.update(grid_nodes=64.5), "grid_nodes must be an integer >= 1, got 64.5"),
     (lambda cfg: cfg["sampling"].update(seed=1.5), "seed must be an integer, got 1.5"),
     (lambda cfg: cfg.update(sampling={**EMPTY_POINTS, "dim": True, "points": [[0.0], [1.0]]}),
      "dim must be an integer, got True"),
+    (lambda cfg: cfg.update(spectrum=3), "spectrum must be a JSON object, got 3"),
+    (lambda cfg: cfg.update(region="x"), "region must be a list, got 'x'"),
+    (lambda cfg: cfg.update(sampling={"kind": "csv", "path": 5}), "path must be a string, got 5"),
+    (lambda cfg: cfg.update(schema=True), "schema must be an integer, got True"),
+    (lambda cfg: cfg["spectrum"].update(dim=2),
+     "spectrum dim 2 differs from the dimension 1 of its box"),
 ], ids=["jitter-above-half-delta", "negative-resolution", "region-dim-mismatch",
         "string-resolution", "boolean-rho", "empty-points", "unknown-sampling-kind",
         "reversed-region", "nan-resolution", "infinite-resolution", "fractional-grid-nodes",
-        "fractional-sampling-seed", "boolean-points-dim"])
+        "fractional-sampling-seed", "boolean-points-dim", "integer-spectrum", "string-region",
+        "integer-csv-path", "boolean-schema", "spectrum-dim-mismatch"])
 def test_bad_config_value_exits_2(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIG_DIR / "covering.json").read_text())
     edit(cfg)
@@ -138,11 +145,15 @@ def test_bad_config_value_exits_2(tmp_path, capsys, edit, message):
     ("identity", "identity.json", "trials", True),
     ("identity", "identity.json", "n_y", 0),
     ("psido", "psido.json", "n_k", 0),
+    ("frame-bounds", "frame_bounds.json", "trials", 0),
+    ("reconstruct", "reconstruct.json", "max_iter", 0),
 ], ids=["psido-no-trials", "psido-negative-trials", "identity-no-trials",
         "identity-zero-polynomial", "identity-fractional-terms", "identity-boolean-trials",
-        "identity-no-centers", "psido-no-centers"])
+        "identity-no-centers", "psido-no-centers", "frame-bounds-no-trials",
+        "reconstruct-no-iterations"])
 def test_bad_count_exits_2(tmp_path, capsys, command, config, name, value):
-    # a count of 0 would check nothing: no trial, no center, or the zero polynomial
+    # a count of 0 would check nothing: no trial, no center, the zero polynomial,
+    # or no CG step
     cfg = json.loads((CONFIG_DIR / config).read_text())
     cfg[name] = value
     bad = tmp_path / "bad.json"
@@ -171,6 +182,21 @@ def test_non_number_exits_2(tmp_path, capsys, command, config, place, name, valu
     assert run(command, bad, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err == f"config error: {name} must be a number, got {value!r}\n"
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("terms,message", [
+    ([], "terms must be a non-empty list, got []"),
+    (5, "terms must be a non-empty list, got 5"),
+], ids=["no-terms", "integer-terms"])
+def test_bad_terms_exits_2(tmp_path, capsys, terms, message):
+    # with no term the symbol is 0 and every inequality reads 0 <= 0 <= 0
+    cfg = json.loads((CONFIG_DIR / "psido.json").read_text())
+    cfg["terms"] = terms
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert run("psido", bad, tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out" / "report.json").exists()
 
 

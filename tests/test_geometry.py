@@ -604,3 +604,15 @@ def test_json_roundtrip():
         back = geo.SpectrumSet.from_json(data)
         pts = np.random.default_rng(5).uniform(-2, 2, size=(200, spec.dim))
         assert np.array_equal(back.contains(pts), spec.contains(pts))
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"dim": 2, "shape": "box", "half_widths": [1.0]},
+     "spectrum dim 2 differs from the dimension 1 of its box"),
+    ({"dim": 1, "shape": "polytope", "vertices": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                                                  [0.0, -1.0]]},
+     "spectrum dim 1 differs from the dimension 2 of its polytope"),
+], ids=["box", "polytope"])
+def test_json_dim_must_match_the_set(data, message):
+    with pytest.raises(ValueError, match=message):
+        geo.SpectrumSet.from_json(data)

@@ -97,10 +97,6 @@ class TestWindow:
         pts = np.array([0.1, -1.37, 2.0])
         assert np.allclose(g0.at(pts), 2.0**0.25 * np.exp(-np.pi * pts**2))
 
-    def test_only_one_dimension(self):
-        with pytest.raises(ValueError):
-            tfm.gaussian_window(dim=2)
-
 
 class TestStft:
     def test_gaussian_self_inner_product(self):
