@@ -110,7 +110,7 @@ class Section:
         _checked(data, dict, where)
         fields = self.fields
         if self.by_kind:
-            kind = data.get("kind", next(iter(fields)))
+            kind = _checked(data.get("kind", next(iter(fields))), str, "kind")
             if kind not in fields:
                 raise ConfigError(f"unknown {where} kind {kind!r}")
             fields = {"kind": kind, **fields[kind]}

@@ -235,12 +235,8 @@ class ReconstructionResult:
     iterations: int
     residual: float
     converged: bool
-    method: str                   # "toeplitz-fft", "dense" or "sample-gram"
-    history: list | None = None   # per-iteration relative residuals
-
-    def __post_init__(self):
-        if self.history is None:
-            object.__setattr__(self, "history", [])
+    method: str      # "toeplitz-fft", "dense" or "sample-gram"
+    history: list    # per-iteration relative residuals
 
 
 def reconstruct(samples: SampleVector, grid: SpectralGrid,

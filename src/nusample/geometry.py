@@ -1,10 +1,11 @@
 """Compact convex symmetric frequency bodies and their duals.
 
 A spectrum is a compact, convex set in frequency space, symmetric about the
-origin, represented as an axis-aligned box, a Euclidean ball, or a symmetric
-vertex polytope.  All coordinates are in cycles per unit.  The module supplies
-the Minkowski gauge, polar bodies, scalings, midpoint quadrature grids, and a
-grid-based check of the translate-covering criterion.
+origin, represented as a Euclidean ball or a symmetric vertex polytope; an
+axis-aligned box is the polytope of its corners.  All coordinates are in
+cycles per unit.  The module supplies the Minkowski gauge, polar bodies,
+scalings, enlargements, midpoint quadrature grids, and a grid-based check of
+the translate-covering criterion.
 
 Dimensions 1 and 2 are supported; membership tests are exact (finite sets of
 linear or quadratic inequalities).
@@ -17,7 +18,6 @@ from itertools import product
 
 import numpy as np
 
-_SHAPES = ("box", "ball", "polytope")
 _MEMBERSHIP_TOL = 1e-12
 
 
@@ -46,14 +46,16 @@ def as_points(x, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumSet:
-    """Compact convex set in frequency space, symmetric about the origin.
+    """Compact convex set in frequency space, symmetric about the origin:
+    a ball (``shape == "ball"``, given by ``radius``) or a symmetric vertex
+    polytope (``shape == "polytope"``, given by ``vertices``).
 
-    Use the :meth:`box`, :meth:`ball`, or :meth:`polytope` constructors.
+    Use the :meth:`box`, :meth:`ball`, or :meth:`polytope` constructors; a
+    box is built as the polytope of its corners.
     """
 
     dim: int
     shape: str
-    half_widths: np.ndarray | None = None
     radius: float | None = None
     vertices: np.ndarray | None = None
 
@@ -64,7 +66,7 @@ class SpectrumSet:
             raise ValueError("box supports dim 1 or 2")
         if np.any(h <= 0):
             raise ValueError("box half-widths must be positive")
-        return cls(dim=h.size, shape="box", half_widths=h)
+        return cls.polytope(h * np.array(list(product((-1.0, 1.0), repeat=h.size))))
 
     @classmethod
     def ball(cls, radius: float, dim: int = 2) -> "SpectrumSet":
@@ -79,31 +81,24 @@ class SpectrumSet:
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] not in (1, 2):
             raise ValueError("polytope vertices must be an (m, 1) or (m, 2) array")
-        obj = cls(dim=v.shape[1], shape="polytope", vertices=v)
-        obj._validate_polytope()
-        return obj
-
-    def _validate_polytope(self) -> None:
-        v = self.vertices
         # symmetry: every vertex must have its negation in the list
         for row in v:
             if not np.any(np.all(np.abs(v + row) <= 1e-9, axis=1)):
                 raise ValueError("polytope vertex list is not closed under negation")
-        if np.linalg.matrix_rank(v, tol=1e-12) < self.dim:
-            raise ValueError("polytope vertices do not span the space")
-        if self.dim == 2:
-            self._hull_system  # force hull construction; raises on degeneracy
+        obj = cls(dim=v.shape[1], shape="polytope", vertices=v)
+        obj._hull_system   # force hull construction; raises on degeneracy
+        return obj
 
     @cached_property
-    def _hull_system(self):
-        """Half-space form A x <= b of the 2-d vertex polytope (b > 0), one
-        row per hull edge, with unit outward normals A.
-
-        The hull is Andrew's monotone chain: the distinct vertices sorted by
-        (x, y), then a lower and an upper chain, each dropping every vertex
-        where the turn is not strictly counterclockwise, so repeated vertices
-        and vertices exactly on an edge leave no row.
-        """
+    def _hull_corners(self) -> np.ndarray:
+        """The polytope's corners, each once: m and -m for [-m, m] in 1-d; in
+        2-d, counterclockwise, from Andrew's monotone chain: the distinct
+        vertices sorted by (x, y), then a lower and an upper chain, each
+        dropping every vertex where the turn is not strictly counterclockwise,
+        so repeated vertices and vertices exactly on an edge are not corners."""
+        if self.dim == 1:
+            m = np.max(np.abs(self.vertices))
+            return np.array([[m], [-m]])
         v = np.unique(self.vertices, axis=0)   # sorted by (x, y)
         chains = ([], [])
         for chain, points in zip(chains, (v, v[::-1])):
@@ -111,13 +106,25 @@ class SpectrumSet:
                 while len(chain) >= 2 and _cross(chain[-1] - chain[-2], p - chain[-1]) <= 0:
                     chain.pop()
                 chain.append(p)
-        # counterclockwise corners, each once: each chain ends where the other starts
+        # each chain ends where the other starts
         corners = np.array(chains[0][:-1] + chains[1][:-1])
         if corners.shape[0] < 3:
             raise ValueError("degenerate polytope: the vertices are collinear")
-        edges = np.roll(corners, -1, axis=0) - corners
-        a = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        return corners
+
+    @cached_property
+    def _hull_system(self):
+        """Half-space form A x <= b of the polytope (b > 0), one row per
+        facet, with unit outward normals A; facets k - dim + 1 to k meet at
+        corner k.  The facets are the corners themselves in 1-d and the edges
+        from corner k to corner k + 1 in 2-d."""
+        corners = self._hull_corners
+        if self.dim == 1:
+            a = np.sign(corners)
+        else:
+            edges = np.roll(corners, -1, axis=0) - corners
+            a = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
+            a /= np.linalg.norm(a, axis=1, keepdims=True)
         b = np.sum(a * corners, axis=1)
         if np.any(b <= 0):
             raise ValueError("polytope does not contain the origin in its interior")
@@ -128,12 +135,8 @@ class SpectrumSet:
     def gauge(self, points) -> np.ndarray:
         """Minkowski gauge inf{rho > 0 : p in rho * set} per point."""
         p = as_points(points, self.dim)
-        if self.shape == "box":
-            return np.max(np.abs(p) / self.half_widths, axis=1)
         if self.shape == "ball":
             return np.linalg.norm(p, axis=1) / self.radius
-        if self.dim == 1:
-            return np.abs(p[:, 0]) / np.max(np.abs(self.vertices))
         a, b = self._hull_system
         return np.max((p @ a.T) / b, axis=1)
 
@@ -143,22 +146,14 @@ class SpectrumSet:
     def boundary_distance(self, point) -> float:
         """Euclidean distance from an interior point to the boundary."""
         p = as_points(point, self.dim)[0]
-        if self.shape == "box":
-            d = np.min(self.half_widths - np.abs(p))
-        elif self.shape == "ball":
-            d = self.radius - np.linalg.norm(p)
-        elif self.dim == 1:
-            d = np.max(np.abs(self.vertices)) - abs(p[0])
-        else:
-            a, b = self._hull_system
-            d = np.min((b - a @ p) / np.linalg.norm(a, axis=1))
-        return float(d)
+        if self.shape == "ball":
+            return float(self.radius - np.linalg.norm(p))
+        a, b = self._hull_system
+        return float(np.min(b - a @ p))
 
     def bounding_box(self) -> np.ndarray:
         """Axis-aligned bounds, shape (dim, 2)."""
-        if self.shape == "box":
-            h = self.half_widths
-        elif self.shape == "ball":
+        if self.shape == "ball":
             h = np.full(self.dim, self.radius)
         else:
             h = np.max(np.abs(self.vertices), axis=0)
@@ -169,8 +164,6 @@ class SpectrumSet:
     def scaled(self, rho: float) -> "SpectrumSet":
         if rho <= 0:
             raise ValueError("scale factor must be positive")
-        if self.shape == "box":
-            return SpectrumSet.box(rho * self.half_widths)
         if self.shape == "ball":
             return SpectrumSet.ball(rho * self.radius, self.dim)
         return SpectrumSet.polytope(rho * self.vertices)
@@ -179,72 +172,56 @@ class SpectrumSet:
         """Dual body {x : x . g <= 1 for all g in the set}.
 
         Since the set is symmetric, the one-sided condition coincides with
-        the absolute-value polar.  Box -> cross-polytope, ball r -> ball 1/r,
-        polytope -> polytope via facet/vertex duality.
+        the absolute-value polar.  Ball r -> ball 1/r; a polytope's polar
+        has one vertex a / b per facet a . x <= b, so a box gives the
+        cross-polytope.
         """
         if self.shape == "ball":
             return SpectrumSet.ball(1.0 / self.radius, self.dim)
-        if self.shape == "box":
-            if self.dim == 1:
-                return SpectrumSet.polytope([[1.0 / self.half_widths[0]], [-1.0 / self.half_widths[0]]])
-            verts = []
-            for i, h in enumerate(self.half_widths):
-                e = np.zeros(self.dim)
-                e[i] = 1.0 / h
-                verts.extend([e, -e])
-            return SpectrumSet.polytope(np.array(verts))
-        if self.dim == 1:
-            m = np.max(np.abs(self.vertices))
-            return SpectrumSet.polytope([[1.0 / m], [-1.0 / m]])
         a, b = self._hull_system
-        verts = a / b[:, None]
-        verts = np.vstack([verts, -verts])
-        verts = np.unique(np.round(verts, 12), axis=0)
-        return SpectrumSet.polytope(verts)
+        return SpectrumSet.polytope(a / b[:, None])
 
     def enlarged(self, eps: float) -> "SpectrumSet":
         """A representable superset of the eps-neighbourhood of the set.
 
-        Exact for intervals and balls; boxes in 2-d are inflated per axis and
-        polytopes are rescaled about the origin, both of which contain the
-        Euclidean eps-neighbourhood.
+        A ball's radius grows by eps.  A polytope's facets a . x <= b move
+        out to a . x <= b + eps: exact for intervals, h + eps for a box, and a
+        little more than eps at the corners of any other 2-d polytope.
         """
         if eps < 0:
             raise ValueError("eps must be nonnegative")
-        if self.shape == "box":
-            return SpectrumSet.box(self.half_widths + eps)
         if self.shape == "ball":
             return SpectrumSet.ball(self.radius + eps, self.dim)
-        if self.dim == 1:
-            m = np.max(np.abs(self.vertices))
-            return self.scaled((m + eps) / m)
-        a, b = self._hull_system
-        inradius = np.min(b / np.linalg.norm(a, axis=1))
-        return self.scaled(1.0 + eps / inradius)
+        # corner k moves by eps * w with a' . w = a . w = 1 for its facets
+        # a' = k - dim + 1 and a = k (one facet in 1-d); unlike a 2 x 2 solve,
+        # this w stays finite when the two facets are nearly parallel
+        a, _ = self._hull_system
+        prev = np.roll(a, self.dim - 1, axis=0)
+        w = (prev + a) / (1.0 + np.sum(prev * a, axis=1, keepdims=True))
+        return SpectrumSet.polytope(self._hull_corners + eps * w)
 
     def diameter(self) -> float:
         if self.shape == "ball":
             return 2.0 * self.radius
-        if self.shape == "box":
-            return 2.0 * float(np.linalg.norm(self.half_widths))
         return 2.0 * float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
     # -- serialization -----------------------------------------------------
 
     @classmethod
     def from_json(cls, data: dict) -> "SpectrumSet":
-        """The set ``data`` describes; a ``dim`` that differs from the
-        dimension of a box's ``half_widths`` or a polytope's ``vertices`` is
-        an error, not ignored."""
+        """The set ``data`` describes: its ``shape``, the shape's own field
+        (``half_widths``, ``radius`` or ``vertices``) and ``dim``, which a ball
+        needs; any other field, or a ``dim`` unlike the set's, is an error."""
+        builders = {"box": ("half_widths", cls.box), "polytope": ("vertices", cls.polytope),
+                    "ball": ("radius", lambda radius: cls.ball(radius, data["dim"]))}
         shape = data["shape"]
-        if shape == "ball":
-            return cls.ball(data["radius"], data["dim"])
-        if shape == "box":
-            spectrum = cls.box(data["half_widths"])
-        elif shape == "polytope":
-            spectrum = cls.polytope(data["vertices"])
-        else:
+        if not isinstance(shape, str) or shape not in builders:
             raise ValueError(f"unknown shape {shape!r}")
+        own, build = builders[shape]
+        for name in data:
+            if name not in ("shape", "dim", own):
+                raise ValueError(f"unknown field {name!r} in spectrum")
+        spectrum = build(data[own])
         if data.get("dim", spectrum.dim) != spectrum.dim:
             raise ValueError(f"spectrum dim {data['dim']!r} differs from the dimension "
                              f"{spectrum.dim} of its {shape}")

@@ -120,11 +120,19 @@ def test_missing_points_file_exits_2(tmp_path):
     (lambda cfg: cfg.update(schema=True), "schema must be an integer, got True"),
     (lambda cfg: cfg["spectrum"].update(dim=2),
      "spectrum dim 2 differs from the dimension 1 of its box"),
+    (lambda cfg: cfg["spectrum"].update(no_such_field=0),
+     "config error: unknown field 'no_such_field' in spectrum"),
+    (lambda cfg: cfg.update(spectrum={"dim": 1, "shape": "ball", "radius": 1.0,
+                                      "half_widths": [1.0]}),
+     "config error: unknown field 'half_widths' in spectrum"),
+    (lambda cfg: cfg["spectrum"].update(shape=[]), "unknown shape []"),
+    (lambda cfg: cfg["sampling"].update(kind=[]), "kind must be a string, got []"),
 ], ids=["jitter-above-half-delta", "negative-resolution", "region-dim-mismatch",
         "string-resolution", "boolean-rho", "empty-points", "unknown-sampling-kind",
         "reversed-region", "nan-resolution", "infinite-resolution", "fractional-grid-nodes",
         "fractional-sampling-seed", "boolean-points-dim", "integer-spectrum", "string-region",
-        "integer-csv-path", "boolean-schema", "spectrum-dim-mismatch"])
+        "integer-csv-path", "boolean-schema", "spectrum-dim-mismatch", "stray-spectrum-field",
+        "ball-with-half-widths", "list-spectrum-shape", "list-sampling-kind"])
 def test_bad_config_value_exits_2(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIG_DIR / "covering.json").read_text())
     edit(cfg)
@@ -311,11 +319,11 @@ def test_seed_override_changes_jittered_set(tmp_path):
 
 def _unknown_field_cases():
     """Each shipped config with each place that takes fields: the top level,
-    and ``sampling``, ``subspace`` and the first ``terms`` entry where it has
-    them."""
+    and ``sampling``, ``spectrum``, ``subspace`` and the first ``terms`` entry
+    where it has them."""
     for path in sorted(CONFIG_DIR.glob("*.json")):
         cfg = json.loads(path.read_text())
-        for place in ("top", "sampling", "subspace", "terms"):
+        for place in ("top", "sampling", "spectrum", "subspace", "terms"):
             if place == "top" or place in cfg:
                 yield pytest.param(path, place, id=f"{path.stem}-{place}")
 

@@ -9,10 +9,8 @@ from nusample.sampling import SamplingSet
 
 
 def volume(spec) -> float:
-    """Lebesgue measure of a spectrum: closed forms for boxes, balls and
-    segments, the convex hull's area for a 2-d polytope."""
-    if spec.shape == "box":
-        return float(np.prod(2.0 * spec.half_widths))
+    """Lebesgue measure of a spectrum: closed forms for balls and segments,
+    the convex hull's area for a 2-d polytope (a 2-d box among them)."""
     if spec.shape == "ball":
         return 2.0 * spec.radius if spec.dim == 1 else float(np.pi * spec.radius**2)
     if spec.dim == 1:
@@ -99,6 +97,15 @@ class TestLambdaNorm:
         body, g, h = case
         lhs = geo.lambda_norm(body, g + h)
         assert lhs <= (geo.lambda_norm(body, g) + geo.lambda_norm(body, h)) * (1 + 1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.floats(1e-3, 1e3), COORDS)
+    def test_segment_is_its_box(self, m, x):
+        # the polytope [-m, m] and the box of half-width m are one body
+        box, segment = geo.SpectrumSet.box([m]), geo.SpectrumSet.polytope([[m], [-m]])
+        assert box.gauge(x) == segment.gauge(x)
+        assert box.boundary_distance(x) == segment.boundary_distance(x)
+        assert np.array_equal(box.polar().vertices, segment.polar().vertices)
 
 
 class TestPolar:
@@ -208,7 +215,7 @@ class TestHull:
 class TestScale:
     def test_box(self):
         out = geo.SpectrumSet.box([1.0, 1.0]).scaled(0.25)
-        assert np.allclose(out.half_widths, [0.25, 0.25])
+        assert np.allclose(out.bounding_box(), [[-0.25, 0.25], [-0.25, 0.25]])
 
     def test_ball(self):
         assert geo.SpectrumSet.ball(2.0, 2).scaled(0.5).radius == pytest.approx(1.0)
@@ -221,6 +228,24 @@ class TestScale:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             geo.SpectrumSet.box([1.0]).scaled(0.0)
+
+
+@st.composite
+def enlargement_cases(draw):
+    """A 1-d or 2-d box or ball, or a symmetric 2-d polygon, an eps from 0
+    to twice the body's size, and a generator for points."""
+    dim = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["box", "ball", "polytope"] if dim == 2 else ["box", "ball"]))
+    if kind == "polytope":
+        v, rng = draw(symmetric_polygons())
+        body = geo.SpectrumSet.polytope(v)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        sizes = draw(st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim))
+        body = (geo.SpectrumSet.box(sizes) if kind == "box"
+                else geo.SpectrumSet.ball(sizes[0], dim))
+    eps = draw(st.just(0.0) | st.floats(1e-3, 2.0)) * np.max(body.bounding_box())
+    return body, eps, rng
 
 
 HEXAGON = [[0.5, 0.2], [-0.5, -0.2], [0.1, 0.55], [-0.1, -0.55], [0.45, -0.35], [-0.45, 0.35]]
@@ -289,6 +314,27 @@ class TestMeasures:
         out = geo.SpectrumSet.polytope(SEGMENT).enlarged(0.1)
         assert out.shape == "polytope"
         assert np.allclose(np.sort(out.vertices[:, 0]), [-0.9, 0.9], rtol=0, atol=1e-15)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(enlargement_cases())
+    def test_enlarged_holds_the_eps_neighbourhood(self, case):
+        body, eps, rng = case
+        big = body.enlarged(eps)
+        # points of the body: on its boundary, at its vertices, and inside
+        d = rng.normal(size=(200, body.dim))
+        inside = d / body.gauge(d)[:, None]
+        inside = np.vstack([inside, inside * rng.random((200, 1))]
+                           + ([] if body.vertices is None else [body.vertices]))
+        shift = rng.normal(size=inside.shape)
+        shift *= eps * rng.random((inside.shape[0], 1)) ** 0.1 / np.linalg.norm(
+            shift, axis=1, keepdims=True)
+        assert np.all(big.contains(inside + shift, tol=1e-9))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=2), st.floats(0.0, 1e3))
+    def test_box_enlarged_by_eps_exactly(self, h, eps):
+        out = geo.SpectrumSet.box(h).enlarged(eps).bounding_box()
+        assert np.array_equal(out, np.stack([-(np.array(h) + eps), np.array(h) + eps], axis=1))
 
 
 class TestCovering:

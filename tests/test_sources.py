@@ -11,11 +11,13 @@ call in the package, its tests or its benchmark; an option nothing sets is a
 constant.  Every public function and method is used, outside its own
 definition, by the package, its benchmark or the acceptance tests of the
 paper's claims (``tests/test_acceptance.py``); a name only unit tests call is
-a test oracle and lives in the tests.  Every name a module imports is read in
-that module.  Every config field a CLI command declares is set by a shipped
-config or a test.  Importing the package loads neither ``scipy.signal`` nor
-``scipy.stats``, and importing the CLI loads no ``scipy.linalg``.  No module
-imports ``scipy.spatial``: 2-d polytopes take their hull from numpy."""
+a test oracle and lives in the tests.  Every name a module binds at its top
+level is read by the package, its tests or its benchmark.  Every name a
+module imports is read in that module.  Every config field a CLI command
+declares is set by a shipped config or a test.  Importing the package loads
+neither ``scipy.signal`` nor ``scipy.stats``, and importing the CLI loads no
+``scipy.linalg``.  No module imports ``scipy.spatial``: 2-d polytopes take
+their hull from numpy."""
 import ast
 import json
 import os
@@ -207,15 +209,17 @@ def public_names(source: str) -> list:
 
 def references(source: str) -> set:
     """Every name the source reads, bare or as an attribute, except where a
-    function mentions its own name inside its own body."""
+    function mentions its own name inside its own body.  Binding a name, as
+    in ``x = 1`` or ``k.x = 1``, does not read it."""
     refs = set()
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = inside | {node.name}
-        if isinstance(node, ast.Name) and node.id not in inside:
+        loaded = isinstance(getattr(node, "ctx", None), ast.Load)
+        if isinstance(node, ast.Name) and loaded and node.id not in inside:
             refs.add(node.id)
-        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+        elif isinstance(node, ast.Attribute) and loaded and node.attr not in inside:
             refs.add(node.attr)
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
@@ -244,6 +248,47 @@ def test_name_scan_sees_every_use():
     assert public_names(src) == ["f", "m"]
     assert unused_names({"mod": src}, [src]) == [("mod", "f"), ("mod", "m")]
     assert unused_names({"mod": src}, [src, "g = f\nk.m()\n"]) == []
+
+
+def module_names(source: str) -> list:
+    """Names the module binds at its top level by assignment, ``def`` or
+    ``class``, dunders aside.  A function under a decorator call, such as a
+    CLI command's ``@command(...)``, is used through that registration."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [n.id for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        elif isinstance(node, ast.ClassDef) or (
+                isinstance(node, ast.FunctionDef)
+                and not any(isinstance(d, ast.Call) for d in node.decorator_list)):
+            out.append(node.name)
+    return [name for name in out if not (name.startswith("__") and name.endswith("__"))]
+
+
+def dead_names(sources: dict, callers: list) -> list:
+    """(module, name) of every module-level name no caller reads."""
+    used = set().union(*(references(src) for src in callers))
+    return [(mod, name) for mod, src in sources.items() for name in module_names(src)
+            if name not in used]
+
+
+def test_every_module_name_is_read():
+    callers = [path.read_text() for d in CALLER_DIRS for path in sorted((REPO / d).rglob("*.py"))]
+    sources = {name: path.read_text() for name, path in SOURCES.items()}
+    assert dead_names(sources, callers) == []
+
+
+def test_dead_name_scan_sees_every_binding():
+    src = ("import os\n__all__ = ['f']\n_A, (B, c) = 1, (2, 3)\nD: int = 4\nE = D\n"
+           "def f(n):\n    return f(n - 1)\nclass K:\n    x = 1\n"
+           "@register('x')\ndef r():\n    pass\nk.c = 5\n")
+    assert module_names(src) == ["_A", "B", "c", "D", "E", "f", "K"]
+    assert dead_names({"mod": src}, [src]) == [("mod", "_A"), ("mod", "B"), ("mod", "c"),
+                                               ("mod", "E"), ("mod", "f"), ("mod", "K")]
+    assert dead_names({"mod": src}, [src, "print(_A, B, m.c, E)\ng = f\n"]) == [
+        ("mod", "K")]
 
 
 def unused_imports(source: str) -> list:
