@@ -21,11 +21,10 @@ from .frames import (FrameReport, NotAFrameError, SampleVector, analysis,
                      covering_frame_experiment, frame_bounds,
                      interior_taper_subspace, reconstruct, three_dilate_check,
                      weighted_frame_check)
-from .timefreq import (PhaseSpaceSamples, TimeFrequencyGrid, UniformGrid,
-                       WindowFunction, feichtinger_norm, gabor_reconstruct,
-                       gaussian_window, isometry_check, phase_lattice,
-                       pw_stft_frame_check, stft, stft_fourier_closed_form,
-                       tf_identity_check)
+from .timefreq import (TimeFrequencyGrid, UniformGrid, WindowFunction,
+                       feichtinger_norm, gabor_reconstruct, gaussian_window,
+                       isometry_check, phase_lattice, pw_stft_frame_check, stft,
+                       stft_fourier_closed_form, tf_identity_check)
 from .psido import (KNSymbol, SpectralFactor, apply_ks, hs_norm, psido_frame_check,
                     symbol_term, validate_symbol_class)
 

@@ -21,7 +21,7 @@ gives super-polynomial time decay.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -154,27 +154,20 @@ def ingham_window(eps: float, dim: int = 1, profile_nodes: int = 401) -> InghamW
 
 @dataclass(frozen=True, eq=False)
 class BalayageSolution:
-    """Coefficients sweeping a point mass at ``y`` onto the sampling set."""
+    """Coefficients on the sampling set fitting a target, with the IRLS
+    counters of the fit: sweeping the point mass at ``y``, or for a bare
+    target of :meth:`BalayageSolver.solve_rhs` with ``y`` None."""
 
-    y: np.ndarray
-    sampling_set: SamplingSet
     coeffs: np.ndarray
-    fit_residual: float     # sup over grid nodes of the exponential mismatch
-    l1_mass: float
+    residual: float         # sup over grid nodes of the exponential mismatch
     iterations: int         # IRLS steps run (0 without reweighting)
     converged: bool         # the IRLS step rule was met, or no reweighting was due
     reweighted: bool        # the IRLS result replaced the least-squares start
+    y: np.ndarray | None = None
 
-
-@dataclass(frozen=True, eq=False)
-class RhsFit:
-    """Result of :meth:`BalayageSolver.solve_rhs` with its IRLS counters."""
-
-    coeffs: np.ndarray
-    residual: float
-    iterations: int
-    converged: bool
-    reweighted: bool
+    @property
+    def l1_mass(self) -> float:
+        return float(np.sum(np.abs(self.coeffs)))
 
 
 class BalayageSolver:
@@ -226,7 +219,7 @@ class BalayageSolver:
     def _target(self, y: np.ndarray) -> np.ndarray:
         return exp_table(y, self.grid.nodes, sign=-1)[0]
 
-    def solve_rhs(self, b: np.ndarray) -> RhsFit:
+    def solve_rhs(self, b: np.ndarray) -> BalayageSolution:
         """Real l1-regularized weighted least squares against any target.
 
         Starts from the truncated-SVD least-squares solution of the weighted
@@ -268,7 +261,7 @@ class BalayageSolver:
         a0 = self._pinv @ c
         r0 = float(np.max(np.abs(self._phi @ a0 - b)))
         if self.reg <= 0:
-            return RhsFit(a0, r0, iterations=0, converged=True, reweighted=False)
+            return BalayageSolution(a0, r0, iterations=0, converged=True, reweighted=False)
         a = a0
         n = self._top.shape[1] - 1
         # [R, Q^T U^T c; 0, 0] over [D, 0]: the last column of the factored
@@ -296,8 +289,8 @@ class BalayageSolver:
         # keep the sparser stationary point only while it stays feasible;
         # the l1 weight must not turn a feasible sweep into a failure
         if r1 <= max(self.eta, r0):
-            return RhsFit(a, r1, iterations, converged, reweighted=True)
-        return RhsFit(a0, r0, iterations, converged, reweighted=False)
+            return BalayageSolution(a, r1, iterations, converged, reweighted=True)
+        return BalayageSolution(a0, r0, iterations, converged, reweighted=False)
 
     def solve(self, y) -> BalayageSolution:
         yv = as_points(y, self.sampling_set.dim)[0]
@@ -310,18 +303,11 @@ class BalayageSolver:
             # a point mass already supported on E is its own sweep
             coeffs = np.zeros(self.sampling_set.size)
             coeffs[int(np.argmax(match))] = 1.0
-            sol = BalayageSolution(y=yv, sampling_set=self.sampling_set, coeffs=coeffs,
-                                   fit_residual=0.0, l1_mass=1.0, iterations=0,
-                                   converged=True, reweighted=False)
+            sol = BalayageSolution(coeffs, 0.0, 0, converged=True, reweighted=False, y=yv)
         else:
-            fit = self.solve_rhs(self._target(yv))
-            if fit.residual > self.eta:
-                raise BalayageInfeasibleError(yv, fit.residual, self.eta)
-            sol = BalayageSolution(y=yv, sampling_set=self.sampling_set, coeffs=fit.coeffs,
-                                   fit_residual=fit.residual,
-                                   l1_mass=float(np.sum(np.abs(fit.coeffs))),
-                                   iterations=fit.iterations, converged=fit.converged,
-                                   reweighted=fit.reweighted)
+            sol = replace(self.solve_rhs(self._target(yv)), y=yv)
+            if sol.residual > self.eta:
+                raise BalayageInfeasibleError(yv, sol.residual, self.eta)
         self._cache[key] = sol
         return sol
 

@@ -152,6 +152,22 @@ def command(name: str, **fields):
     return register
 
 
+# the JSON type of each spectrum field but ``shape``, which ``from_json`` checks
+SPECTRUM = {"dim": int, "radius": float, "half_widths": list, "vertices": list}
+
+
+def _spectrum(spec: dict) -> geometry.SpectrumSet:
+    """The spectrum ``spec`` describes, each of its fields type-checked first;
+    the entries of a list field, at any depth, must be numbers."""
+    todo = [(spec[name], kind, name) for name, kind in SPECTRUM.items() if name in spec]
+    while todo:
+        value, kind, name = todo.pop(0)
+        if isinstance(_checked(value, kind, name), list):
+            todo += [(item, list if isinstance(item, list) else float, f"{name}[{i}]")
+                     for i, item in enumerate(value)]
+    return geometry.SpectrumSet.from_json(spec)
+
+
 def _sampling_set(spec: dict) -> sampling.SamplingSet:
     kind = spec["kind"]
     if kind == "points":
@@ -207,7 +223,7 @@ def _balayage_meta(sols) -> dict:
 @command("covering", spectrum=dict, sampling=SAMPLING, rho=float, region=list,
          resolution=float, grid_nodes=64, subspace_margin=5.0)
 def cmd_covering(cfg: dict) -> Outcome:
-    spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
+    spectrum = _spectrum(cfg["spectrum"])
     e_set = _sampling_set(cfg["sampling"])
     result = frames.covering_frame_experiment(
         spectrum, e_set, rho=cfg["rho"], region=cfg["region"], resolution=cfg["resolution"],
@@ -226,7 +242,7 @@ def cmd_covering(cfg: dict) -> Outcome:
 @command("frame-bounds", spectrum=dict, sampling=SAMPLING, grid_nodes=512,
          subspace=Section({"margin": 10.0}, optional=True), seed=0, trials=50)
 def cmd_frame_bounds(cfg: dict) -> Outcome:
-    spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
+    spectrum = _spectrum(cfg["spectrum"])
     e_set = _sampling_set(cfg["sampling"])
     grid = geometry.build_grid(spectrum, cfg["grid_nodes"])
     subspace = None if cfg["subspace"] is None else frames.interior_taper_subspace(
@@ -247,7 +263,7 @@ def cmd_frame_bounds(cfg: dict) -> Outcome:
 @command("reconstruct", spectrum=dict, sampling=SAMPLING, grid_nodes=33, seed=0,
          tol=1e-8, max_iter=200)
 def cmd_reconstruct(cfg: dict) -> Outcome:
-    spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
+    spectrum = _spectrum(cfg["spectrum"])
     e_set = _sampling_set(cfg["sampling"])
     truth = spectral.random_pw_signal(spectrum, cfg["grid_nodes"], cfg["seed"])
     samples = frames.analysis(truth, e_set)
@@ -269,7 +285,7 @@ def cmd_reconstruct(cfg: dict) -> Outcome:
 @command("identity", spectrum=dict, sampling=SAMPLING, enlarged_nodes=384, seed=0,
          n_y=25, y_half=10.0, eta=1e-5, tolerance=1e-2, trials=5, poly_terms=5)
 def cmd_identity(cfg: dict) -> Outcome:
-    spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
+    spectrum = _spectrum(cfg["spectrum"])
     e_set = _sampling_set(cfg["sampling"])
     eps = bal.default_enlargement(spectrum)
     grid = geometry.build_grid(geometry.enlarge(spectrum, eps), cfg["enlarged_nodes"])
@@ -288,7 +304,7 @@ def cmd_identity(cfg: dict) -> Outcome:
         {"identity_residuals": residuals, "max_residual": max(residuals), "tolerance": tol},
         0 if max(residuals) <= tol else 1,
         tables={"solves.csv": (["y", "residual", "l1_mass"],
-                               [[float(s.y[0]), s.fit_residual, s.l1_mass] for s in sols])},
+                               [[float(s.y[0]), s.residual, s.l1_mass] for s in sols])},
         meta=_balayage_meta(sols))
 
 
@@ -347,7 +363,7 @@ def cmd_gabor(cfg: dict) -> Outcome:
                         "order": 8, "amplitude": 1.0}, many=True),
          seed=0, n_k=25, eta=1e-5, trials=10)
 def cmd_psido(cfg: dict) -> Outcome:
-    spectrum = geometry.SpectrumSet.from_json(cfg["spectrum"])
+    spectrum = _spectrum(cfg["spectrum"])
     e_set = _sampling_set(cfg["sampling"])
     terms = []
     for td in cfg["terms"]:

@@ -39,7 +39,7 @@ import numpy as np
 from .geometry import (CoveringReport, SpectralGrid, SpectrumSet,
                        build_grid, covering_check)
 from .sampling import SamplingSet
-from .spectral import (BandlimitedSignal, _exp_factors, _lattice_indices, evaluate,
+from .spectral import (BandlimitedSignal, _exp_factors, _lattice_split, evaluate,
                        exp_table)
 
 _EIG_FLOOR = 1e-12
@@ -210,23 +210,17 @@ def _orthonormal_span(basis: np.ndarray, cutoff: float) -> np.ndarray:
     return q0 @ np.linalg.inv(chol).conj().T
 
 
-def subspace_signal(grid: SpectralGrid, subspace: np.ndarray, coeffs) -> BandlimitedSignal:
-    """Signal with sqrt-weight coordinates Q @ coeffs, unit normalized."""
-    u = subspace @ np.asarray(coeffs, dtype=complex)
-    f = u / np.sqrt(grid.weights)
-    sig = BandlimitedSignal(grid=grid, coeffs=f)
-    n = sig.norm()
+def random_subspace_signal(grid: SpectralGrid, subspace: np.ndarray, seed: int) -> BandlimitedSignal:
+    """Projection Q Q^H z of a complex-normal z onto the subspace (in
+    sqrt-weight coordinates), unit normalized; it depends on the span of Q
+    only, not on the basis chosen."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    f = subspace @ (z.conj() @ subspace).conj() / np.sqrt(grid.weights)
+    n = BandlimitedSignal(grid=grid, coeffs=f).norm()
     if n == 0:
         raise ValueError("zero subspace coefficient vector")
     return BandlimitedSignal(grid=grid, coeffs=f / n)
-
-
-def random_subspace_signal(grid: SpectralGrid, subspace: np.ndarray, seed: int) -> BandlimitedSignal:
-    """Projection Q Q^H z of a complex-normal z onto the subspace, unit
-    normalized; it depends on the span of Q only, not on the basis chosen."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    return subspace_signal(grid, subspace, (z.conj() @ subspace).conj())
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,8 +244,10 @@ def reconstruct(samples: SampleVector, grid: SpectralGrid,
     nodes sit on a regular lattice (every grid from
     :func:`~nusample.geometry.build_grid` and :func:`dilation_grid`) that
     operator is Toeplitz and is applied by circulant embedding and FFT
-    (``"toeplitz-fft"``, see :func:`_toeplitz_system`); off the lattice the
-    dense product with the sampled exponentials is kept (``"dense"``).
+    (``"toeplitz-fft"``, see :func:`_toeplitz_system`); off the lattice, and
+    on lattice subsets so sparse that :func:`~nusample.spectral.exp_table`
+    builds them densely, the dense product with the sampled exponentials is
+    kept (``"dense"``).
     Non-convergence returns the best iterate flagged unconverged; a
     numerically vanishing lower bound raises :class:`NotAFrameError`.
     """
@@ -261,7 +257,7 @@ def reconstruct(samples: SampleVector, grid: SpectralGrid,
     if ss.size < grid.size:
         method, lattice = "sample-gram", None
     else:
-        lattice = _lattice_indices(grid.nodes)
+        lattice = _lattice_split(ss.points, grid.nodes, 1)[2]
         method = "dense" if lattice is None else "toeplitz-fft"
     if not np.any(v):
         return ReconstructionResult(
@@ -429,19 +425,26 @@ def _dilate_coeffs(signal: BandlimitedSignal, factor: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DilateCheck:
+class InequalityCheck:
+    """The three sides of a frame-type inequality lhs <= mid <= rhs and
+    whether each half holds (None for a half that was not checked)."""
+
     lhs: float
     mid: float
     rhs: float
-    lower_const: float | None
-    upper_const: float | None
     lower_ok: bool | None
     upper_ok: bool | None
+
+    @classmethod
+    def of(cls, lhs: float, mid: float, rhs: float) -> "InequalityCheck":
+        """Both halves checked up to a relative slack of 1e-9."""
+        return cls(lhs, mid, rhs, lower_ok=bool(lhs <= mid * (1.0 + _SLACK)),
+                   upper_ok=bool(mid <= rhs * (1.0 + _SLACK)))
 
 
 def three_dilate_check(signal: BandlimitedSignal, sampling_set: SamplingSet,
                        lower_const: float | None = None,
-                       upper_const: float | None = None) -> DilateCheck:
+                       upper_const: float | None = None) -> InequalityCheck:
     """Dilation inequality data for one signal and one sampling set.
 
     lhs = integral over the spectrum of |F(g) + F(2g) + F(3g)|^2, divided by
@@ -456,9 +459,8 @@ def three_dilate_check(signal: BandlimitedSignal, sampling_set: SamplingSet,
     j_f = signal.coeffs + _dilate_coeffs(signal, 2) + _dilate_coeffs(signal, 3)
     norm_f = signal.norm()
     if norm_f == 0.0:
-        return DilateCheck(0.0, 0.0, 0.0, lower_const, upper_const,
-                           None if lower_const is None else True,
-                           None if upper_const is None else True)
+        return InequalityCheck(0.0, 0.0, 0.0, None if lower_const is None else True,
+                               None if upper_const is None else True)
     lhs = float(np.sum(w * np.abs(j_f) ** 2)) / norm_f
     mid = 0.0
     for j in (1, 2, 3):
@@ -469,25 +471,13 @@ def three_dilate_check(signal: BandlimitedSignal, sampling_set: SamplingSet,
         np.sqrt(lower_const) * lhs <= mid * (1.0 + _SLACK))
     upper_ok = None if upper_const is None else bool(
         mid <= np.sqrt(upper_const) * rhs * (1.0 + _SLACK))
-    return DilateCheck(lhs=lhs, mid=mid, rhs=rhs, lower_const=lower_const,
-                       upper_const=upper_const, lower_ok=lower_ok, upper_ok=upper_ok)
-
-
-@dataclass(frozen=True)
-class WeightedCheck:
-    lhs: float
-    mid: float
-    rhs: float
-    lower_ok: bool
-    upper_ok: bool
-    lower_const: float
-    bessel_bound: float
+    return InequalityCheck(lhs, mid, rhs, lower_ok, upper_ok)
 
 
 def weighted_frame_check(signal: BandlimitedSignal, weight_values,
                          sampling_set: SamplingSet,
                          balayage_k: float, window_l2: float,
-                         bessel_bound: float | None = None) -> WeightedCheck:
+                         bessel_bound: float | None = None) -> InequalityCheck:
     """Weighted frame inequality data for one signal, weight, and set.
 
     lhs = A * (integral |F|^2 G)^2 / integral |F|^2 with A = 1/(K * ||h||_2)^2
@@ -512,10 +502,7 @@ def weighted_frame_check(signal: BandlimitedSignal, weight_values,
     if bessel_bound is None:
         bessel_bound = frame_bounds(sampling_set, signal.grid).upper
     rhs = bessel_bound * float(np.max(g_vals)) ** 2 * norm_sq
-    return WeightedCheck(lhs=lhs, mid=mid, rhs=rhs,
-                         lower_ok=bool(lhs <= mid * (1.0 + _SLACK)),
-                         upper_ok=bool(mid <= rhs * (1.0 + _SLACK)),
-                         lower_const=a_const, bessel_bound=bessel_bound)
+    return InequalityCheck.of(lhs, mid, rhs)
 
 
 # -- covering experiment -------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import _SLACK
+from .frames import InequalityCheck
 from .geometry import SpectrumSet
 from .sampling import SamplingSet
 from .spectral import exp_sum, exp_table
@@ -184,18 +184,9 @@ def validate_symbol_class(symbol: KNSymbol) -> SymbolValidation:
                             ok=not failures, failures=failures)
 
 
-@dataclass(frozen=True)
-class PsidoCheck:
-    lhs: float
-    mid: float
-    rhs: float
-    lower_ok: bool
-    upper_ok: bool
-
-
 def psido_frame_check(symbol: KNSymbol, f_values, f_grid: UniformGrid,
                       sampling_set: SamplingSet, gamma_nodes, gamma_weights,
-                      lower_const: float, bessel_bound: float) -> PsidoCheck:
+                      lower_const: float, bessel_bound: float) -> InequalityCheck:
     """Frame-type inequality data for the operator output of one signal.
 
     lhs = A ||K_s f-hat||^4 / ||f||^2 with A = 1/(K ||h||_2)^2 assembled from
@@ -210,7 +201,7 @@ def psido_frame_check(symbol: KNSymbol, f_values, f_grid: UniformGrid,
     gnodes = np.asarray(gamma_nodes, dtype=float).ravel()
     gw = np.asarray(gamma_weights, dtype=float)
     if not np.any(f):
-        return PsidoCheck(0.0, 0.0, 0.0, True, True)
+        return InequalityCheck.of(0.0, 0.0, 0.0)
     kf = apply_ks(symbol, f, f_grid, gnodes)
     kf_norm_sq = float(np.sum(gw * np.abs(kf) ** 2))
     f_norm_sq = float(np.sum(np.abs(f) ** 2) * f_grid.step)
@@ -223,6 +214,4 @@ def psido_frame_check(symbol: KNSymbol, f_values, f_grid: UniformGrid,
     mid = float(np.sum(np.abs(inner) ** 2))
     hs = hs_norm(symbol, f_grid, gnodes, gw)
     rhs = bessel_bound * hs**2 * kf_norm_sq
-    return PsidoCheck(lhs=lhs, mid=mid, rhs=rhs,
-                      lower_ok=bool(lhs <= mid * (1.0 + _SLACK)),
-                      upper_ok=bool(mid <= rhs * (1.0 + _SLACK)))
+    return InequalityCheck.of(lhs, mid, rhs)

@@ -119,27 +119,30 @@ def lower_beurling_density(sampling_set: SamplingSet, radii) -> DensityReport:
     return DensityReport(entries=entries, skipped=skipped, estimate=est)
 
 
-def generate_jittered_grid(delta: float, jitter: float, window, seed: int) -> SamplingSet:
-    """Uniform grid delta*Z^d intersected with the window, each point perturbed
-    by independent uniform noise in [-jitter, jitter]^d.
+def generate_jittered_grid(delta, jitter: float, window, seed: int | None) -> SamplingSet:
+    """Lattice delta_1 Z x ... x delta_d Z intersected with the window, each
+    point perturbed by independent uniform noise in [-jitter, jitter]^d.
 
-    Requires 0 <= jitter < delta/2 so the separation stays >= delta - 2*jitter.
+    ``delta`` is one step for every axis or one step per axis.  Requires
+    0 <= jitter < min(delta)/2 so the separation stays >= min(delta) - 2*jitter.
     The declared window of the result is inflated by jitter so perturbed points
     remain inside it.  Deterministic for a fixed seed.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if not 0 <= jitter < delta / 2.0:
-        raise ValueError("need 0 <= jitter < delta/2")
     win = np.asarray(window, dtype=float)
     if win.ndim == 1:
         win = win.reshape(1, 2)
     dim = win.shape[0]
+    steps = np.broadcast_to(np.asarray(delta, dtype=float), (dim,))
+    if np.any(steps <= 0):
+        raise ValueError("delta must be positive")
+    if not 0 <= jitter < steps.min() / 2.0:
+        raise ValueError(f"jitter must lie in [0, {steps.min() / 2.0:g}), half the "
+                         f"smallest lattice step, got {jitter!r}")
     axes = []
-    for lo, hi in win:
-        k0 = int(np.ceil(lo / delta - 1e-12))
-        k1 = int(np.floor(hi / delta + 1e-12))
-        axes.append(delta * np.arange(k0, k1 + 1))
+    for (lo, hi), step in zip(win, steps):
+        k0 = int(np.ceil(lo / step - 1e-12))
+        k1 = int(np.floor(hi / step + 1e-12))
+        axes.append(step * np.arange(k0, k1 + 1))
     mesh = np.meshgrid(*axes, indexing="ij")
     base = np.stack([m.ravel() for m in mesh], axis=1)
     rng = np.random.default_rng(seed)

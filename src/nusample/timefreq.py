@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import NotAFrameError, _conjugate_gradients, _orthonormal_span
-from .sampling import SamplingSet
+from .sampling import SamplingSet, generate_jittered_grid
 from .spectral import BandlimitedSignal, evaluate, exp_sum, exp_table
 
 _ALIGN_TOL = 1e-9
@@ -62,15 +62,6 @@ class TimeFrequencyGrid:
             raise ValueError("grid steps must be positive")
         if self.time.count < 2 or self.freq.count < 2:
             raise ValueError("need at least 2 nodes per axis")
-
-
-def tf_grid_for(signal_grid: UniformGrid, time_half: float = 8.0,
-                freq_half: float = 4.0, freq_step: float = 1.0 / 3.0) -> TimeFrequencyGrid:
-    """Phase-space grid whose time axis is commensurate with a signal grid."""
-    k = max(1, round((1.0 / 3.0) / signal_grid.step))
-    t_step = k * signal_grid.step
-    return TimeFrequencyGrid(time=UniformGrid.symmetric(time_half, t_step),
-                             freq=UniformGrid.symmetric(freq_half, freq_step))
 
 
 def gaussian_identity_fixture(check: str, refine: int = 1):
@@ -264,11 +255,13 @@ def feichtinger_norm(f_values, f_grid: UniformGrid) -> float:
 
     The phase-space box keeps the frequency extent inside the signal grid's
     alias-free range (Nyquist minus the Gaussian spread), so accurate values
-    for wide-band f require a correspondingly fine grid.
+    for wide-band f require a correspondingly fine grid; its time step is the
+    multiple of the signal step nearest 1/3, so the two are commensurate.
     """
     freq_half = min(4.0, max(1.0, 0.5 / f_grid.step - 2.5))
-    tf = tf_grid_for(f_grid, time_half=6.0, freq_half=freq_half,
-                     freq_step=min(1.0 / 3.0, freq_half / 6.0))
+    t_step = max(1, round((1.0 / 3.0) / f_grid.step)) * f_grid.step
+    tf = TimeFrequencyGrid(time=UniformGrid.symmetric(6.0, t_step),
+                           freq=UniformGrid.symmetric(freq_half, min(1.0 / 3.0, freq_half / 6.0)))
     g0 = gaussian_window(step=f_grid.step)
     v = stft(f_values, f_grid, g0, tf)
     return float(np.sum(np.abs(v)) * tf.time.step * tf.freq.step)
@@ -341,38 +334,18 @@ def pw_stft_frame_check(signal: BandlimitedSignal, window: WindowFunction,
 # -- non-uniform Gabor systems -------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseSpaceSamples:
-    """Separated time-frequency nodes (s_n, sigma_n)."""
-
-    points: np.ndarray     # (n, 2)
-
-    def __post_init__(self):
-        p = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        object.__setattr__(self, "points", p)
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-
 def phase_lattice(a: float, b: float, time_extent: float, freq_extent: float,
-                  jitter: float = 0.0, seed: int | None = None) -> PhaseSpaceSamples:
-    """Rectangular lattice a Z x b Z truncated to a phase-space box, optionally
-    jittered by uniform noise in [-jitter, jitter]^2 (seeded)."""
-    s = a * np.arange(-int(np.floor(time_extent / a)), int(np.floor(time_extent / a)) + 1)
-    sig = b * np.arange(-int(np.floor(freq_extent / b)), int(np.floor(freq_extent / b)) + 1)
-    ss, gg = np.meshgrid(s, sig, indexing="ij")
-    pts = np.stack([ss.ravel(), gg.ravel()], axis=1)
-    if jitter > 0:
-        rng = np.random.default_rng(seed)
-        pts = pts + rng.uniform(-jitter, jitter, size=pts.shape)
-    return PhaseSpaceSamples(points=pts)
+                  jitter: float = 0.0, seed: int | None = None) -> SamplingSet:
+    """Time-frequency nodes (s_n, sigma_n): the rectangular lattice a Z x b Z
+    in the phase-space box [-T, T] x [-F, F], optionally jittered by uniform
+    noise in [-jitter, jitter]^2 (seeded), which needs jitter < min(a, b)/2."""
+    return generate_jittered_grid([a, b], jitter, [[-time_extent, time_extent],
+                                                   [-freq_extent, freq_extent]], seed)
 
 
 def _atom_matrix(grid: UniformGrid, window: WindowFunction,
-                 samples: PhaseSpaceSamples) -> np.ndarray:
-    """Columns exp(2 pi i sigma t) g(t - s) per phase-space node; the
+                 samples: SamplingSet) -> np.ndarray:
+    """Columns exp(2 pi i sigma t) g(t - s) per phase-space node (s, sigma); the
     exponentials are factored along the uniform t axis."""
     t = grid.nodes
     s = samples.points[:, 0]
@@ -398,7 +371,7 @@ def reference_test_subspace(grid: UniformGrid, time_extent: float,
 
 
 def gabor_frame_condition(grid: UniformGrid, window: WindowFunction,
-                          samples: PhaseSpaceSamples,
+                          samples: SamplingSet,
                           test_subspace: np.ndarray,
                           atoms: np.ndarray | None = None) -> float:
     """Extreme-eigenvalue ratio of the frame operator compressed to the test
@@ -429,7 +402,7 @@ class GaborResult:
 
 
 def gabor_reconstruct(f_values, grid: UniformGrid, window: WindowFunction,
-                      samples: PhaseSpaceSamples, max_iter: int = 500,
+                      samples: SamplingSet, max_iter: int = 500,
                       cond_threshold: float = 1e8,
                       test_subspace: np.ndarray | None = None) -> GaborResult:
     """Invert the frame operator on the coefficients of f by conjugate

@@ -97,7 +97,7 @@ class TestInghamWindow:
 class TestSolve:
     def test_point_already_on_set(self, solver):
         sol = solver.solve([0.5])
-        assert sol.fit_residual == 0.0
+        assert sol.residual == 0.0
         assert sol.l1_mass == 1.0
         k = np.argmax(np.abs(sol.coeffs))
         assert solver.sampling_set.points[k, 0] == 0.5
@@ -105,7 +105,7 @@ class TestSolve:
 
     def test_oversampled_interior_center(self, solver):
         sol = solver.solve([0.13])
-        assert sol.fit_residual <= 1e-6
+        assert sol.residual <= 1e-6
         assert sol.l1_mass <= 10.0
 
     def test_undersampled_infeasible(self):
@@ -154,6 +154,15 @@ class TestSolve:
         fit = plain.solve_rhs(plain._target(np.array([0.13])))
         assert fit.iterations == 0 and np.array_equal(fit.coeffs, sol.coeffs)
 
+    def test_mass_and_center_of_a_solution(self, solver):
+        sol = solver.solve([0.13])
+        assert sol.l1_mass == float(np.sum(np.abs(sol.coeffs)))
+        assert sol.y.tolist() == [0.13]
+        fit = solver.solve_rhs(solver._target(np.array([0.13])))
+        assert fit.y is None   # a bare target sweeps no center
+        assert fit.l1_mass == float(np.sum(np.abs(fit.coeffs)))
+        assert np.array_equal(fit.coeffs, sol.coeffs) and fit.residual == sol.residual
+
     def test_center_on_set_runs_no_irls(self, solver):
         sol = solver.solve([0.5])
         assert sol.iterations == 0 and sol.converged and not sol.reweighted
@@ -186,8 +195,8 @@ def irls_fit(solver, stack, rows, a0, r0, b):
         iterations += 1
     r1 = float(np.max(np.abs(solver._phi @ a - b)))
     if r1 <= max(solver.eta, r0):
-        return bal.RhsFit(a, r1, iterations, converged, reweighted=True)
-    return bal.RhsFit(a0, r0, iterations, converged, reweighted=False)
+        return bal.BalayageSolution(a, r1, iterations, converged, reweighted=True)
+    return bal.BalayageSolution(a0, r0, iterations, converged, reweighted=False)
 
 
 def dense_qr_fit(solver, b):
@@ -313,7 +322,7 @@ class TestSymmetryProperties:
         assert np.max(np.abs(sol_neg.coeffs - np.conj(sol_pos.coeffs[::-1]))) <= 1e-6
         # at any one grid node the fit gives |sum_x a_x e_x| >= 1 - residual
         for sol in (sol_pos, sol_neg):
-            assert sol.l1_mass >= 1.0 - sol.fit_residual
+            assert sol.l1_mass >= 1.0 - sol.residual
 
 
 class TestBalayageConstant:

@@ -127,12 +127,27 @@ def test_missing_points_file_exits_2(tmp_path):
      "config error: unknown field 'half_widths' in spectrum"),
     (lambda cfg: cfg["spectrum"].update(shape=[]), "unknown shape []"),
     (lambda cfg: cfg["sampling"].update(kind=[]), "kind must be a string, got []"),
+    # a bool would otherwise run as 1, and a string fail with Python's message
+    (lambda cfg: cfg.update(spectrum={"shape": "ball", "radius": True, "dim": 1}),
+     "config error: radius must be a number, got True"),
+    (lambda cfg: cfg.update(spectrum={"shape": "ball", "radius": "x", "dim": 1}),
+     "config error: radius must be a number, got 'x'"),
+    (lambda cfg: cfg["spectrum"].update(dim=True),
+     "config error: dim must be an integer, got True"),
+    (lambda cfg: cfg["spectrum"].update(half_widths=[True]),
+     "config error: half_widths[0] must be a number, got True"),
+    (lambda cfg: cfg["spectrum"].update(half_widths="abc"),
+     "config error: half_widths must be a list, got 'abc'"),
+    (lambda cfg: cfg.update(spectrum={"shape": "polytope", "vertices": [[0.5], ["x"]]}),
+     "config error: vertices[1][0] must be a number, got 'x'"),
 ], ids=["jitter-above-half-delta", "negative-resolution", "region-dim-mismatch",
         "string-resolution", "boolean-rho", "empty-points", "unknown-sampling-kind",
         "reversed-region", "nan-resolution", "infinite-resolution", "fractional-grid-nodes",
         "fractional-sampling-seed", "boolean-points-dim", "integer-spectrum", "string-region",
         "integer-csv-path", "boolean-schema", "spectrum-dim-mismatch", "stray-spectrum-field",
-        "ball-with-half-widths", "list-spectrum-shape", "list-sampling-kind"])
+        "ball-with-half-widths", "list-spectrum-shape", "list-sampling-kind",
+        "boolean-radius", "string-radius", "boolean-spectrum-dim", "boolean-half-width",
+        "string-half-widths", "string-vertex"])
 def test_bad_config_value_exits_2(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIG_DIR / "covering.json").read_text())
     edit(cfg)
@@ -142,6 +157,20 @@ def test_bad_config_value_exits_2(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("jitter", [0.25, 0.3])
+def test_gabor_jitter_of_half_a_step_exits_2(tmp_path, capsys, jitter):
+    # jitter >= min(a, b)/2 could merge two phase-space nodes
+    cfg = json.loads((CONFIG_DIR / "gabor.json").read_text())
+    cfg.update(a=0.5, b=0.6, jitter=jitter)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert run("gabor", bad, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: jitter must lie in [0, 0.25)") and f"got {jitter}" in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("command,config,name,value", [

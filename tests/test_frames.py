@@ -416,6 +416,22 @@ class TestReconstruct:
         res = frames.reconstruct(frames.analysis(truth, e_set), grid, tol=1e-9)
         assert res.method == "dense" and res.converged
 
+    def test_sparse_lattice_subset_takes_dense_path(self):
+        # three nodes on a lattice of step 1e-3: the Toeplitz path would embed
+        # an 801 x 801 circulant, the dense table is 121 x 3
+        nodes = np.array([[0.0, 0.0], [1e-3, 1e-3], [0.4, 0.4]])
+        grid = geo.SpectralGrid(nodes=nodes, weights=np.full(3, 1.0 / 3),
+                                spectrum=geo.SpectrumSet.ball(1.0))
+        assert spc._lattice_indices(grid.nodes) is not None
+        e_set = generate_jittered_grid(1.0, 0.1, [[-5.0, 5.0], [-5.0, 5.0]], seed=0)
+        assert e_set.size == 121
+        samples = frames.analysis(spc.random_coeff_signal(grid, 0), e_set)
+        res = frames.reconstruct(samples, grid, tol=1e-9)
+        assert res.method == "dense" and res.converged
+        coeffs, it, _, _, _ = frames._conjugate_gradients(
+            *_dense_normal_equations(e_set, grid, samples.values), grid.weights, 1e-9, 200)
+        assert res.iterations == it and np.array_equal(res.signal.coeffs, coeffs)
+
     def test_sample_side_method(self):
         e_set = generate_jittered_grid(0.9, 0.2, [[-10.0, 10.0]], seed=0)
         truth = spc.random_pw_signal(UNIT_BAND, 128, 0)
@@ -490,7 +506,9 @@ class TestToeplitzOperator:
         res = frames.reconstruct(samples, grid, tol=1e-9, max_iter=200)
         coeffs, it, _, converged, _ = frames._conjugate_gradients(
             *_dense_normal_equations(e_set, grid, samples.values), grid.weights, 1e-9, 200)
-        assert res.method == "toeplitz-fft"
+        # the lattice rule of exp_table: 1-d lattices of 2-3 nodes are built densely
+        dense = spc._lattice_split(e_set.points, grid.nodes, 1)[2] is None
+        assert res.method == ("dense" if dense else "toeplitz-fft")
         assert (res.iterations, res.converged) == (it, converged)
         assert np.linalg.norm(res.signal.coeffs - coeffs) <= 1e-10 * np.linalg.norm(coeffs)
 

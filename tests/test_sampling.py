@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from nusample import sampling as sp
@@ -111,6 +113,36 @@ class TestJitteredGrid:
         e = sp.generate_jittered_grid(1.0, 0.2, [[-3, 3], [-2, 2]], seed=2)
         assert e.dim == 2 and e.size == 7 * 5
         assert separation(e) >= 1.0 - 2 * 0.2 - 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.floats(0.2, 2.0), st.floats(0.2, 2.0), st.integers(0, 8), st.integers(0, 8),
+           st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.floats(0.0, 0.49),
+           st.integers(0, 2**32 - 1))
+    def test_per_axis_steps_match_meshgrid(self, a, b, n_t, n_f, frac_t, frac_f, share, seed):
+        # the lattice a Z x b Z in [-T, T] x [-F, F], the extents kept off the
+        # lattice so that the node count per axis is 2 floor(T / a) + 1
+        t_ext, f_ext = (n_t + frac_t) * a, (n_f + frac_f) * b
+        jitter = share * min(a, b)
+        e = sp.generate_jittered_grid([a, b], jitter, [[-t_ext, t_ext], [-f_ext, f_ext]], seed)
+        s = a * np.arange(-n_t, n_t + 1)
+        sig = b * np.arange(-n_f, n_f + 1)
+        ss, gg = np.meshgrid(s, sig, indexing="ij")
+        pts = np.stack([ss.ravel(), gg.ravel()], axis=1)
+        if jitter > 0:
+            pts = pts + np.random.default_rng(seed).uniform(-jitter, jitter, size=pts.shape)
+        assert np.array_equal(e.points, pts)
+        assert np.array_equal(e.window, [[-t_ext - jitter, t_ext + jitter],
+                                         [-f_ext - jitter, f_ext + jitter]])
+
+    def test_per_axis_jitter_bound_is_half_the_smallest_step(self):
+        window = [[-3.0, 3.0], [-2.0, 2.0]]
+        assert sp.generate_jittered_grid([0.5, 0.3], 0.149, window, seed=0).size == 13 * 13
+        with pytest.raises(ValueError, match="jitter"):
+            sp.generate_jittered_grid([0.5, 0.3], 0.15, window, seed=0)
+        with pytest.raises(ValueError, match="jitter"):
+            sp.generate_jittered_grid([0.5, 0.3], -0.01, window, seed=0)
+        with pytest.raises(ValueError, match="delta"):
+            sp.generate_jittered_grid([0.5, 0.0], 0.0, window, seed=0)
 
 
 class TestSymmetrize:

@@ -8,7 +8,7 @@ from nusample import geometry as geo
 from nusample import spectral as spc
 from nusample import timefreq as tfm
 from nusample.frames import NotAFrameError
-from nusample.sampling import generate_jittered_grid, symmetrize
+from nusample.sampling import SamplingSet, generate_jittered_grid, symmetrize
 
 # quadrature value of the phase-space l1 norm of the Gaussian transform of
 # itself, measured once at step 1/12 and frozen (the closed-form value is 2)
@@ -366,12 +366,13 @@ class TestGabor:
 
     def test_empty_sample_set_gives_zero_operator(self, gabor_setup):
         grid, g0, f, _ = gabor_setup
-        out = gabor_frame_operator(f, grid, g0, tfm.PhaseSpaceSamples(np.empty((0, 2))))
+        empty = SamplingSet(2, np.empty((0, 2)), [[0.0, 0.0], [0.0, 0.0]])
+        out = gabor_frame_operator(f, grid, g0, empty)
         assert not np.any(out)
 
     def test_single_atom_is_rank_one(self, gabor_setup):
         grid, g0, f, _ = gabor_setup
-        p = tfm.PhaseSpaceSamples(np.array([[0.0, 0.0]]))
+        p = SamplingSet(2, [[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
         out = gabor_frame_operator(f, grid, g0, p)
         coeff = np.sum(f * np.conj(g0.values)) * grid.step
         assert np.allclose(out, coeff * g0.values)
@@ -432,7 +433,7 @@ class TestGabor:
 
     def test_empty_sample_set_is_not_a_frame(self, gabor_setup):
         grid, g0, f, q = gabor_setup
-        empty = tfm.PhaseSpaceSamples(np.empty((0, 2)))
+        empty = SamplingSet(2, np.empty((0, 2)), [[0.0, 0.0], [0.0, 0.0]])
         assert tfm.gabor_frame_condition(grid, g0, empty, q) == np.inf
         with pytest.raises(NotAFrameError):
             tfm.gabor_reconstruct(f, grid, g0, empty, test_subspace=q)
