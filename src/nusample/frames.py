@@ -4,15 +4,22 @@ Analysis maps a spectral coefficient vector to its time samples on a point
 set.  Frame bounds are the extreme eigenvalues of the Gram matrix of the
 weighted analysis matrix, taken on its smaller side (so the matrix is never
 decomposed itself), either over the full coefficient space or compressed to a
-subspace of time-localized signals.  The subspace matters: a finite sampling
-window can never frame the full discretized space (the analysis map has finite
-rank), so tightness statements are made for signals concentrated away from the
-window edge, built here from smoothly tapered, shifted spectral envelopes.
-Their orthonormal basis, like the Gabor reference subspace of
-:mod:`~nusample.timefreq`, comes from one helper that takes the eigenvectors
-of the small Gram matrix of the spanning set and one Cholesky
-re-orthonormalization pass, in place of a thin SVD of the tall matrix; every
-result that uses it depends on the span only.
+subspace of time-localized signals.  Over the full space, on a grid that fills
+a lattice box with uniform weights (every box grid of
+:func:`~nusample.geometry.build_grid`) and with no more samples than nodes,
+the samples-side Gram is a Hadamard product of per-axis Grams of factor
+tables of about sqrt(n) columns, so no samples x nodes table is formed and
+the node count is not capped.  Every other case forms that table and is
+capped at 4,096 nodes (:class:`CapacityError`).  The subspace matters: a
+finite sampling window can never frame the full discretized space (the
+analysis map has finite rank), so tightness statements are made for signals
+concentrated away from the window edge, built here from smoothly tapered,
+shifted spectral envelopes.  Their Gram matrix is (block-)Toeplitz over the
+shift lattice and is filled from a few of its rows.  Their orthonormal basis,
+like the Gabor reference subspace of :mod:`~nusample.timefreq`, comes from
+one helper that takes the eigenvectors of the small Gram matrix of the
+spanning set and one Cholesky re-orthonormalization pass, in place of a thin
+SVD of the tall matrix; every result that uses it depends on the span only.
 
 Also included: conjugate-gradient reconstruction from samples, the dilation
 inequality checker (three dilates, one sampling set), the weighted frame
@@ -32,6 +39,8 @@ sums the exponentials against the coefficients without forming the table.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,40 +123,76 @@ def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
     The bounds are the extreme squared singular values of the weighted
     analysis matrix (compressed to the subspace when one is given), taken as
     the eigenvalues of its Gram matrix on the smaller side (method
-    ``dense-gram`` or ``dense-gram/subspace-<rank>``).  The Gram's rounding
+    ``dense-gram`` or ``dense-gram/subspace-<rank>``).  Without a subspace,
+    on a grid whose nodes fill a lattice box with uniform weights (every
+    :func:`~nusample.geometry.build_grid` grid of a box, in any dimension)
+    and with no more samples than nodes, the samples-side Gram comes from the
+    factor tables of :func:`~nusample.spectral._exp_factors` (see
+    :func:`_box_gram`): no samples x nodes table is formed, and any node
+    count is served, at a cost that grows with the square of the sample
+    count.  Every other case forms the weighted analysis matrix and
+    raises :class:`CapacityError` above 4,096 nodes.  The Gram's rounding
     error on an eigenvalue is about eps * upper in absolute terms, far below
     the floor: a lower value below 1e-12 times max(upper, 1) is reported as
     0, i.e. not a frame at this scale.
     """
-    if sampling_set.size == 0:
+    samples = sampling_set.size
+    if samples == 0:
         raise ValueError("empty sampling set")
-    if grid.size > _DENSE_CAPACITY:
-        raise CapacityError(f"grid size {grid.size} exceeds dense capacity {_DENSE_CAPACITY}")
-    u = exp_table(sampling_set.points, grid.nodes) * np.sqrt(grid.weights)  # (samples, nodes)
-    if subspace is None:
-        a, method = u, "dense-gram"
-    else:
-        q = np.asarray(subspace)
-        if q.shape[0] != grid.size:
-            raise ValueError("subspace rows must match grid size")
-        a, method = u @ q, f"dense-gram/subspace-{q.shape[1]}"   # (samples, rank)
-    sq = _squared_singular_values(a)
+    gram = (_box_gram(sampling_set.points, grid)
+            if subspace is None and samples <= grid.size else None)
+    cols, method = grid.size, "dense-gram"
+    if gram is None:
+        if grid.size > _DENSE_CAPACITY:
+            raise CapacityError(f"grid size {grid.size} exceeds dense capacity {_DENSE_CAPACITY}")
+        a = exp_table(sampling_set.points, grid.nodes) * np.sqrt(grid.weights)  # (samples, nodes)
+        if subspace is not None:
+            q = np.asarray(subspace)
+            if q.shape[0] != grid.size:
+                raise ValueError("subspace rows must match grid size")
+            a, method = a @ q, f"dense-gram/subspace-{q.shape[1]}"   # (samples, rank)
+        ah = a.conj().T
+        gram, cols = (a @ ah if samples <= a.shape[1] else ah @ a), a.shape[1]
+    sq = np.maximum(np.linalg.eigvalsh(gram), 0.0)   # squared singular values, ascending
     upper = float(sq[-1])
-    lower = float(sq[0]) if a.shape[0] >= a.shape[1] else 0.0
+    lower = float(sq[0]) if samples >= cols else 0.0
     if lower < _EIG_FLOOR * max(upper, 1.0):
         lower = 0.0
     condition = np.inf if lower == 0.0 else upper / lower
     return FrameReport(lower=lower, upper=upper, condition=condition,
-                       node_count=grid.size, sample_count=sampling_set.size, method=method)
+                       node_count=grid.size, sample_count=samples, method=method)
 
 
-def _squared_singular_values(a: np.ndarray) -> np.ndarray:
-    """Squared singular values of ``a``, ascending: the eigenvalues of the
-    Gram matrix of its smaller side (a a^H when ``a`` has no more rows than
-    columns, a^H a otherwise), with negative rounding clipped to 0."""
-    ah = a.conj().T
-    gram = a @ ah if a.shape[0] <= a.shape[1] else ah @ a
-    return np.maximum(np.linalg.eigvalsh(gram), 0.0)
+def _box_gram(points: np.ndarray, grid: SpectralGrid) -> np.ndarray | None:
+    """The samples-side Gram a a^H of the weighted analysis matrix a, or None
+    unless the nodes fill a lattice box with uniform weights w.
+
+    On such a box a a^H = w * (Hadamard product over the axes of G_a), where
+    G_a[x, y] = sum_{k < n_a} exp(2 pi i (x_a - y_a) g_{a,k}) over the n_a
+    nodes of axis a.  With the factor tables (A, B) of
+    :func:`~nusample.spectral._exp_factors`, node k = J q + j has the entry
+    A[:, q] * B[:, j], so the rows q < Q - 1 of the split are full and sum to
+    (A' A'^H) * (B B^H), A' without its last column, and the last row holds
+    the first n_a - (Q - 1) J columns of B.  Each axis thus costs products
+    over about sqrt(n_a) columns, whatever the node count.
+    """
+    w = grid.weights
+    if np.any(w != w[0]):
+        return None
+    x, _, lattice = _lattice_split(points, grid.nodes, 1)
+    if lattice is None:
+        return None
+    idx, origin, steps = lattice
+    box = [int(n) + 1 for n in idx.max(axis=0)]
+    if math.prod(box) != grid.size:   # distinct indices, so a full box iff as many as its cells
+        return None
+    gram = w[0]
+    for axis, n in enumerate(box):
+        fa, fb = _exp_factors(x[:, axis], origin[axis], steps[axis], n)
+        rows, last, tail = fa[:, :-1], fa[:, -1], fb[:, :n - (fa.shape[1] - 1) * fb.shape[1]]
+        gram = gram * ((rows @ rows.conj().T) * (fb @ fb.conj().T)
+                       + np.outer(last, last.conj()) * (tail @ tail.conj().T))
+    return gram
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
@@ -172,6 +217,12 @@ def interior_taper_subspace(grid: SpectralGrid, window, margin: float) -> np.nda
     1e-10 relative of that cutoff (see :func:`_orthonormal_span`).  Only the
     span is meant: frame bounds and :func:`random_subspace_signal` depend on
     it alone, not on the basis chosen inside it.
+
+    The Gram matrix of the spanning set is (block-)Toeplitz over the shift
+    lattice and is filled from a few of its rows (see :func:`_shift_gram`);
+    the basis itself is a (nodes x shifts) table, so this runs on any grid,
+    while compressing :func:`frame_bounds` to the result keeps its 4,096-node
+    cap.
     """
     spec = grid.spectrum
     dim = spec.dim
@@ -187,15 +238,43 @@ def interior_taper_subspace(grid: SpectralGrid, window, margin: float) -> np.nda
     shifts = np.stack([m.ravel() for m in mesh], axis=1)
     taper = _smooth_step((1.0 - spec.gauge(grid.nodes)) / 0.6)
     basis = (np.sqrt(grid.weights) * taper)[:, None] * exp_table(shifts, grid.nodes, sign=-1).T
-    return _orthonormal_span(basis, 1e-3)
+    return _orthonormal_span(basis, _shift_gram(basis, [len(ax) for ax in axes]), 1e-3)
 
 
-def _orthonormal_span(basis: np.ndarray, cutoff: float) -> np.ndarray:
+def _shift_gram(basis: np.ndarray, shape) -> np.ndarray:
+    """basis^H basis for columns c_k exp(-2 pi i x_s . g_k), real c_k, whose
+    shifts x_s run over a lattice box of ``shape`` in C order.
+
+    The entry for shifts s, t is T(i_s - i_t) with
+    T(d) = sum_k c_k^2 exp(2 pi i (d * step) . g_k), so the Gram is
+    (block-)Toeplitz, and T(-d) = conj T(d).  Row c of the Gram, one
+    matrix-vector product conj(basis[:, c]) @ basis, holds T(c - i_t) for
+    every t; the 2^(dim-1) rows at the corners with first index 0 cover
+    every sign pattern of d up to that mirror.
+    """
+    shape = np.asarray(shape)
+    box = 2 * shape - 1                       # T(d) sits at d + shape - 1
+    pos = np.ravel_multi_index(np.unravel_index(np.arange(basis.shape[1]), shape), box)
+    zero = np.ravel_multi_index(tuple(shape - 1), box)
+    kernel = np.zeros(math.prod(box), dtype=complex)
+    for corner in itertools.product([0], *[(0, n - 1) for n in shape[1:]]):
+        row = basis[:, np.ravel_multi_index(corner, shape)].conj() @ basis
+        d = np.ravel_multi_index(corner, box) - pos    # flat offsets of corner - i_t
+        kernel[zero + d] = row
+        kernel[zero - d] = row.conj()
+    return kernel[zero + pos[:, None] - pos[None, :]]
+
+
+def _orthonormal_span(basis: np.ndarray, gram: np.ndarray, cutoff: float) -> np.ndarray:
     """Orthonormal basis of the left singular directions of ``basis`` whose
     singular value exceeds ``cutoff`` times the largest, without an SVD.
 
-    The eigenvectors v of the small Gram matrix basis^H basis with eigenvalue
-    above cutoff^2 times the largest give Q0 = basis v / sqrt(lambda), whose
+    The caller passes the small Gram matrix ``gram`` = basis^H basis, built
+    from the structure of the spanning set where it has one (the Toeplitz
+    rows of :func:`_shift_gram` in :func:`interior_taper_subspace`) and as
+    the plain product otherwise (the Gabor reference subspace).  No size cap
+    applies here.  The eigenvectors v of the Gram with eigenvalue above
+    cutoff^2 times the largest give Q0 = basis v / sqrt(lambda), whose
     columns are orthonormal only to about eps / cutoff^2.  One Cholesky pass,
     Q0^H Q0 = L L^H and Q = Q0 L^-H, brings them to rounding (CholeskyQR2 of
     Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, 2014); the r x r triangle
@@ -203,7 +282,7 @@ def _orthonormal_span(basis: np.ndarray, cutoff: float) -> np.ndarray:
     SVD's: the rank matches unless a singular value lies within about 1e-10
     relative of the cutoff, where the Gram's rounding decides.
     """
-    lam, v = np.linalg.eigh(basis.conj().T @ basis)
+    lam, v = np.linalg.eigh(gram)
     keep = lam > cutoff**2 * lam[-1]
     q0 = basis @ (v[:, keep] / np.sqrt(lam[keep]))
     chol = np.linalg.cholesky(q0.conj().T @ q0)

@@ -14,6 +14,13 @@ import numpy as np
 
 from .geometry import as_points
 
+_WINDOW_TOL = 1e-12   # absolute distance a point may lie outside its window
+
+
+def _in_window(points: np.ndarray, lo, hi) -> np.ndarray:
+    """Entrywise: the coordinate lies in [lo, hi] up to ``_WINDOW_TOL``."""
+    return (points >= lo - _WINDOW_TOL) & (points <= hi + _WINDOW_TOL)
+
 
 @dataclass(frozen=True, eq=False)
 class SamplingSet:
@@ -38,7 +45,7 @@ class SamplingSet:
         lo, hi = win[:, 0], win[:, 1]
         if np.any(lo > hi):
             raise ValueError("window bounds out of order")
-        if pts.size and (np.any(pts < lo - 1e-12) or np.any(pts > hi + 1e-12)):
+        if pts.size and not np.all(_in_window(pts, lo, hi)):
             raise ValueError("points fall outside the declared window")
 
     @property
@@ -140,9 +147,10 @@ def generate_jittered_grid(delta, jitter: float, window, seed: int | None) -> Sa
                          f"smallest lattice step, got {jitter!r}")
     axes = []
     for (lo, hi), step in zip(win, steps):
-        k0 = int(np.ceil(lo / step - 1e-12))
-        k1 = int(np.floor(hi / step + 1e-12))
-        axes.append(step * np.arange(k0, k1 + 1))
+        # the lattice points of the window, by the test the set itself applies
+        axis = step * np.arange(np.floor((lo - _WINDOW_TOL) / step),
+                                np.ceil((hi + _WINDOW_TOL) / step) + 1)
+        axes.append(axis[_in_window(axis, lo, hi)])
     mesh = np.meshgrid(*axes, indexing="ij")
     base = np.stack([m.ravel() for m in mesh], axis=1)
     rng = np.random.default_rng(seed)

@@ -367,7 +367,7 @@ def reference_test_subspace(grid: UniformGrid, time_extent: float,
     ref = phase_lattice(0.5, 0.5, time_extent, freq_extent)
     g0 = gaussian_window(step=grid.step)
     atoms = _atom_matrix(grid, g0, ref) * np.sqrt(grid.step)
-    return _orthonormal_span(atoms, 1e-2)
+    return _orthonormal_span(atoms, atoms.conj().T @ atoms, 1e-2)
 
 
 def gabor_frame_condition(grid: UniformGrid, window: WindowFunction,

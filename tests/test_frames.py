@@ -135,6 +135,19 @@ ORACLE_CASES = [
 ]
 
 
+# (spectrum, nodes per axis, jitter, window) of unit-step sets with no more
+# samples than nodes on a full box grid
+FULL_BOX_CASES = [
+    (UNIT_BAND, 64, 0.0, [[-32.0, 31.0]]),      # 64 samples on 64 nodes
+    (UNIT_BAND, 64, 0.3, [[-32.0, 31.0]]),
+    (UNIT_BAND, 1000, 0.0, [[-40.0, 40.0]]),    # 1000 = 32 * 32 - 24: a tail of 24 cells
+    (UNIT_BAND, 1000, 0.3, [[-40.0, 40.0]]),
+    (UNIT_BAND, 4096, 0.0, [[-40.0, 40.0]]),
+    (UNIT_BAND, 4096, 0.3, [[-40.0, 40.0]]),
+    (geo.SpectrumSet.box([0.5, 0.5]), 24, 0.2, [[-10.0, 10.0]] * 2),   # 441 on 576 nodes
+]
+
+
 class TestFrameBounds:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_matches_dense_svd_oracle(self, case):
@@ -255,9 +268,35 @@ class TestFrameBounds:
                 assert sampled <= bound * f.norm_sq() * (1 + 1e-9)
 
     def test_capacity_guard(self):
+        # compressing to a subspace still forms the samples x nodes table
         grid = geo.build_grid(UNIT_BAND, 5000)
+        e_set = uniform_set(1.0, 5.0)
+        q = frames.interior_taper_subspace(grid, e_set.window, margin=2.0)
         with pytest.raises(frames.CapacityError):
-            frames.frame_bounds(uniform_set(1.0, 5.0), grid)
+            frames.frame_bounds(e_set, grid, subspace=q)
+
+    @pytest.mark.parametrize("case", FULL_BOX_CASES)
+    def test_full_box_matches_dense_gram_oracle(self, case, monkeypatch):
+        spec, nodes, jitter, window = case
+        grid = geo.build_grid(spec, nodes)
+        e_set = generate_jittered_grid(1.0, jitter, window, seed=1)
+        assert e_set.size <= grid.size
+        u = spc._exp_matrix(e_set.points, grid.nodes) * np.sqrt(grid.weights)
+        oracle = np.linalg.eigvalsh(u @ u.conj().T)
+        monkeypatch.setattr(frames, "exp_table", None)   # no samples x nodes table
+        rep = frames.frame_bounds(e_set, grid)
+        assert rep.method == "dense-gram"
+        assert rep.upper == pytest.approx(oracle[-1], rel=1e-13, abs=0.0)
+        if e_set.size == grid.size:
+            assert rep.lower == pytest.approx(oracle[0], rel=1e-13, abs=0.0)
+        else:
+            assert rep.lower == 0.0
+
+    def test_full_box_past_the_old_cap(self):
+        # unit-spaced samples are an orthonormal system for the unit band
+        rep = frames.frame_bounds(uniform_set(1.0, 40.0), geo.build_grid(UNIT_BAND, 16384))
+        assert (rep.node_count, rep.sample_count) == (16384, 81)
+        assert abs(rep.upper - 1.0) <= 1e-12
 
     def test_two_dimensional_bounds(self):
         # node count per axis (40) must exceed the window extent in spacing
@@ -276,20 +315,20 @@ class TestFrameBounds:
 
 
 def spanned_basis(module, build, *args, **kwargs):
-    """Run ``build`` and capture the (basis, cutoff) it hands to
+    """Run ``build`` and capture the (basis, gram, cutoff) it hands to
     ``_orthonormal_span`` through ``module``, with the basis it returns."""
     seen = []
     real = frames._orthonormal_span
 
-    def capture(basis, cutoff):
-        seen.append((basis, cutoff))
-        return real(basis, cutoff)
+    def capture(basis, gram, cutoff):
+        seen.append((basis, gram, cutoff))
+        return real(basis, gram, cutoff)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "_orthonormal_span", capture)
         q = build(*args, **kwargs)
-    (basis, cutoff), = seen
-    return basis, cutoff, q
+    (basis, gram, cutoff), = seen
+    return basis, gram, cutoff, q
 
 
 def svd_span(basis, cutoff):
@@ -328,18 +367,27 @@ class TestOrthonormalSpan:
         spec, nodes, delta, half, margin = case
         grid = geo.build_grid(spec, nodes)
         e_set = generate_jittered_grid(delta, 0.1 * delta, [[-half, half]] * spec.dim, seed=1)
-        basis, cutoff, q = spanned_basis(frames, frames.interior_taper_subspace,
-                                         grid, e_set.window, margin=margin)
+        basis, _, cutoff, q = spanned_basis(frames, frames.interior_taper_subspace,
+                                            grid, e_set.window, margin=margin)
         assert cutoff == 1e-3
         oracle = self.check_against_svd(basis, cutoff, q)
         got, expect = (frames.frame_bounds(e_set, grid, subspace=s) for s in (q, oracle))
         assert got.upper == pytest.approx(expect.upper, rel=1e-10, abs=0.0)
         assert got.lower == pytest.approx(expect.lower, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("case", TAPER_CASES)
+    def test_taper_gram_from_toeplitz_rows_matches_product(self, case):
+        spec, nodes, _, half, margin = case
+        grid = geo.build_grid(spec, nodes)
+        basis, gram, _, _ = spanned_basis(frames, frames.interior_taper_subspace,
+                                          grid, [[-half, half]] * spec.dim, margin=margin)
+        product = basis.conj().T @ basis
+        assert np.max(np.abs(gram - product)) <= 1e-13 * np.max(np.abs(product))
+
     @pytest.mark.parametrize("step", [0.1, 0.025])
     def test_gabor_reference_subspace_matches_svd(self, step):
         grid = tfm.UniformGrid.symmetric(8.0, step)
-        basis, cutoff, q = spanned_basis(tfm, tfm.reference_test_subspace, grid, 3.0, 1.5)
+        basis, _, cutoff, q = spanned_basis(tfm, tfm.reference_test_subspace, grid, 3.0, 1.5)
         assert cutoff == 1e-2
         oracle = self.check_against_svd(basis, cutoff, q)
         g0 = tfm.gaussian_window(step=step)

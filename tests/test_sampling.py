@@ -93,6 +93,16 @@ class TestJitteredGrid:
         e = sp.generate_jittered_grid(0.5, 0.0, [[-2, 2]], seed=1)
         assert np.allclose(sorted(e.points[:, 0]), np.arange(-4, 5) * 0.5)
 
+    def test_window_edge_tolerance_matches_the_set(self):
+        # the window ends 5e-10 below the node 3000, which is outside the
+        # set's absolute tolerance although 5e-13 of a step
+        e = sp.generate_jittered_grid(1000.0, 0.0, [[0.0, 2999.9999999995]], seed=0)
+        assert np.array_equal(e.points[:, 0], [0.0, 1000.0, 2000.0])
+        # and a node within that tolerance past either edge is kept, also
+        # where the tolerance is more than 1e-12 of a step
+        e = sp.generate_jittered_grid(0.25, 0.0, [[-1.0 + 5e-13, 1.0 - 5e-13]], seed=0)
+        assert np.array_equal(e.points[:, 0], 0.25 * np.arange(-4, 5))
+
     def test_determinism(self):
         a = sp.generate_jittered_grid(0.5, 0.1, [[-10, 10]], seed=7)
         b = sp.generate_jittered_grid(0.5, 0.1, [[-10, 10]], seed=7)
