@@ -16,7 +16,8 @@ declare, is a configuration error, caught before any work.
 
 Exit codes: 0 = claims confirmed (or no prediction applicable), 1 = claim
 violated or numerical failure (balayage infeasible, not a frame; the report
-then holds ``{"error": ...}``), 2 = usage or configuration error.
+then holds ``{"error": ...}``), 2 = usage or configuration error, including
+a grid past the dense capacity (:class:`~nusample.frames.CapacityError`).
 """
 from __future__ import annotations
 
@@ -435,7 +436,8 @@ def main(argv=None) -> int:
         return 2
     except np.linalg.LinAlgError:
         raise   # a numerical failure, not a bad config value
-    except (ConfigError, ValueError, TypeError) as exc:   # unreadable, out of range, wrong type
+    # unreadable, out of range, wrong type, or a grid past the dense capacity
+    except (ConfigError, ValueError, TypeError, frames.CapacityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if outcome.message is not None:

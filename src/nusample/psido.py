@@ -18,7 +18,7 @@ separable term that norm factors as ||a|| * ||b||.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,16 +29,23 @@ from .spectral import exp_sum, exp_table
 from .timefreq import UniformGrid, interp_complex
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only, so a table built from it cannot go stale."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralFactor:
-    """Frequency factor b(g) stored as samples with linear interpolation."""
+    """Frequency factor b(g) stored as samples with linear interpolation;
+    the samples are a read-only copy of the ones given."""
 
     nodes: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        n = np.asarray(self.nodes, dtype=float).ravel()
-        v = np.asarray(self.values, dtype=complex).ravel()
+        n = _frozen(np.array(self.nodes, dtype=float).ravel())
+        v = _frozen(np.array(self.values, dtype=complex).ravel())
         object.__setattr__(self, "nodes", n)
         object.__setattr__(self, "values", v)
         if n.shape != v.shape:
@@ -70,10 +77,23 @@ class SymbolTerm:
 
 @dataclass(frozen=True, eq=False)
 class KNSymbol:
-    """Finite separable Kohn-Nirenberg symbol tied to a spectrum."""
+    """Finite separable Kohn-Nirenberg symbol tied to a spectrum.
 
-    terms: list
+    The symbol keeps one entry of frame-check tables, everything
+    :func:`psido_frame_check` needs that does not depend on the signal: the
+    factors on the signal grid and at the sample points, the (gamma x y)
+    kernel, the (points x gamma) phases and the Hilbert-Schmidt norm.  Its key
+    is the signal grid and the bytes of the sample points, the gamma nodes and
+    the gamma weights; a check under another key replaces it.  The terms are
+    a tuple and every cached array is read-only, so the entry cannot go stale.
+    """
+
+    terms: tuple
     spectrum: SpectrumSet
+    _tables: tuple | None = field(default=None, init=False, repr=False)  # (key, entry)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
 
     def factors(self, y_nodes, gamma_nodes) -> tuple[np.ndarray, np.ndarray]:
         """Per-term factors (U, B) with U[j] = a_j(y) exp(-2 pi i y l_j) and
@@ -86,6 +106,32 @@ class KNSymbol:
             u[j] = term.a_at(y) * np.exp(-2j * np.pi * y * term.lam)
             b[j] = term.b.at(g)
         return u, b
+
+    def _entry(self, grid: UniformGrid, gamma: np.ndarray, weights=None) -> dict | None:
+        """The cached check tables if their key holds ``grid``, the nodes
+        ``gamma`` and, when given, the weights ``weights``; else None."""
+        if self._tables is None:
+            return None
+        (g, gb, _, wb), entry = self._tables
+        if g == grid and gb == gamma.tobytes() and (
+                weights is None or wb == weights.tobytes()):
+            return entry
+        return None
+
+    def _check_tables(self, grid: UniformGrid, x: np.ndarray, gamma: np.ndarray,
+                      weights: np.ndarray) -> dict:
+        """The frame-check tables of this setting, built when the key changes."""
+        key = (grid, gamma.tobytes(), x.tobytes(), weights.tobytes())
+        if self._tables is None or self._tables[0] != key:
+            u, b = self.factors(grid.nodes, gamma)
+            u_x, b_x = self.factors(x, gamma)
+            entry = {"u": u, "b": b, "kernel": exp_table(gamma, grid.nodes, sign=-1),
+                     "u_x": u_x, "b_x": b_x, "phases": exp_table(x, gamma, sign=-1)}
+            for a in entry.values():
+                _frozen(a)
+            entry["hs"] = _hs_norm(u, b, weights, grid.step)
+            object.__setattr__(self, "_tables", (key, entry))
+        return self._tables[1]
 
 
 def symbol_term(lam: float, eps: float, b: SpectralFactor, order: int = 8,
@@ -106,21 +152,38 @@ def apply_ks(symbol: KNSymbol, f_values, f_grid: UniformGrid,
     folded into its weight vector a_j(y) exp(-2 pi i y l_j) f(y), so the
     quadrature is one product of the (terms, y) weights with the kernel.  The
     kernel is factored along the uniform y axis, so any gamma nodes work.
+    The weights and the kernel are the symbol's cached check tables (see
+    :class:`KNSymbol`) when their key holds this grid and these gamma nodes,
+    so a frame check pays only the product per signal.
     """
     f = np.asarray(f_values, dtype=complex)
-    u, b = symbol.factors(f_grid.nodes, gamma_nodes)
-    kernel = exp_table(gamma_nodes, f_grid.nodes, sign=-1)   # (n_gamma, n_y)
+    gnodes = np.asarray(gamma_nodes, dtype=float).ravel()
+    entry = symbol._entry(f_grid, gnodes)
+    if entry is None:
+        u, b = symbol.factors(f_grid.nodes, gnodes)
+        kernel = exp_table(gnodes, f_grid.nodes, sign=-1)   # (n_gamma, n_y)
+    else:
+        u, b, kernel = entry["u"], entry["b"], entry["kernel"]
     return np.sum(b * ((u * f) @ kernel.T), axis=0) * f_grid.step
+
+
+def _hs_norm(u: np.ndarray, b: np.ndarray, gw: np.ndarray, step: float) -> float:
+    total = np.sum((u @ u.conj().T) * ((b * gw) @ b.conj().T)).real
+    return float(np.sqrt(max(total, 0.0) * step))
 
 
 def hs_norm(symbol: KNSymbol, y_grid: UniformGrid, gamma_nodes, gamma_weights) -> float:
     """Hilbert-Schmidt norm by double quadrature of |s|^2 over time x frequency,
     taken through the terms x terms Gram matrices of s = U^T B (see
-    :meth:`KNSymbol.factors`): ||s||^2 = step Re sum_jk (U U^H)_jk (B W B^H)_jk."""
-    u, b = symbol.factors(y_grid.nodes, gamma_nodes)
+    :meth:`KNSymbol.factors`): ||s||^2 = step Re sum_jk (U U^H)_jk (B W B^H)_jk.
+    Read from the symbol's cached check tables when their key holds this
+    grid and these gamma nodes and weights."""
+    gnodes = np.asarray(gamma_nodes, dtype=float).ravel()
     gw = np.asarray(gamma_weights, dtype=float)
-    total = np.sum((u @ u.conj().T) * ((b * gw) @ b.conj().T)).real
-    return float(np.sqrt(max(total, 0.0) * y_grid.step))
+    entry = symbol._entry(y_grid, gnodes, gw)
+    if entry is not None:
+        return entry["hs"]
+    return _hs_norm(*symbol.factors(y_grid.nodes, gnodes), gw, y_grid.step)
 
 
 @dataclass(frozen=True)
@@ -196,21 +259,25 @@ def psido_frame_check(symbol: KNSymbol, f_values, f_grid: UniformGrid,
     ||K_s f-hat||^2 with B the upper (Bessel) frame bound of the set over the
     base spectrum and ||s|| the Hilbert-Schmidt norm.  The zero signal gives
     the all-zero chain.
+
+    Everything that does not depend on the signal is built once per symbol
+    and setting and kept on the symbol (see :class:`KNSymbol`), keyed on
+    ``f_grid`` and the bytes of the sample points, the gamma nodes and the
+    gamma weights; each further signal under the same key costs two small
+    products, with results bitwise equal to those of a fresh symbol.
     """
     f = np.asarray(f_values, dtype=complex)
     gnodes = np.asarray(gamma_nodes, dtype=float).ravel()
     gw = np.asarray(gamma_weights, dtype=float)
     if not np.any(f):
         return InequalityCheck.of(0.0, 0.0, 0.0)
+    tables = symbol._check_tables(f_grid, sampling_set.points[:, 0], gnodes, gw)
     kf = apply_ks(symbol, f, f_grid, gnodes)
     kf_norm_sq = float(np.sum(gw * np.abs(kf) ** 2))
     f_norm_sq = float(np.sum(np.abs(f) ** 2) * f_grid.step)
     lhs = lower_const * kf_norm_sq**2 / f_norm_sq
     # inner[x] = sum_g s(x, g) exp(-2 pi i x g) gw kf(g), one product per term
-    x = sampling_set.points[:, 0]
-    u, b = symbol.factors(x, gnodes)
-    phases = exp_table(x, gnodes, sign=-1)                   # (n_x, n_gamma)
-    inner = np.sum(u * ((b * (gw * kf)) @ phases.T), axis=0)
+    inner = np.sum(tables["u_x"] * ((tables["b_x"] * (gw * kf)) @ tables["phases"].T), axis=0)
     mid = float(np.sum(np.abs(inner) ** 2))
     hs = hs_norm(symbol, f_grid, gnodes, gw)
     rhs = bessel_bound * hs**2 * kf_norm_sq

@@ -116,11 +116,13 @@ class WindowFunction:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.step))
 
     def at(self, points) -> np.ndarray:
-        """Window values at arbitrary points: exact for the Gaussian, linear
-        interpolation (zero outside the grid) otherwise."""
+        """Window values at arbitrary points: exact for the Gaussian, as real
+        values (so a complex product with them takes no complex copy of the
+        window), linear interpolation (zero outside the grid, complex)
+        otherwise."""
         p = np.asarray(points, dtype=float)
         if self.kind == "gaussian":
-            return (2.0 ** 0.25) * np.exp(-np.pi * p**2) + 0j
+            return (2.0 ** 0.25) * np.exp(-np.pi * p**2)
         return interp_complex(p, self.grid.nodes, self.values)
 
 
@@ -155,21 +157,28 @@ def stft(f_values, f_grid: UniformGrid, window: WindowFunction,
     Quadrature of the defining integral on the signal grid; the window is
     shifted by exact sample offsets, so tf.time nodes must be commensurate
     with the common grid step.  The shifted products f(t_m) conj(g(t_m - x_i))
-    are gathered by index arithmetic into one (time nodes, signal samples)
-    matrix, which is multiplied once by the kernel exp(-2 pi i t w) from the
-    factored exponential builder.
+    are gathered into one (time nodes, signal samples) matrix, which is
+    multiplied once by the kernel exp(-2 pi i t w) from the factored
+    exponential builder.  Each shifted conjugate window is a row of a sliding
+    view over the conjugated window padded by the signal length of zeros on
+    each side, so no index table is formed; a shift past either end of the
+    signal starts at the view's first or last row, which is all zeros.
     """
     f = np.asarray(f_values, dtype=complex)
     if f.shape != (f_grid.count,):
         raise ValueError("signal sample count mismatch")
     offsets = _shift_indices(f_grid, window, tf.time.nodes)
-    # t_m - x_i is window sample m - s_i; the conjugated window gets a zero at
-    # each end, and indices off the window grid are clipped onto those zeros
-    padded = np.concatenate([[0.0], np.conj(window.values), [0.0]])
-    k = np.arange(f_grid.count)[None, :] - offsets[:, None] + 1
-    prod = f * padded[np.clip(k, 0, padded.size - 1)]          # (n_x, n_t)
-    kernel = exp_table(f_grid.nodes, tf.freq.nodes, sign=-1)     # (n_t, n_freq)
-    return (prod @ kernel) * f_grid.step
+    # t_m - x_i is window sample m - s_i, which is sample n - s_i + m of the
+    # padded buffer; row r of the view holds buffer samples r .. r + n - 1
+    n = f_grid.count
+    padded = np.zeros(window.values.size + 2 * n, dtype=complex)
+    padded[n:n + window.values.size] = np.conj(window.values)
+    rows = np.lib.stride_tricks.sliding_window_view(padded, n)
+    prod = rows[np.clip(n - offsets, 0, rows.shape[0] - 1)]      # (n_x, n_t), a copy
+    np.multiply(f, prod, out=prod)   # f first: complex products are not commutative bitwise
+    v = prod @ exp_table(f_grid.nodes, tf.freq.nodes, sign=-1)    # kernel (n_t, n_freq)
+    v *= f_grid.step
+    return v
 
 
 @dataclass(frozen=True)
@@ -244,7 +253,7 @@ def stft_fourier_closed_form(f_values, f_grid: UniformGrid, window: WindowFuncti
     vhat = ker_x @ v @ ker_w * (tf.time.step * tf.freq.step)  # (n_zeta, n_z)
 
     f = np.asarray(f_values, dtype=complex)
-    f_neg = np.array([f[np.argmin(np.abs(t + zv))] for zv in z])
+    f_neg = f[np.argmin(np.abs(t[None, :] + z[:, None]), axis=1)]
     g_hat_neg = _forward_transform(window.values, window.grid, -zeta)
     closed = exp_table(zeta, z) * np.outer(g_hat_neg, f_neg)
     return float(np.max(np.abs(vhat - closed)))

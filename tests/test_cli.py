@@ -247,6 +247,21 @@ def test_empty_sampling_set_frame_bounds_exits_2(tmp_path, capsys):
     assert err.startswith("config error:") and "empty sampling set" in err
 
 
+@pytest.mark.parametrize("command,config,nodes", [
+    ("frame-bounds", "frame_bounds.json", 16384),   # its subspace kept
+    ("covering", "covering.json", 8192),
+])
+def test_grid_past_dense_capacity_exits_2(tmp_path, capsys, command, config, nodes):
+    cfg = json.loads((CONFIG_DIR / config).read_text())
+    cfg["grid_nodes"] = nodes
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert run(command, bad, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: grid size {nodes} exceeds dense capacity 4096\n"
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_unknown_command_exits_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate", "--config", "x", "--out", str(tmp_path)])

@@ -7,7 +7,7 @@ from nusample import balayage as bal
 from nusample import frames
 from nusample import geometry as geo
 from nusample import psido
-from nusample.sampling import generate_jittered_grid, symmetrize
+from nusample.sampling import SamplingSet, generate_jittered_grid, symmetrize
 from nusample.timefreq import UniformGrid
 
 QUARTER_BAND = geo.SpectrumSet.box([0.25])
@@ -257,6 +257,90 @@ class TestFrameCheck:
                                           e_set, gamma, gw,
                                           lower_const=lower, bessel_bound=bessel)
             assert chk.lower_ok and chk.upper_ok
+
+
+def fresh_symbol(symbol):
+    """A symbol with the same terms and no cached tables."""
+    return psido.KNSymbol(terms=symbol.terms, spectrum=symbol.spectrum)
+
+
+def chain(chk):
+    return chk.lhs, chk.mid, chk.rhs
+
+
+class TestCheckTables:
+    """The frame-check tables a symbol keeps between signals."""
+
+    GRID = UniformGrid.symmetric(12.0, 0.25)
+    GAMMA = np.linspace(-0.7, 0.7, 141)
+    GW = np.full(141, GAMMA[1] - GAMMA[0])
+
+    def check(self, symbol, f, e_set, lower, bessel, grid=GRID, gamma=GAMMA, gw=GW):
+        return psido.psido_frame_check(symbol, f, grid, e_set, gamma, gw,
+                                       lower_const=lower, bessel_bound=bessel)
+
+    def signal(self, seed, grid=GRID):
+        return TestFrameCheck()._random_signal(grid, seed)
+
+    def test_reused_symbol_matches_fresh_symbol_bitwise(self, two_term_symbol, context):
+        e_set, lower, bessel = context
+        symbol = fresh_symbol(two_term_symbol)
+        for seed in range(6):
+            f = self.signal(seed)
+            assert chain(self.check(symbol, f, e_set, lower, bessel)) == chain(
+                self.check(fresh_symbol(symbol), f, e_set, lower, bessel))
+        # the public pieces read the same entry
+        f = self.signal(9)
+        assert np.array_equal(psido.apply_ks(symbol, f, self.GRID, self.GAMMA),
+                              psido.apply_ks(fresh_symbol(symbol), f, self.GRID, self.GAMMA))
+        assert psido.hs_norm(symbol, self.GRID, self.GAMMA, self.GW) == psido.hs_norm(
+            fresh_symbol(symbol), self.GRID, self.GAMMA, self.GW)
+
+    def test_each_key_part_rebuilds(self, two_term_symbol, context):
+        e_set, lower, bessel = context
+        symbol = fresh_symbol(two_term_symbol)
+        fewer = SamplingSet(dim=1, points=e_set.points[1:], window=e_set.window)
+        grid = UniformGrid.symmetric(12.0, 0.125)
+        changes = [("grid", {"grid": grid}), ("points", {"e_set": fewer}),
+                   ("gamma", {"gamma": self.GAMMA * 0.9}), ("weights", {"gw": 1.5 * self.GW})]
+        for part, change in changes:
+            kwargs = {"e_set": e_set, **change}
+            f = self.signal(3, kwargs.get("grid", self.GRID))
+            self.check(symbol, self.signal(3), e_set, lower, bessel)   # the base entry
+            got = self.check(symbol, f, lower=lower, bessel=bessel, **kwargs)
+            expect = self.check(fresh_symbol(symbol), f, lower=lower, bessel=bessel, **kwargs)
+            assert chain(got) == chain(expect), part
+
+    def test_public_pieces_off_the_key_match_fresh_symbol(self, two_term_symbol, context):
+        e_set, lower, bessel = context
+        symbol = fresh_symbol(two_term_symbol)
+        self.check(symbol, self.signal(0), e_set, lower, bessel)   # the kept entry
+        grid = UniformGrid.symmetric(12.0, 0.125)
+        for g, gamma, gw in ((grid, self.GAMMA, self.GW), (self.GRID, 0.9 * self.GAMMA, self.GW),
+                             (self.GRID, self.GAMMA, 1.5 * self.GW)):
+            f = self.signal(1, g)
+            assert np.array_equal(psido.apply_ks(symbol, f, g, gamma),
+                                  psido.apply_ks(fresh_symbol(symbol), f, g, gamma))
+            assert psido.hs_norm(symbol, g, gamma, gw) == psido.hs_norm(
+                fresh_symbol(symbol), g, gamma, gw)
+
+    def test_cached_arrays_are_read_only(self, two_term_symbol, context):
+        e_set, lower, bessel = context
+        symbol = fresh_symbol(two_term_symbol)
+        self.check(symbol, self.signal(0), e_set, lower, bessel)
+        _, entry = symbol._tables
+        arrays = [a for a in entry.values() if isinstance(a, np.ndarray)]
+        assert len(arrays) == 6
+        for a in arrays + [symbol.terms[0].b.nodes, symbol.terms[0].b.values]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert isinstance(symbol.terms, tuple)
+
+    def test_factor_copies_its_samples(self):
+        values = np.ones(5)
+        factor = psido.SpectralFactor(nodes=np.linspace(-1, 1, 5), values=values)
+        values[0] = 7.0
+        assert factor.values[0] == 1.0
 
 
 def dense_apply_ks(symbol, f, f_grid, gamma):

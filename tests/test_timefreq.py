@@ -160,6 +160,16 @@ def stft_row_loop(f, f_grid, window, tf):
     return out * f_grid.step
 
 
+def stft_clip_gather(f, f_grid, window, tf):
+    """The transform with the shifted conjugate windows gathered through a
+    clipped index table into the window padded by one zero at each end."""
+    offsets = tfm._shift_indices(f_grid, window, tf.time.nodes)
+    padded = np.concatenate([[0.0], np.conj(window.values), [0.0]])
+    k = np.arange(f_grid.count)[None, :] - offsets[:, None] + 1
+    prod = np.asarray(f, dtype=complex) * padded[np.clip(k, 0, padded.size - 1)]
+    return (prod @ spc.exp_table(f_grid.nodes, tf.freq.nodes, sign=-1)) * f_grid.step
+
+
 @st.composite
 def stft_cases(draw):
     """A complex signal and window on commensurate grids of one step, and time
@@ -215,6 +225,25 @@ class TestStftProperties:
         expect = stft_row_loop(f, f_grid, window, tf)
         got = tfm.stft(f, f_grid, window, tf)
         assert np.linalg.norm(got - expect) <= 1e-12 * max(np.linalg.norm(expect), 1e-300)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(stft_cases())
+    def test_matches_clip_gather_bitwise(self, case):
+        f, f_grid, window, tf = case
+        assert tfm.stft(f, f_grid, window, tf).tobytes() == stft_clip_gather(
+            f, f_grid, window, tf).tobytes()
+
+    def test_shifts_past_both_ends_match_clip_gather_bitwise(self):
+        f, f_grid, window, _ = gaussian_fixture("isometry")
+        step = f_grid.step
+        # shifts from a window wholly left of the signal to one wholly right of it
+        tf = tfm.TimeFrequencyGrid(time=tfm.UniformGrid.symmetric(40.0, 4 * step),
+                                   freq=tfm.UniformGrid.symmetric(2.0, 0.25))
+        offsets = tfm._shift_indices(f_grid, window, tf.time.nodes)
+        assert offsets.max() > f_grid.count and offsets.min() < -window.grid.count
+        v = tfm.stft(f, f_grid, window, tf)
+        assert v.tobytes() == stft_clip_gather(f, f_grid, window, tf).tobytes()
+        assert not np.any(v[0]) and not np.any(v[-1])
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(compact_signals())
@@ -363,6 +392,15 @@ def gabor_setup():
 
 
 class TestGabor:
+
+    def test_real_gaussian_atoms_match_complex_bitwise(self, gabor_setup):
+        grid, g0, _, _ = gabor_setup
+        samples = tfm.phase_lattice(0.5, 0.5, 5.0, 3.0, jitter=0.1, seed=3)
+        s, sigma = samples.points.T
+        shifts = g0.at(grid.nodes[:, None] - s[None, :])
+        assert shifts.dtype == float
+        old = spc.exp_table(sigma, grid.nodes).T * (shifts + 0j)
+        assert tfm._atom_matrix(grid, g0, samples).tobytes() == old.tobytes()
 
     def test_empty_sample_set_gives_zero_operator(self, gabor_setup):
         grid, g0, f, _ = gabor_setup
