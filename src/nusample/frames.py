@@ -54,6 +54,9 @@ from .spectral import (BandlimitedSignal, _exp_factors, _lattice_split, evaluate
 _EIG_FLOOR = 1e-12
 _SLACK = 1e-9   # relative rounding allowance of the frame-inequality checks
 _DENSE_CAPACITY = 4096
+# rows per block of the Toeplitz sums: with numpy's OpenBLAS 0.3.31, products
+# over 128 rows or fewer were bitwise equal at 1 and 2 threads, longer ones not
+_SUM_ROWS = 64
 
 
 class NotAFrameError(RuntimeError):
@@ -145,7 +148,8 @@ def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
     if gram is None:
         if grid.size > _DENSE_CAPACITY:
             raise CapacityError(f"grid size {grid.size} exceeds dense capacity {_DENSE_CAPACITY}")
-        a = exp_table(sampling_set.points, grid.nodes) * np.sqrt(grid.weights)  # (samples, nodes)
+        a = exp_table(sampling_set.points, grid.nodes)   # (samples, nodes)
+        a *= np.sqrt(grid.weights)
         if subspace is not None:
             q = np.asarray(subspace)
             if q.shape[0] != grid.size:
@@ -237,7 +241,8 @@ def interior_taper_subspace(grid: SpectralGrid, window, margin: float) -> np.nda
     mesh = np.meshgrid(*axes, indexing="ij")
     shifts = np.stack([m.ravel() for m in mesh], axis=1)
     taper = _smooth_step((1.0 - spec.gauge(grid.nodes)) / 0.6)
-    basis = (np.sqrt(grid.weights) * taper)[:, None] * exp_table(shifts, grid.nodes, sign=-1).T
+    basis = exp_table(shifts, grid.nodes, sign=-1).T
+    basis *= (np.sqrt(grid.weights) * taper)[:, None]
     return _orthonormal_span(basis, _shift_gram(basis, [len(ax) for ax in axes]), 1e-3)
 
 
@@ -375,8 +380,12 @@ def _toeplitz_system(sampling_set: SamplingSet, values: np.ndarray, weights: np.
     E^H v (the samples shifted by exp(-2 pi i x . origin)) are taken from
     factor tables of the exponential, never the |E| x N table: per axis on a
     2-d lattice, where t = (E_1 * w)^T E_2 is one product, and on a 1-d
-    lattice from the two tables A, B of :func:`_exp_factors`, where
-    t = (A * w)^T B.  The kernel is mirrored by t[-m] = conj(t[m]) into a
+    lattice from the two tables A, B of :func:`_exp_factors` at
+    (x, origin), the ones :func:`analysis` sums against, so a reconstruction
+    right after analysis builds no table.  Their product is
+    exp(2 pi i x (origin + m step)), so there t = conj((A * w)^T B) with
+    w = exp(-2 pi i x origin), and E^H v the same sum with w = conj(v).
+    The kernel is mirrored by t[-m] = conj(t[m]) into a
     circulant of twice the lattice box per axis, so applying S to F is one
     FFT pair on the zero-padded ``weights * F``.  Returns (apply_op, rhs) for
     :func:`_conjugate_gradients`.
@@ -386,18 +395,28 @@ def _toeplitz_system(sampling_set: SamplingSet, values: np.ndarray, weights: np.
     half = [np.arange(box[0])] + [np.arange(1 - n, n) for n in box[1:]]
     m = np.stack([g.ravel() for g in np.meshgrid(*half, indexing="ij")], axis=1)
     x = sampling_set.points
+    phase = exp_table(x, origin[None, :], sign=-1)[:, 0]   # exp(-2 pi i x . origin)
     if x.shape[1] == 1:
-        factors = _exp_factors(-x[:, 0], 0.0, steps[0], box[0])
+        # the analysis tables, whose product is exp(+2 pi i x (origin + m step)):
+        # the sums against conj(phase) and conj(values) are conj(t) and conj(rhs)
+        factors = _exp_factors(x[:, 0], origin[0], steps[0], box[0])
+        lead = np.stack([phase, values.conj()], axis=1)
     else:
         factors = [exp_table(x[:, a], r * steps[a], sign=-1) for a, r in enumerate(half)]
-    shifted = values * exp_table(x, origin[None, :], sign=-1)[:, 0]
-    # Khatri-Rao product of the leading factors with both weight columns (1 and
-    # the shifted samples), then one product with the last factor; the flat
-    # C order of the result is the order of ``m``
-    lead = np.stack([np.ones_like(shifted), shifted], axis=1)
+        lead = np.stack([np.ones_like(phase), values * phase], axis=1)
+    # Khatri-Rao product of the leading factors with both weight columns, then
+    # one product with the last factor; the flat C order of the result is the
+    # order of ``m``
     for f in factors[:-1]:
         lead = (lead[:, :, None] * f[:, None, :]).reshape(x.shape[0], -1)
-    kern, rhs_half = (lead.T @ factors[-1]).reshape(2, -1)[:, :m.shape[0]]
+    # OpenBLAS blocks a long inner dimension differently at different thread
+    # counts, so the sum over the samples is taken in fixed blocks of rows
+    sums = lead[:_SUM_ROWS].T @ factors[-1][:_SUM_ROWS]
+    for s in range(_SUM_ROWS, x.shape[0], _SUM_ROWS):
+        sums += lead[s:s + _SUM_ROWS].T @ factors[-1][s:s + _SUM_ROWS]
+    kern, rhs_half = sums.reshape(2, -1)[:, :m.shape[0]]
+    if x.shape[1] == 1:
+        kern, rhs_half = kern.conj(), rhs_half.conj()
     circ = np.zeros(pad, dtype=complex)
     circ[tuple((-m % pad).T)] = kern.conj()
     circ[tuple((m % pad).T)] = kern

@@ -435,7 +435,8 @@ def gabor_reconstruct(f_values, grid: UniformGrid, window: WindowFunction,
     if condition > cond_threshold:
         raise NotAFrameError(f"not a frame at this scale: test-subspace condition "
                              f"{condition:.3e} exceeds {cond_threshold:.1e}")
-    adjoint = atoms.conj().T * grid.step
+    adjoint = atoms.conj().T
+    adjoint *= grid.step
 
     def apply_s(x):
         return atoms @ (adjoint @ x)

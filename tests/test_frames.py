@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nusample import balayage as bal
@@ -559,6 +564,117 @@ class TestToeplitzOperator:
         assert res.method == ("dense" if dense else "toeplitz-fft")
         assert (res.iterations, res.converged) == (it, converged)
         assert np.linalg.norm(res.signal.coeffs - coeffs) <= 1e-10 * np.linalg.norm(coeffs)
+
+
+def _negated_table_system(e_set, values, weights, idx, origin, steps):
+    """The 1-d Toeplitz system from factor tables at (-x, 0), the first
+    construction: kernel t[m] = sum_x exp(-2 pi i x m step) and right-hand
+    side sum_x v_x exp(-2 pi i x (origin + m step)) straight from the
+    negated exponentials.  The oracle for the shared-table construction."""
+    x = e_set.points[:, 0]
+    n = int(idx.max()) + 1
+    fa, fb = spc._exp_factors(-x, 0.0, steps[0], n)
+    shifted = values * spc.exp_table(x, origin[None, :], sign=-1)[:, 0]
+    lead = np.stack([np.ones_like(shifted), shifted], axis=1)
+    lead = (lead[:, :, None] * fa[:, None, :]).reshape(x.size, -1)
+    kern, rhs = (lead.T @ fb).reshape(2, -1)[:, :n]
+    circ = np.zeros(2 * n, dtype=complex)
+    circ[-np.arange(n) % (2 * n)] = kern.conj()
+    circ[np.arange(n)] = kern
+    spectrum = np.fft.fft(circ)
+    at = idx[:, 0]
+
+    def apply_op(f):
+        u = np.zeros(2 * n, dtype=complex)
+        u[at] = weights * f
+        return np.fft.ifft(spectrum * np.fft.fft(u))[at]
+
+    return apply_op, rhs[at]
+
+
+class CountingNumpy:
+    """numpy, counting the entries of every ``exp`` argument: the
+    exponentials a module evaluates."""
+
+    def __init__(self):
+        self.exponentials = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, a, *args, **kwargs):
+        self.exponentials += np.size(a)
+        return np.exp(a, *args, **kwargs)
+
+
+class TestSharedSampleTables:
+    """Analysis and reconstruction on one set and one 1-d lattice grid share
+    the factor tables exp(2 pi i x (origin + k step)) of the builder."""
+
+    @pytest.fixture
+    def spectral_exps(self, monkeypatch):
+        counter = CountingNumpy()
+        monkeypatch.setattr(spc, "np", counter)
+        spc._factor_memo.clear()
+        return counter
+
+    def test_analyses_and_reconstruction_build_the_tables_once(self, spectral_exps):
+        grid = geo.build_grid(UNIT_BAND, 128)
+        e_set = generate_jittered_grid(0.4, 0.1, [[-80.0, 80.0]], seed=3)
+        for seed in range(6):
+            samples = frames.analysis(spc.random_coeff_signal(grid, seed), e_set)
+        # one pair of factor tables: (ceil(n / J) + J) exponentials per point
+        assert spectral_exps.exponentials == e_set.size * sum(spc._factor_columns(grid.size))
+        before = spectral_exps.exponentials
+        res = frames.reconstruct(samples, grid, tol=1e-9)
+        assert res.method == "toeplitz-fft" and res.converged
+        # the phases exp(-2 pi i x . origin) alone
+        assert spectral_exps.exponentials - before == e_set.size
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(lattice_cases())
+    def test_toeplitz_matches_negated_tables(self, case):
+        grid, e_set, seed = case
+        assume(grid.nodes.shape[1] == 1)
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(e_set.size) + 1j * rng.standard_normal(e_set.size)
+        f = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        lattice = spc._lattice_indices(grid.nodes)
+        apply_op, rhs = frames._toeplitz_system(e_set, v, grid.weights, *lattice)
+        oracle_op, oracle_rhs = _negated_table_system(e_set, v, grid.weights, *lattice)
+        # the kernel, column by column, and the right-hand side
+        for u in (f, np.eye(grid.size)[0], np.eye(grid.size)[-1]):
+            expect = oracle_op(u)
+            assert np.linalg.norm(apply_op(u) - expect) <= 1e-12 * np.linalg.norm(expect)
+        assert np.linalg.norm(rhs - oracle_rhs) <= 1e-12 * np.linalg.norm(oracle_rhs)
+        got = frames._conjugate_gradients(apply_op, rhs, grid.weights, 1e-9, 200)
+        expect = frames._conjugate_gradients(oracle_op, oracle_rhs, grid.weights, 1e-9, 200)
+        assert (got[1], got[3]) == (expect[1], expect[3])
+
+
+_TOEPLITZ_SUMS = """
+import sys
+import numpy as np
+from nusample import frames, geometry, spectral
+from nusample.sampling import generate_jittered_grid
+e_set = generate_jittered_grid(0.4, 0.1, [[-640.0, 640.0]], seed=0)
+truth = spectral.random_pw_signal(geometry.SpectrumSet.box([0.5]), 1024, 0)
+samples = frames.analysis(truth, e_set).values
+lattice = spectral._lattice_indices(truth.grid.nodes)
+apply_op, rhs = frames._toeplitz_system(e_set, samples, truth.grid.weights, *lattice)
+sys.stdout.write((rhs.tobytes() + apply_op(truth.coeffs).tobytes()).hex())
+"""
+
+
+def test_toeplitz_sums_do_not_depend_on_blas_threads():
+    # 3,201 samples: one product over all of them rounds differently at 1 and
+    # 2 OpenBLAS threads, the blocked sums do not
+    runs = [subprocess.run([sys.executable, "-c", _TOEPLITZ_SUMS], capture_output=True,
+                           text=True, check=True,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                                "PYTHONPATH": str(Path(frames.__file__).parent.parent)}).stdout
+            for threads in (1, 2)]
+    assert runs[0] == runs[1] and runs[0]
 
 
 @pytest.fixture(scope="module")

@@ -326,6 +326,137 @@ class TestExpSum:
         assert np.all(np.abs(got - expect) <= 1e-12 * scale)
 
 
+def _sparse_lattice(cells_per_node: float, nodes: int, dim: int, seed: int):
+    """``nodes`` distinct nodes drawn from a lattice box of about
+    ``cells_per_node * nodes`` cells spanning [0.37, 1.37] per axis, its
+    corners kept so that the span is fixed."""
+    rng = np.random.default_rng(seed)
+    side = int(round((cells_per_node * nodes) ** (1.0 / dim)))
+    cells = np.stack(np.meshgrid(*[np.arange(side)] * dim, indexing="ij"), -1).reshape(-1, dim)
+    pick = np.concatenate([[0, cells.shape[0] - 1],
+                           rng.choice(np.arange(1, cells.shape[0] - 1), nodes - 2, replace=False)])
+    return 0.37 + cells[rng.permutation(pick)] / (side - 1)
+
+
+def _box_cells_per_node(nodes: np.ndarray) -> float:
+    """Cells of the factor split's box over the node count, on a lattice."""
+    idx = spc._lattice_indices(nodes)[0]
+    return np.prod([np.prod(spc._factor_columns(int(n) + 1)) for n in idx.max(axis=0)]) / len(idx)
+
+
+class TestExpSumSparseSubsets:
+    """exp_sum contracts the factor split's box up to 32 cells per node and
+    gathers the (points, nodes) table past it; both match the dense product."""
+
+    @pytest.fixture
+    def gathered(self, monkeypatch):
+        calls = []
+
+        def counted(points, axes):
+            calls.append(points)
+            return factored(points, axes)
+        factored = spc._factored_table
+        monkeypatch.setattr(spc, "_factored_table", counted)
+        return calls
+
+    @pytest.mark.parametrize("dim, nodes, cells_per_node, gathers", [
+        (1, 300, 20.0, False), (1, 300, 60.0, True), (1, 2100, 476.0, True),
+        (2, 120, 20.0, False), (2, 120, 60.0, True), (2, 120, 500.0, True)])
+    def test_matches_dense_product_on_each_side(self, gathered, dim, nodes, cells_per_node,
+                                                gathers):
+        nodes = _sparse_lattice(cells_per_node, nodes, dim, seed=dim)
+        assert spc._lattice_split(np.zeros((1, dim)), nodes, 1)[2] is not None
+        assert (_box_cells_per_node(nodes) > spc._BOX_CELLS_PER_NODE) == gathers
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-10.0, 10.0, (70, dim))
+        c = rng.standard_normal(len(nodes)) + 1j * rng.standard_normal(len(nodes))
+        for sign in (1, -1):
+            got = spc.exp_sum(x, nodes, c, sign=sign)
+            expect = spc._exp_matrix(sign * x, nodes) @ c
+            assert np.all(np.abs(got - expect) <= 1e-12 * np.max(np.abs(expect)))
+        assert len(gathered) == (2 if gathers else 0)
+
+    @pytest.mark.parametrize("spec", [geo.SpectrumSet.box([0.5]), geo.SpectrumSet.ball(0.5, 1),
+                                      geo.SpectrumSet.box([0.5, 0.3]), geo.SpectrumSet.ball(0.5, 2),
+                                      geo.SpectrumSet.polytope([[0.5, 0.0], [0.1, 0.4], [-0.3, 0.3],
+                                                                [-0.5, 0.0], [-0.1, -0.4],
+                                                                [0.3, -0.3]])],
+                             ids=["box-1d", "ball-1d", "box-2d", "ball-2d", "hexagon"])
+    @pytest.mark.parametrize("n", [5, 40, 300])
+    def test_build_grid_grids_contract_the_box(self, gathered, spec, n):
+        nodes = geo.build_grid(spec, n).nodes
+        x = np.random.default_rng(n).uniform(-10.0, 10.0, (30, spec.dim))
+        c = np.ones(len(nodes), dtype=complex)
+        got = spc.exp_sum(x, nodes, c)
+        assert np.all(np.abs(got - spc._exp_matrix(x, nodes) @ c) <= 1e-12 * len(nodes))
+        assert gathered == []
+
+
+class TestBuilderMemo:
+    """The lattice and factor-table memos of the exponential builder never
+    serve a stale result: every answer equals the one built from scratch."""
+
+    @staticmethod
+    def clear():
+        spc._lattice_memo.clear()
+        spc._factor_memo.clear()
+
+    def test_sequence_matches_cleared_memos(self):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-20.0, 20.0, 50)
+        nodes = np.arange(-40, 41) * 0.0125
+        c = rng.standard_normal(nodes.size) + 1j * rng.standard_normal(nodes.size)
+        # each call changes one input of the last: points, nodes, sign, origin,
+        # step, column count, then back to a built pair
+        few = nodes[:-30]
+        calls = [(x, nodes, 1), (x + 1e-9, nodes, 1), (x, nodes, 1), (x, nodes, -1),
+                 (x, nodes + 0.003, -1), (x, nodes, -1), (x, few, -1), (x, nodes, -1),
+                 (x, few, -1), (x, few[0] + 1.5 * (few - few[0]), -1), (x, few, -1),
+                 (x, few, 1), (x[:20], few, 1), (x, nodes, 1),
+                 (x, np.stack([nodes, -nodes], 1), 1), (x, nodes, 1)]
+        for points, g, sign in calls:
+            pts = points if g.ndim == 1 else np.stack([points, points[::-1]], 1)
+            cc = c if len(g) == len(c) else np.ones(len(g))
+            table, total = spc.exp_table(pts, g, sign), spc.exp_sum(pts, g, cc, sign)
+            self.clear()
+            assert np.array_equal(table, spc.exp_table(pts, g, sign))
+            assert np.array_equal(total, spc.exp_sum(pts, g, cc, sign))
+
+    def test_factor_tables_match_cleared_memo(self):
+        x = np.linspace(-30.0, 30.0, 61)
+        args = [(x, 0.25, 0.01, 100), (x, 0.25, 0.01, 100), (x, -0.25, 0.01, 100),
+                (x, -0.25, 0.02, 100), (x, -0.25, 0.02, 101), (x[1:], -0.25, 0.02, 101),
+                (x, -0.25, 0.02, 100), (x, 0.25, 0.01, 100)]
+        for a in args:
+            got = spc._exp_factors(*a)
+            self.clear()
+            fresh = spc._exp_factors(*a)
+            assert all(np.array_equal(g, f) for g, f in zip(got, fresh))
+        assert spc._exp_factors(*args[-1]) is fresh   # a repeat returns the kept pair
+
+    def test_kept_arrays_are_read_only(self):
+        nodes = geo.build_grid(UNIT_BAND, 64).nodes
+        lattice = spc._lattice_indices(nodes)
+        tables = spc._exp_factors(np.linspace(-5.0, 5.0, 11), -0.5, 1 / 64, 64)
+        for a in (*lattice, *tables):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        assert spc._lattice_indices(nodes.copy()) is lattice
+
+    def test_lattice_memo_holds_at_most_its_bound(self):
+        self.clear()
+        arrays = [np.arange(k + 2, dtype=float)[:, None] for k in range(3 * spc._LATTICE_MEMO_SIZE)]
+        first = spc._lattice_indices(arrays[0])
+        for a in arrays:
+            spc._lattice_indices(a)
+            assert len(spc._lattice_memo) <= spc._LATTICE_MEMO_SIZE
+        assert len(spc._lattice_memo) == spc._LATTICE_MEMO_SIZE
+        last = spc._lattice_indices(arrays[-1])
+        assert spc._lattice_indices(arrays[-1]) is last
+        again = spc._lattice_indices(arrays[0])   # first in, first out
+        assert again is not first and all(np.array_equal(a, b) for a, b in zip(again, first))
+
+
 class TestRandomSignal:
     def test_unit_norm(self):
         f = spc.random_pw_signal(UNIT_BAND, 128, seed=0)
