@@ -8,7 +8,7 @@ that predicts when a sampling set frames a shrunk spectrum.
 """
 
 from .geometry import (SpectralGrid, SpectrumSet, build_grid, covering_check,
-                       enlarge, lambda_norm)
+                       enlarge)
 from .sampling import (SamplingSet, generate_jittered_grid,
                        lower_beurling_density, symmetrize)
 from .spectral import (BandlimitedSignal, TrigPolynomial, eval_trigpoly,

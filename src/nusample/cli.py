@@ -289,7 +289,7 @@ def cmd_identity(cfg: dict) -> Outcome:
     spectrum = _spectrum(cfg["spectrum"])
     e_set = _sampling_set(cfg["sampling"])
     eps = bal.default_enlargement(spectrum)
-    grid = geometry.build_grid(geometry.enlarge(spectrum, eps), cfg["enlarged_nodes"])
+    grid = geometry.build_grid(spectrum.enlarged(eps), cfg["enlarged_nodes"])
     window = bal.ingham_window(eps, dim=spectrum.dim)
     rng = np.random.default_rng(cfg["seed"])
     ys = rng.uniform(-cfg["y_half"], cfg["y_half"], size=(cfg["n_y"], spectrum.dim))
@@ -378,7 +378,7 @@ def cmd_psido(cfg: dict) -> Outcome:
         return Outcome({"validation_failures": [list(f) for f in validation.failures]}, 1,
                        message=f"symbol validation failed: {validation.failures}")
     eps = bal.default_enlargement(spectrum)
-    egrid = geometry.build_grid(geometry.enlarge(spectrum, eps), 384)
+    egrid = geometry.build_grid(spectrum.enlarged(eps), 384)
     window = bal.ingham_window(eps, dim=1)
     ys = np.random.default_rng(cfg["seed"]).uniform(-10.0, 10.0, size=(cfg["n_k"], 1))
     solver = bal.BalayageSolver(e_set, egrid, eta=cfg["eta"])

@@ -7,19 +7,19 @@ decomposed itself), either over the full coefficient space or compressed to a
 subspace of time-localized signals.  Over the full space, on a grid that fills
 a lattice box with uniform weights (every box grid of
 :func:`~nusample.geometry.build_grid`) and with no more samples than nodes,
-the samples-side Gram is a Hadamard product of per-axis Grams of factor
-tables of about sqrt(n) columns, so no samples x nodes table is formed and
-the node count is not capped.  Every other case forms that table and is
-capped at 4,096 nodes (:class:`CapacityError`).  The subspace matters: a
-finite sampling window can never frame the full discretized space (the
-analysis map has finite rank), so tightness statements are made for signals
-concentrated away from the window edge, built here from smoothly tapered,
-shifted spectral envelopes.  Their Gram matrix is (block-)Toeplitz over the
-shift lattice and is filled from a few of its rows.  Their orthonormal basis,
-like the Gabor reference subspace of :mod:`~nusample.timefreq`, comes from
-one helper that takes the eigenvectors of the small Gram matrix of the
-spanning set and one Cholesky re-orthonormalization pass, in place of a thin
-SVD of the tall matrix; every result that uses it depends on the span only.
+the samples-side Gram is the weight times :func:`~nusample.spectral.box_gram`,
+so no samples x nodes table is formed and the node count is not capped.  Every
+other case forms that table and is capped at 4,096 nodes
+(:class:`CapacityError`).  The subspace matters: a finite sampling window can
+never frame the full discretized space (the analysis map has finite rank), so
+tightness statements are made for signals concentrated away from the window
+edge, built here from smoothly tapered, shifted spectral envelopes.  Their
+Gram matrix is (block-)Toeplitz over the shift lattice and is filled from a
+few of its rows.  Their orthonormal basis, like the Gabor reference subspace
+of :mod:`~nusample.timefreq`, comes from one helper that takes the
+eigenvectors of the small Gram matrix of the spanning set and one Cholesky
+re-orthonormalization pass, in place of a thin SVD of the tall matrix; every
+result that uses it depends on the span only.
 
 Also included: conjugate-gradient reconstruction from samples, the dilation
 inequality checker (three dilates, one sampling set), the weighted frame
@@ -30,12 +30,13 @@ spectral-side frame operator.  When the nodes sit on a regular lattice, as
 every grid from :func:`~nusample.geometry.build_grid` and
 :func:`dilation_grid` does, that operator is Toeplitz (block-Toeplitz on a
 masked 2-d lattice) and is applied by circulant embedding and FFT in
-O(N log N) per step, after one pass over factor tables of the sampled
-exponentials (the ACT method of Feichtinger, Groechenig and Strohmer).  Grids
-off a lattice keep the dense product with the sampled exponential matrix.
-Every such table comes from :func:`~nusample.spectral.exp_table`, and
-analysis is :func:`~nusample.spectral.evaluate` on the sampling points, which
-sums the exponentials against the coefficients without forming the table.
+O(N log N) per step, after one :func:`~nusample.spectral.lattice_sums` call
+in any dimension (the ACT method of Feichtinger, Groechenig and Strohmer).
+Grids off a lattice keep the dense product with the sampled exponential
+matrix.  Every such table comes from :func:`~nusample.spectral.exp_table`,
+and analysis is :func:`~nusample.spectral.evaluate` on the sampling points,
+which sums the exponentials against the coefficients without forming the
+table.  How the sums factor the exponentials is known to ``spectral`` alone.
 """
 from __future__ import annotations
 
@@ -48,15 +49,12 @@ import numpy as np
 from .geometry import (CoveringReport, SpectralGrid, SpectrumSet,
                        build_grid, covering_check)
 from .sampling import SamplingSet
-from .spectral import (BandlimitedSignal, _exp_factors, _lattice_split, evaluate,
-                       exp_table)
+from .spectral import (BandlimitedSignal, _lattice_split, box_gram, evaluate, exp_table,
+                       lattice_sums)
 
 _EIG_FLOOR = 1e-12
 _SLACK = 1e-9   # relative rounding allowance of the frame-inequality checks
 _DENSE_CAPACITY = 4096
-# rows per block of the Toeplitz sums: with numpy's OpenBLAS 0.3.31, products
-# over 128 rows or fewer were bitwise equal at 1 and 2 threads, longer ones not
-_SUM_ROWS = 64
 
 
 class NotAFrameError(RuntimeError):
@@ -129,12 +127,11 @@ def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
     ``dense-gram`` or ``dense-gram/subspace-<rank>``).  Without a subspace,
     on a grid whose nodes fill a lattice box with uniform weights (every
     :func:`~nusample.geometry.build_grid` grid of a box, in any dimension)
-    and with no more samples than nodes, the samples-side Gram comes from the
-    factor tables of :func:`~nusample.spectral._exp_factors` (see
-    :func:`_box_gram`): no samples x nodes table is formed, and any node
-    count is served, at a cost that grows with the square of the sample
-    count.  Every other case forms the weighted analysis matrix and
-    raises :class:`CapacityError` above 4,096 nodes.  The Gram's rounding
+    and with no more samples than nodes, the samples-side Gram is the weight
+    times :func:`~nusample.spectral.box_gram`: no samples x nodes table is
+    formed, and any node count is served, at a cost that grows with the
+    square of the sample count.  Every other case forms the weighted
+    analysis matrix and raises :class:`CapacityError` above 4,096 nodes.  The Gram's rounding
     error on an eigenvalue is about eps * upper in absolute terms, far below
     the floor: a lower value below 1e-12 times max(upper, 1) is reported as
     0, i.e. not a frame at this scale.
@@ -142,14 +139,17 @@ def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
     samples = sampling_set.size
     if samples == 0:
         raise ValueError("empty sampling set")
-    gram = (_box_gram(sampling_set.points, grid)
-            if subspace is None and samples <= grid.size else None)
+    w = grid.weights
+    gram = (box_gram(sampling_set.points, grid.nodes)
+            if subspace is None and samples <= grid.size and np.all(w == w[0]) else None)
     cols, method = grid.size, "dense-gram"
-    if gram is None:
+    if gram is not None:
+        gram *= w[0]
+    else:
         if grid.size > _DENSE_CAPACITY:
             raise CapacityError(f"grid size {grid.size} exceeds dense capacity {_DENSE_CAPACITY}")
         a = exp_table(sampling_set.points, grid.nodes)   # (samples, nodes)
-        a *= np.sqrt(grid.weights)
+        a *= np.sqrt(w)
         if subspace is not None:
             q = np.asarray(subspace)
             if q.shape[0] != grid.size:
@@ -165,38 +165,6 @@ def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
     condition = np.inf if lower == 0.0 else upper / lower
     return FrameReport(lower=lower, upper=upper, condition=condition,
                        node_count=grid.size, sample_count=samples, method=method)
-
-
-def _box_gram(points: np.ndarray, grid: SpectralGrid) -> np.ndarray | None:
-    """The samples-side Gram a a^H of the weighted analysis matrix a, or None
-    unless the nodes fill a lattice box with uniform weights w.
-
-    On such a box a a^H = w * (Hadamard product over the axes of G_a), where
-    G_a[x, y] = sum_{k < n_a} exp(2 pi i (x_a - y_a) g_{a,k}) over the n_a
-    nodes of axis a.  With the factor tables (A, B) of
-    :func:`~nusample.spectral._exp_factors`, node k = J q + j has the entry
-    A[:, q] * B[:, j], so the rows q < Q - 1 of the split are full and sum to
-    (A' A'^H) * (B B^H), A' without its last column, and the last row holds
-    the first n_a - (Q - 1) J columns of B.  Each axis thus costs products
-    over about sqrt(n_a) columns, whatever the node count.
-    """
-    w = grid.weights
-    if np.any(w != w[0]):
-        return None
-    x, _, lattice = _lattice_split(points, grid.nodes, 1)
-    if lattice is None:
-        return None
-    idx, origin, steps = lattice
-    box = [int(n) + 1 for n in idx.max(axis=0)]
-    if math.prod(box) != grid.size:   # distinct indices, so a full box iff as many as its cells
-        return None
-    gram = w[0]
-    for axis, n in enumerate(box):
-        fa, fb = _exp_factors(x[:, axis], origin[axis], steps[axis], n)
-        rows, last, tail = fa[:, :-1], fa[:, -1], fb[:, :n - (fa.shape[1] - 1) * fb.shape[1]]
-        gram = gram * ((rows @ rows.conj().T) * (fb @ fb.conj().T)
-                       + np.outer(last, last.conj()) * (tail @ tail.conj().T))
-    return gram
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
@@ -377,52 +345,31 @@ def _toeplitz_system(sampling_set: SamplingSet, values: np.ndarray, weights: np.
     S[k, l] = sum_x exp(-2 pi i x . (g_k - g_l)) = t[idx_k - idx_l] is
     (block-)Toeplitz.  The kernel t[m] = sum_x exp(-2 pi i x . (m * steps))
     over the half difference lattice (m_1 >= 0) and the right-hand side
-    E^H v (the samples shifted by exp(-2 pi i x . origin)) are taken from
-    factor tables of the exponential, never the |E| x N table: per axis on a
-    2-d lattice, where t = (E_1 * w)^T E_2 is one product, and on a 1-d
-    lattice from the two tables A, B of :func:`_exp_factors` at
-    (x, origin), the ones :func:`analysis` sums against, so a reconstruction
-    right after analysis builds no table.  Their product is
-    exp(2 pi i x (origin + m step)), so there t = conj((A * w)^T B) with
-    w = exp(-2 pi i x origin), and E^H v the same sum with w = conj(v).
-    The kernel is mirrored by t[-m] = conj(t[m]) into a
-    circulant of twice the lattice box per axis, so applying S to F is one
-    FFT pair on the zero-padded ``weights * F``.  Returns (apply_op, rhs) for
+    E^H v are the conjugates of one :func:`~nusample.spectral.lattice_sums`
+    over that lattice, from the corner origin - offset * steps with
+    offset = (0, n_2 - 1, ...), against the weights exp(-2 pi i x . origin)
+    and conj(v); E^H v is read off at idx + offset.  In 1-d the corner is the
+    origin, so the sums read the factor tables :func:`analysis` has just
+    summed against, and a reconstruction right after analysis builds no
+    table.  The kernel is mirrored by t[-m] = conj(t[m]) into a circulant of
+    twice the lattice box per axis, so applying S to F is one FFT pair on
+    the zero-padded ``weights * F``.  Returns (apply_op, rhs) for
     :func:`_conjugate_gradients`.
     """
     box = idx.max(axis=0) + 1
     pad = tuple(2 * box)
-    half = [np.arange(box[0])] + [np.arange(1 - n, n) for n in box[1:]]
-    m = np.stack([g.ravel() for g in np.meshgrid(*half, indexing="ij")], axis=1)
+    offset = np.concatenate([[0], box[1:] - 1])
+    half = (box[0], *(2 * box[1:] - 1))
     x = sampling_set.points
     phase = exp_table(x, origin[None, :], sign=-1)[:, 0]   # exp(-2 pi i x . origin)
-    if x.shape[1] == 1:
-        # the analysis tables, whose product is exp(+2 pi i x (origin + m step)):
-        # the sums against conj(phase) and conj(values) are conj(t) and conj(rhs)
-        factors = _exp_factors(x[:, 0], origin[0], steps[0], box[0])
-        lead = np.stack([phase, values.conj()], axis=1)
-    else:
-        factors = [exp_table(x[:, a], r * steps[a], sign=-1) for a, r in enumerate(half)]
-        lead = np.stack([np.ones_like(phase), values * phase], axis=1)
-    # Khatri-Rao product of the leading factors with both weight columns, then
-    # one product with the last factor; the flat C order of the result is the
-    # order of ``m``
-    for f in factors[:-1]:
-        lead = (lead[:, :, None] * f[:, None, :]).reshape(x.shape[0], -1)
-    # OpenBLAS blocks a long inner dimension differently at different thread
-    # counts, so the sum over the samples is taken in fixed blocks of rows
-    sums = lead[:_SUM_ROWS].T @ factors[-1][:_SUM_ROWS]
-    for s in range(_SUM_ROWS, x.shape[0], _SUM_ROWS):
-        sums += lead[s:s + _SUM_ROWS].T @ factors[-1][s:s + _SUM_ROWS]
-    kern, rhs_half = sums.reshape(2, -1)[:, :m.shape[0]]
-    if x.shape[1] == 1:
-        kern, rhs_half = kern.conj(), rhs_half.conj()
+    kern, rhs_half = lattice_sums(x, np.stack([phase, values.conj()], axis=1),
+                                  origin - offset * steps, steps, half).conj()
+    m = np.indices(half).reshape(len(half), -1).T - offset
     circ = np.zeros(pad, dtype=complex)
-    circ[tuple((-m % pad).T)] = kern.conj()
-    circ[tuple((m % pad).T)] = kern
+    circ[tuple((-m % pad).T)] = kern.conj().ravel()
+    circ[tuple((m % pad).T)] = kern.ravel()
     spectrum = np.fft.fftn(circ)
-    offset = np.concatenate([[0], box[1:] - 1])
-    rhs = rhs_half[np.ravel_multi_index((idx + offset).T, [len(r) for r in half])]
+    rhs = rhs_half[tuple((idx + offset).T)]
     at = np.ravel_multi_index(idx.T, pad)
 
     def apply_op(f):

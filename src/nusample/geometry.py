@@ -247,13 +247,8 @@ class SpectralGrid:
         return self.nodes.shape[0]
 
 
-def lambda_norm(spectrum: SpectrumSet, gamma) -> float:
-    """Minkowski gauge of a single frequency point; a norm equivalent to the
-    Euclidean one (positively homogeneous, zero only at the origin)."""
-    return float(spectrum.gauge(gamma)[0])
-
-
 def enlarge(spectrum: SpectrumSet, eps: float) -> SpectrumSet:
+    """``spectrum.enlarged(eps)``, the name the benchmark's workloads call."""
     return spectrum.enlarged(eps)
 
 

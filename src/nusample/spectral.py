@@ -14,12 +14,13 @@ Every table of sampled exponentials exp(+-2 pi i x . g) in the package comes
 from :func:`exp_table`: on lattice nodes it multiplies per-axis tables, each
 the product of two tables of about sqrt(n) columns (the chirp-z split, exact
 up to rounding); other nodes, and lattice subsets so sparse that the factor
-tables would hold more columns than there are nodes, get the dense
-:func:`_exp_matrix`, which is also the reference the builder is tested
-against.  Where only the table's product with a coefficient vector is
-needed, as in time evaluation, :func:`exp_sum` contracts the coefficients
-with the same factor tables one at a time (the factored sums of the ACT
-method of Feichtinger, Groechenig and Strohmer) and never forms the table.
+tables would hold more columns than there are nodes or their split's box
+more than 32 cells per node, get the dense :func:`_exp_matrix`, which is
+also the reference the builder is tested against.  Sums against the
+exponentials never form the table, and only this module knows the split:
+:func:`exp_sum` (time evaluation), :func:`lattice_sums` (Toeplitz kernels)
+and :func:`box_gram` (full-box frame bounds) are the factored sums of the
+ACT method of Feichtinger, Groechenig and Strohmer.
 
 The builder remembers its inputs, so repeated calls on one sampling set and
 one spectral grid (frame bounds, then analysis of many signals, then
@@ -43,10 +44,13 @@ _LATTICE_ULPS = 16
 _LATTICE_MEMO_SIZE = 8
 _lattice_memo: dict = {}   # (dtype, shape, bytes) of a node array -> its _lattice_indices
 _factor_memo: list = []    # [key, (A, B)] of the last _exp_factors build
-# exp_sum contracts the box of the factor split up to this many cells per
-# node and gathers the (points, nodes) table past it: on one core the two
-# cost the same at 32-36 cells per node in 2-d and at 40-130 in 1-d
+# the factor split's box is used up to this many cells per node and sparser
+# lattice subsets take the dense table: on one core, contracting the box cost
+# as much as a table built from the factors at 32-36 cells per node in 2-d
 _BOX_CELLS_PER_NODE = 32
+# rows per block of the lattice sums: with numpy's OpenBLAS 0.3.31, products
+# over 128 rows or fewer were bitwise equal at 1 and 2 threads, longer ones not
+_SUM_ROWS = 64
 
 
 def _exp_matrix(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -153,15 +157,17 @@ def _lattice_split(points, nodes, sign: int):
     """The signed points x (m, dim), the nodes g (n, dim), and the lattice of
     :func:`_lattice_indices`, or None where the dense product is used: off a
     lattice, and on lattice subsets so sparse that the factor tables of
-    :func:`_exp_factors` would hold more columns than there are nodes."""
+    :func:`_exp_factors` would hold more columns than there are nodes, or
+    their split's box more than 32 cells per node."""
     g = np.asarray(nodes, dtype=float)
     g = g[:, None] if g.ndim == 1 else g
     x = sign * np.asarray(points, dtype=float).reshape(-1, g.shape[1])
     # one node is too sparse for the factor tables (2 columns per axis), so it
     # skips the lattice search and its memo
     lattice = _lattice_indices(g) if g.shape[0] > 1 else None
-    if lattice is not None and sum(sum(_factor_columns(int(n) + 1))
-                                   for n in lattice[0].max(axis=0)) > g.shape[0]:
+    cols = [_factor_columns(int(n) + 1) for n in lattice[0].max(axis=0)] if lattice else []
+    if (sum(map(sum, cols)) > g.shape[0]
+            or math.prod(map(math.prod, cols)) > _BOX_CELLS_PER_NODE * g.shape[0]):
         lattice = None
     return x, g, lattice
 
@@ -198,9 +204,9 @@ def exp_table(points, nodes, sign: int = 1) -> np.ndarray:
 
     Nodes on a lattice, in any order and any subset of its box (see
     :func:`_lattice_indices`), multiply one table per axis built from the
-    factors of :func:`_exp_factors`; other nodes, and lattice subsets so
-    sparse that the factors hold more columns than there are nodes, fall back
-    to :func:`_exp_matrix`.  Put the lattice side of a product in ``nodes``.
+    factors of :func:`_exp_factors`; other nodes, and lattice subsets too
+    sparse for the factors (see :func:`_lattice_split`), fall back to
+    :func:`_exp_matrix`.  Put the lattice side of a product in ``nodes``.
     """
     x, g, lattice = _lattice_split(points, nodes, sign)
     if lattice is None:
@@ -216,10 +222,7 @@ def exp_sum(points, nodes, coeffs, sign: int = 1) -> np.ndarray:
     factor split, with axes (q_1, j_1, q_2, j_2, ...) where lattice index
     k_a = J_a q_a + j_a, and the sum over the box is contracted one factor
     table at a time: the last factor by one matrix product, each remaining
-    one row by row (one small matrix-vector product per point).  A box of
-    more than 32 cells per node, a lattice subset far sparser than any
-    :func:`~nusample.geometry.build_grid` grid, is not contracted: the
-    table is gathered from the same factors and multiplied.  Nodes where
+    one row by row (one small matrix-vector product per point).  Nodes where
     :func:`exp_table` takes the dense table take its product here.
     """
     x, g, lattice = _lattice_split(points, nodes, sign)
@@ -227,8 +230,6 @@ def exp_sum(points, nodes, coeffs, sign: int = 1) -> np.ndarray:
         return _exp_matrix(x, g) @ coeffs
     axes = _axis_factors(x, lattice)
     factors = [f for _, fa, fb in axes for f in (fa, fb)]
-    if math.prod(f.shape[1] for f in factors) > _BOX_CELLS_PER_NODE * g.shape[0]:
-        return _factored_table(x.shape[0], axes) @ coeffs
     box = np.zeros([f.shape[1] for f in factors], dtype=complex)
     box[tuple(i for k, _, fb in axes for i in np.divmod(k, fb.shape[1]))] = coeffs
     out = factors[-1] @ box.reshape(-1, box.shape[-1]).T   # (points, rest of the box)
@@ -236,6 +237,62 @@ def exp_sum(points, nodes, coeffs, sign: int = 1) -> np.ndarray:
         rows = out.reshape(x.shape[0], out.shape[1] // f.shape[1], f.shape[1])
         out = np.matmul(rows, f[:, :, None])[..., 0]
     return out[:, 0]
+
+
+def lattice_sums(points, weights, origin, steps, shape) -> np.ndarray:
+    """sum_x w[x, c] exp(2 pi i x . (origin + m * steps)) for every column c
+    of the (points, columns) ``weights`` and every m in the lattice box
+    ``shape``, shape (columns, *shape), without the (points, box) table.
+
+    The weights take a Khatri-Rao (row-wise Kronecker) product with the
+    table of every axis but the last.  The last axis enters as its factors
+    A, B of :func:`_exp_factors`, A joining the product, while that product
+    is no wider than B (always in 1-d), and as its table otherwise.  The sum
+    over the points runs in fixed blocks of 64 rows, because OpenBLAS blocks
+    a long inner dimension differently at different thread counts.
+    """
+    x = np.asarray(points, dtype=float).reshape(-1, len(shape))
+    lead = np.asarray(weights)
+    for a, n in enumerate(shape[:-1]):
+        table = _factored_table(x.shape[0], [(np.arange(n), *_exp_factors(
+            x[:, a], origin[a], steps[a], n))])
+        lead = (lead[:, :, None] * table[:, None, :]).reshape(x.shape[0], -1)
+    width = lead.shape[1]
+    fa, last = _exp_factors(x[:, -1], origin[-1], steps[-1], shape[-1])
+    if width <= last.shape[1]:
+        lead = (lead[:, :, None] * fa[:, None, :]).reshape(x.shape[0], -1)
+    else:
+        last = _factored_table(x.shape[0], [(np.arange(shape[-1]), fa, last)])
+    sums = lead[:_SUM_ROWS].T @ last[:_SUM_ROWS]
+    for s in range(_SUM_ROWS, x.shape[0], _SUM_ROWS):
+        sums += lead[s:s + _SUM_ROWS].T @ last[s:s + _SUM_ROWS]
+    return sums.reshape(width, -1)[:, :shape[-1]].reshape(-1, *shape)
+
+
+def box_gram(points, nodes) -> np.ndarray | None:
+    """G[x, y] = sum_k exp(2 pi i (x - y) . g_k) over the nodes, for every
+    pair of points, or None unless the nodes fill a lattice box.
+
+    On a box G is the Hadamard product over the axes of G_a, the same sum
+    over the n_a nodes of axis a.  With the factor tables (A, B) of
+    :func:`_exp_factors`, node k = J q + j has the entry A[:, q] * B[:, j],
+    so the rows q < Q - 1 of the split are full and sum to
+    (A' A'^H) * (B B^H), A' without its last column, and the last row holds
+    the first n_a - (Q - 1) J columns of B.  Each axis thus costs products
+    over about sqrt(n_a) columns, whatever the node count.
+    """
+    x, g, lattice = _lattice_split(points, nodes, 1)
+    # distinct indices, so the box is full iff it has as many cells as nodes
+    if lattice is None or math.prod(int(n) + 1 for n in lattice[0].max(axis=0)) != g.shape[0]:
+        return None
+    gram = None
+    for k, fa, fb in _axis_factors(x, lattice):
+        n = int(k.max()) + 1
+        rows, last, tail = fa[:, :-1], fa[:, -1], fb[:, :n - (fa.shape[1] - 1) * fb.shape[1]]
+        part = ((rows @ rows.conj().T) * (fb @ fb.conj().T)
+                + np.outer(last, last.conj()) * (tail @ tail.conj().T))
+        gram = part if gram is None else gram * part
+    return gram
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,7 +35,7 @@ def spectral_profile_at(window, gamma):
 
 @pytest.fixture(scope="module")
 def enlarged_grid():
-    return geo.build_grid(geo.enlarge(QUARTER_BAND, EPS), 384)
+    return geo.build_grid(QUARTER_BAND.enlarged(EPS), 384)
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +110,7 @@ class TestSolve:
 
     def test_undersampled_infeasible(self):
         band = geo.SpectrumSet.box([0.5])
-        grid = geo.build_grid(geo.enlarge(band, 0.05), 384)
+        grid = geo.build_grid(band.enlarged(0.05), 384)
         sparse = generate_jittered_grid(4.0, 0.0, [[-20.0, 20.0]], seed=0)
         # rank oracle: even the unconstrained least-squares fit cannot match
         phi = np.exp(-2j * np.pi * grid.nodes @ sparse.points.T)
@@ -243,7 +243,7 @@ def dense_qr_cases():
 
 
 def dense_qr_solver(nodes, seed, reg):
-    grid = geo.build_grid(geo.enlarge(QUARTER_BAND, EPS), nodes)
+    grid = geo.build_grid(QUARTER_BAND.enlarged(EPS), nodes)
     e_set = generate_jittered_grid(0.5, 0.15, [[-20.0, 20.0]], seed=seed)
     solver = bal.BalayageSolver(e_set, grid, eta=1e-5, reg=reg)
     assert (2 * grid.size < e_set.size) == (nodes == 32)
@@ -294,7 +294,7 @@ class TestFactoredStep:
     def test_zero_pivot_raises(self):
         # half of this l1 weight underflows, so D = 0 and the rows of the
         # triangle below the k < n rows of R have no pivot
-        grid = geo.build_grid(geo.enlarge(QUARTER_BAND, EPS), 32)
+        grid = geo.build_grid(QUARTER_BAND.enlarged(EPS), 32)
         e_set = generate_jittered_grid(0.5, 0.15, [[-20.0, 20.0]], seed=0)
         solver = bal.BalayageSolver(e_set, grid, eta=1e-5, reg=5e-324)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
@@ -316,7 +316,7 @@ class TestSymmetryProperties:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(symmetric_sets(), st.floats(0.1, 10.0))
     def test_conjugation_symmetry_on_symmetric_sets(self, e_set, y):
-        grid = geo.build_grid(geo.enlarge(QUARTER_BAND, EPS), 384)
+        grid = geo.build_grid(QUARTER_BAND.enlarged(EPS), 384)
         solver = bal.BalayageSolver(e_set, grid, eta=1e-5)
         sol_pos, sol_neg = solver.solve([y]), solver.solve([-y])
         assert np.max(np.abs(sol_neg.coeffs - np.conj(sol_pos.coeffs[::-1]))) <= 1e-6
@@ -354,7 +354,7 @@ class TestBalayageConstant:
     def test_infeasible_center_propagates(self, enlarged_grid):
         sparse = generate_jittered_grid(4.0, 0.0, [[-20.0, 20.0]], seed=0)
         band = geo.SpectrumSet.box([0.5])
-        grid = geo.build_grid(geo.enlarge(band, 0.05), 384)
+        grid = geo.build_grid(band.enlarged(0.05), 384)
         with pytest.raises(bal.BalayageInfeasibleError) as err:
             bal.balayage_constant(sparse, grid, [[0.13]], eta=1e-3)
         assert err.value.y[0] == pytest.approx(0.13)

@@ -711,7 +711,7 @@ class TestThreeDilate:
 
     def test_chain_with_module_constants(self, dilate_setup):
         dg, e_set = dilate_setup
-        egrid = geo.build_grid(geo.enlarge(QUARTER_BAND, 0.025), 384)
+        egrid = geo.build_grid(QUARTER_BAND.enlarged(0.025), 384)
         win = bal.ingham_window(0.025, dim=1)
         ys = np.random.default_rng(5).uniform(-10, 10, size=(25, 1))
         k_hat = bal.balayage_constant(e_set, egrid, ys, eta=1e-5)
@@ -741,7 +741,7 @@ class TestThreeDilate:
 def weighted_setup():
     grid = geo.build_grid(QUARTER_BAND, 256)
     e_set = symmetrize(uniform_set(0.5, 20.0))
-    egrid = geo.build_grid(geo.enlarge(QUARTER_BAND, 0.025), 384)
+    egrid = geo.build_grid(QUARTER_BAND.enlarged(0.025), 384)
     win = bal.ingham_window(0.025, dim=1)
     ys = np.random.default_rng(5).uniform(-10, 10, size=(25, 1))
     k_hat = bal.balayage_constant(e_set, egrid, ys, eta=1e-5)

@@ -211,7 +211,7 @@ class TestValidation:
 def context():
     e_set = symmetrize(generate_jittered_grid(0.5, 0.0, [[-20.0, 20.0]], seed=0))
     eps = 0.05 * QUARTER_BAND.diameter()
-    egrid = geo.build_grid(geo.enlarge(QUARTER_BAND, eps), 384)
+    egrid = geo.build_grid(QUARTER_BAND.enlarged(eps), 384)
     window = bal.ingham_window(eps, dim=1)
     ys = np.random.default_rng(5).uniform(-10, 10, size=(25, 1))
     k_hat = bal.balayage_constant(e_set, egrid, ys, eta=1e-5)

@@ -4,20 +4,23 @@ exp(+-2 pi i x . g) through ``spectral.exp_table``.  A dense table, an
 (``np.outer``) product, may appear only inside the builder's own dense
 pieces, ``spectral._exp_matrix`` and ``spectral._exp_factors``.
 Elementwise modulations such as ``np.exp(-2j * np.pi * y * lam)`` are not
-tables and pass.
+tables and pass.  The chirp-z split of those tables is known to
+``spectral`` alone: no other module reads its factor tables, their column
+counts or the block size of the sums over them.
 
 Every defaulted keyword option of a public function or method is set by some
 call in the package, its tests or its benchmark; an option nothing sets is a
 constant.  Every public function and method is used, outside its own
 definition, by the package, its benchmark or the acceptance tests of the
 paper's claims (``tests/test_acceptance.py``); a name only unit tests call is
-a test oracle and lives in the tests.  Every name a module binds at its top
-level is read by the package, its tests or its benchmark.  Every name a
-module imports is read in that module.  Every config field a CLI command
-declares is set by a shipped config or a test.  Importing the package loads
-neither ``scipy.signal`` nor ``scipy.stats``, and importing the CLI loads no
-``scipy.linalg``.  No module imports ``scipy.spatial``: 2-d polytopes take
-their hull from numpy."""
+a test oracle and lives in the tests.  A method is used only through an
+attribute read, never through a bare variable of the same name.  Every name
+a module binds at its top level is read by the package, its tests or its
+benchmark.  Every name a module imports is read in that module.  Every
+config field a CLI command declares is set by a shipped config or a test.
+Importing the package loads neither ``scipy.signal`` nor ``scipy.stats``,
+and importing the CLI loads no ``scipy.linalg``.  No module imports
+``scipy.spatial``: 2-d polytopes take their hull from numpy."""
 import ast
 import json
 import os
@@ -32,6 +35,8 @@ from nusample import cli
 
 SOURCES = {path.stem: path for path in sorted(Path(nusample.__file__).parent.glob("*.py"))}
 ALLOWED = {("spectral", "_exp_matrix"), ("spectral", "_exp_factors")}
+# the names of the factor split k = J q + j, which only ``spectral`` reads
+SPLIT_NAMES = {"_exp_factors", "_factor_columns", "_factored_table", "_axis_factors", "_SUM_ROWS"}
 REPO = Path(__file__).resolve().parent.parent
 CALLER_DIRS = ("src", "tests", "perfbench")
 # the callers whose use keeps a public name in the package
@@ -103,6 +108,12 @@ def test_detector_finds_dense_tables():
     assert dense_exp_tables("g = np.exp(-np.pi * t**2) * np.outer(a, b)\n") == []
     assert dense_exp_tables("u = np.exp(-2j * np.pi * y * lam)\n") == []
     assert dense_exp_tables("s = np.exp(-(x @ g.T))\n") == []
+
+
+@pytest.mark.parametrize("name", sorted(set(SOURCES) - {"spectral"}))
+def test_only_spectral_reads_the_factor_split(name):
+    bare, attrs = references(SOURCES[name].read_text())
+    assert (bare | attrs) & SPLIT_NAMES == set()
 
 
 def _defaulted(fn, skip: int) -> list:
@@ -193,46 +204,49 @@ def test_option_scan_sees_every_way_of_setting():
 
 
 def public_names(source: str) -> list:
-    """Names of the module's public functions and of its public classes'
-    public methods.  A function under a decorator call, such as a CLI
-    command's ``@command(...)``, is used through that registration."""
+    """(name, is a method) of the module's public functions and of its public
+    classes' public methods.  A function under a decorator call, such as a
+    CLI command's ``@command(...)``, is used through that registration."""
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             if not any(isinstance(d, ast.Call) for d in node.decorator_list):
-                out.append(node.name)
+                out.append((node.name, False))
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            out += [fn.name for fn in node.body
+            out += [(fn.name, True) for fn in node.body
                     if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
     return out
 
 
-def references(source: str) -> set:
-    """Every name the source reads, bare or as an attribute, except where a
-    function mentions its own name inside its own body.  Binding a name, as
-    in ``x = 1`` or ``k.x = 1``, does not read it."""
-    refs = set()
+def references(source: str) -> tuple[set, set]:
+    """The names the source reads bare and the names it reads as attributes,
+    except where a function mentions its own name inside its own body.
+    Binding a name, as in ``x = 1`` or ``k.x = 1``, does not read it."""
+    bare, attrs = set(), set()
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = inside | {node.name}
         loaded = isinstance(getattr(node, "ctx", None), ast.Load)
         if isinstance(node, ast.Name) and loaded and node.id not in inside:
-            refs.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute) and loaded and node.attr not in inside:
-            refs.add(node.attr)
+            attrs.add(node.attr)
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
     visit(ast.parse(source), frozenset())
-    return refs
+    return bare, attrs
 
 
 def unused_names(sources: dict, callers: list) -> list:
-    """(module, name) of every public function or method no caller uses."""
-    used = set().union(*(references(src) for src in callers))
-    return [(mod, name) for mod, src in sources.items() for name in public_names(src)
-            if name not in used]
+    """(module, name) of every public function no caller reads, bare or as an
+    attribute, and of every public method no caller reads as an attribute."""
+    refs = [references(src) for src in callers]
+    attrs = set().union(*(a for _, a in refs))
+    used = attrs.union(*(b for b, _ in refs))
+    return [(mod, name) for mod, src in sources.items() for name, method in public_names(src)
+            if name not in (attrs if method else used)]
 
 
 def test_every_public_name_is_used():
@@ -245,9 +259,11 @@ def test_name_scan_sees_every_use():
     src = ("def f(n):\n    return f(n - 1)\n"
            "class K:\n    def m(self):\n        pass\n    def _p(self):\n        pass\n"
            "@register('x')\ndef r():\n    pass\n")
-    assert public_names(src) == ["f", "m"]
+    assert public_names(src) == [("f", False), ("m", True)]
     assert unused_names({"mod": src}, [src]) == [("mod", "f"), ("mod", "m")]
     assert unused_names({"mod": src}, [src, "g = f\nk.m()\n"]) == []
+    # a bare variable that shares a method's name does not use the method
+    assert unused_names({"mod": src}, [src, "m = f\nprint(m)\n"]) == [("mod", "m")]
 
 
 def module_names(source: str) -> list:
@@ -269,7 +285,7 @@ def module_names(source: str) -> list:
 
 def dead_names(sources: dict, callers: list) -> list:
     """(module, name) of every module-level name no caller reads."""
-    used = set().union(*(references(src) for src in callers))
+    used = set().union(*(b | a for b, a in map(references, callers)))
     return [(mod, name) for mod, src in sources.items() for name in module_names(src)
             if name not in used]
 

@@ -346,27 +346,16 @@ def _box_cells_per_node(nodes: np.ndarray) -> float:
 
 class TestExpSumSparseSubsets:
     """exp_sum contracts the factor split's box up to 32 cells per node and
-    gathers the (points, nodes) table past it; both match the dense product."""
+    takes the dense product past it; both match the dense product."""
 
-    @pytest.fixture
-    def gathered(self, monkeypatch):
-        calls = []
-
-        def counted(points, axes):
-            calls.append(points)
-            return factored(points, axes)
-        factored = spc._factored_table
-        monkeypatch.setattr(spc, "_factored_table", counted)
-        return calls
-
-    @pytest.mark.parametrize("dim, nodes, cells_per_node, gathers", [
+    @pytest.mark.parametrize("dim, nodes, cells_per_node, dense", [
         (1, 300, 20.0, False), (1, 300, 60.0, True), (1, 2100, 476.0, True),
         (2, 120, 20.0, False), (2, 120, 60.0, True), (2, 120, 500.0, True)])
-    def test_matches_dense_product_on_each_side(self, gathered, dim, nodes, cells_per_node,
-                                                gathers):
+    def test_matches_dense_product_on_each_side(self, dim, nodes, cells_per_node, dense):
         nodes = _sparse_lattice(cells_per_node, nodes, dim, seed=dim)
-        assert spc._lattice_split(np.zeros((1, dim)), nodes, 1)[2] is not None
-        assert (_box_cells_per_node(nodes) > spc._BOX_CELLS_PER_NODE) == gathers
+        assert spc._lattice_indices(nodes) is not None
+        assert (_box_cells_per_node(nodes) > spc._BOX_CELLS_PER_NODE) == dense
+        assert (spc._lattice_split(np.zeros((1, dim)), nodes, 1)[2] is None) == dense
         rng = np.random.default_rng(5)
         x = rng.uniform(-10.0, 10.0, (70, dim))
         c = rng.standard_normal(len(nodes)) + 1j * rng.standard_normal(len(nodes))
@@ -374,7 +363,6 @@ class TestExpSumSparseSubsets:
             got = spc.exp_sum(x, nodes, c, sign=sign)
             expect = spc._exp_matrix(sign * x, nodes) @ c
             assert np.all(np.abs(got - expect) <= 1e-12 * np.max(np.abs(expect)))
-        assert len(gathered) == (2 if gathers else 0)
 
     @pytest.mark.parametrize("spec", [geo.SpectrumSet.box([0.5]), geo.SpectrumSet.ball(0.5, 1),
                                       geo.SpectrumSet.box([0.5, 0.3]), geo.SpectrumSet.ball(0.5, 2),
@@ -383,13 +371,57 @@ class TestExpSumSparseSubsets:
                                                                 [0.3, -0.3]])],
                              ids=["box-1d", "ball-1d", "box-2d", "ball-2d", "hexagon"])
     @pytest.mark.parametrize("n", [5, 40, 300])
-    def test_build_grid_grids_contract_the_box(self, gathered, spec, n):
+    def test_build_grid_grids_contract_the_box(self, spec, n):
         nodes = geo.build_grid(spec, n).nodes
         x = np.random.default_rng(n).uniform(-10.0, 10.0, (30, spec.dim))
+        assert spc._lattice_split(x, nodes, 1)[2] is not None
         c = np.ones(len(nodes), dtype=complex)
         got = spc.exp_sum(x, nodes, c)
         assert np.all(np.abs(got - spc._exp_matrix(x, nodes) @ c) <= 1e-12 * len(nodes))
-        assert gathered == []
+
+
+class TestLatticeSums:
+    """lattice_sums and box_gram against sums of the dense table; the last
+    axis of a lattice sum enters as its two factors while the weights times
+    the box of the other axes are no wider than its B factor, and as its
+    table past that."""
+
+    @pytest.mark.parametrize("shape, columns, factors", [
+        ((50,), 1, True), ((50,), 2, True), ((50,), 3, True), ((3,), 3, False),
+        ((4, 30), 1, True), ((2, 64), 3, True), ((5, 9), 2, False), ((3, 40), 3, False)])
+    @pytest.mark.parametrize("rows", [1, 64, 65, 200])
+    def test_matches_dense_sums(self, shape, columns, factors, rows):
+        dim = len(shape)
+        assert (columns * np.prod(shape[:-1]) <= spc._factor_columns(shape[-1])[1]) == factors
+        rng = np.random.default_rng(rows + columns)
+        x = rng.uniform(-10.0, 10.0, (rows, dim))
+        w = rng.standard_normal((rows, columns)) + 1j * rng.standard_normal((rows, columns))
+        origin, steps = np.array([-0.7, 0.3])[:dim], np.array([0.013, 0.021])[:dim]
+        m = np.indices(shape).reshape(dim, -1).T
+        expect = (w.T @ spc._exp_matrix(x, origin + m * steps)).reshape(columns, *shape)
+        got = spc.lattice_sums(x, w, origin, steps, shape)
+        assert got.shape == expect.shape
+        assert np.all(np.abs(got - expect) <= 1e-12 * np.max(np.abs(expect)))
+
+    @pytest.mark.parametrize("spec, n", [(geo.SpectrumSet.box([0.5]), 2),
+                                         (geo.SpectrumSet.box([0.5]), 300),
+                                         (geo.SpectrumSet.box([0.5, 0.3]), 17)])
+    def test_box_gram_matches_dense_gram(self, spec, n):
+        nodes = geo.build_grid(spec, n).nodes
+        x = np.random.default_rng(n).uniform(-10.0, 10.0, (40, spec.dim))
+        e = spc._exp_matrix(x, nodes)
+        got = spc.box_gram(x, nodes)
+        if spc._lattice_split(x, nodes, 1)[2] is None:   # 2 nodes: the dense rule
+            assert got is None
+        else:
+            assert np.all(np.abs(got - e @ e.conj().T) <= 1e-12 * len(nodes))
+
+    def test_box_gram_needs_a_full_box(self):
+        x = np.random.default_rng(0).uniform(-10.0, 10.0, (5, 2))
+        nodes = geo.build_grid(geo.SpectrumSet.ball(0.5, 2), 12).nodes
+        assert spc._lattice_split(x, nodes, 1)[2] is not None
+        assert spc.box_gram(x, nodes) is None
+        assert spc.box_gram(x, nodes + np.linspace(0.0, 1e-3, len(nodes))[:, None]) is None
 
 
 class TestBuilderMemo:
