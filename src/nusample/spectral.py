@@ -45,8 +45,10 @@ _LATTICE_MEMO_SIZE = 8
 _lattice_memo: dict = {}   # (dtype, shape, bytes) of a node array -> its _lattice_indices
 _factor_memo: list = []    # [key, (A, B)] of the last _exp_factors build
 # the factor split's box is used up to this many cells per node and sparser
-# lattice subsets take the dense table: on one core, contracting the box cost
-# as much as a table built from the factors at 32-36 cells per node in 2-d
+# lattice subsets take the dense table; chosen against a gathered table, since
+# removed, it errs dense: at 200 points on one core, exp_sum's contraction cost
+# a fifth to a third of the dense product at 32 and as much at 130-250, and
+# exp_table's factored table stayed the cheaper up to 512
 _BOX_CELLS_PER_NODE = 32
 # rows per block of the lattice sums: with numpy's OpenBLAS 0.3.31, products
 # over 128 rows or fewer were bitwise equal at 1 and 2 threads, longer ones not
@@ -245,11 +247,11 @@ def lattice_sums(points, weights, origin, steps, shape) -> np.ndarray:
     ``shape``, shape (columns, *shape), without the (points, box) table.
 
     The weights take a Khatri-Rao (row-wise Kronecker) product with the
-    table of every axis but the last.  The last axis enters as its factors
-    A, B of :func:`_exp_factors`, A joining the product, while that product
-    is no wider than B (always in 1-d), and as its table otherwise.  The sum
-    over the points runs in fixed blocks of 64 rows, because OpenBLAS blocks
-    a long inner dimension differently at different thread counts.
+    table of every axis but the last and with the factor A of the last axis
+    (see :func:`_exp_factors`), and the product is summed against its factor
+    B, so the last axis costs tables of about sqrt(n) columns.  The sum over
+    the points runs in fixed blocks of 64 rows, because OpenBLAS blocks a
+    long inner dimension differently at different thread counts.
     """
     x = np.asarray(points, dtype=float).reshape(-1, len(shape))
     lead = np.asarray(weights)
@@ -257,16 +259,12 @@ def lattice_sums(points, weights, origin, steps, shape) -> np.ndarray:
         table = _factored_table(x.shape[0], [(np.arange(n), *_exp_factors(
             x[:, a], origin[a], steps[a], n))])
         lead = (lead[:, :, None] * table[:, None, :]).reshape(x.shape[0], -1)
-    width = lead.shape[1]
-    fa, last = _exp_factors(x[:, -1], origin[-1], steps[-1], shape[-1])
-    if width <= last.shape[1]:
-        lead = (lead[:, :, None] * fa[:, None, :]).reshape(x.shape[0], -1)
-    else:
-        last = _factored_table(x.shape[0], [(np.arange(shape[-1]), fa, last)])
-    sums = lead[:_SUM_ROWS].T @ last[:_SUM_ROWS]
+    fa, fb = _exp_factors(x[:, -1], origin[-1], steps[-1], shape[-1])
+    lead = (lead[:, :, None] * fa[:, None, :]).reshape(x.shape[0], -1)
+    sums = lead[:_SUM_ROWS].T @ fb[:_SUM_ROWS]
     for s in range(_SUM_ROWS, x.shape[0], _SUM_ROWS):
-        sums += lead[s:s + _SUM_ROWS].T @ last[s:s + _SUM_ROWS]
-    return sums.reshape(width, -1)[:, :shape[-1]].reshape(-1, *shape)
+        sums += lead[s:s + _SUM_ROWS].T @ fb[s:s + _SUM_ROWS]
+    return sums.reshape(-1, fa.shape[1] * fb.shape[1])[:, :shape[-1]].reshape(-1, *shape)
 
 
 def box_gram(points, nodes) -> np.ndarray | None:
