@@ -21,6 +21,10 @@ gives super-polynomial time decay.
 """
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +40,41 @@ _SVD_CUTOFF = 1e-10   # relative singular-value cutoff of the least-squares star
 # 2-core host a sweep benchmark op took 33-39 ms at width 10 or 12 and 59 ms
 # at 16, against 27-30 ms at width 4 or 8 (23-25 ms with 1 thread at 4-8).
 _TPQRT_NB = 4
+
+
+def _flapack_path() -> str | None:
+    """The file of scipy's compiled LAPACK wrappers, ``scipy/linalg/_flapack``
+    with an extension suffix of this interpreter, or None.  Finding the
+    scipy package imports none of it."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+@functools.cache
+def _lapack_routines():
+    """LAPACK's dtpqrt and dtrtrs, loaded once per process.
+
+    They come straight from scipy's ``_flapack`` extension, the module that
+    ``scipy.linalg.lapack`` re-exports, without importing the
+    ``scipy.linalg`` package, which took 0.2-0.3 s and 28 MB of RSS with
+    scipy 1.17 on a 2-core host, against a few ms and 3 MB for the file.
+    The interpreter registers the extension as ``scipy.linalg._flapack``, so
+    a later ``scipy.linalg`` import reuses the same module.  Where the file
+    is not found, the routines come from ``scipy.linalg.lapack``.
+    """
+    path = _flapack_path()
+    if path is None:
+        from scipy.linalg import lapack as flapack
+    else:
+        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+        flapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(flapack)
+    return flapack.dtpqrt, flapack.dtrtrs
 
 
 class BalayageInfeasibleError(RuntimeError):
@@ -192,10 +231,8 @@ class BalayageSolver:
         self.eta = float(eta)
         self.reg = float(reg)
         self.max_irls = int(max_irls)
-        # imported here, not with the module: the five CLI commands that
-        # never solve a balayage system then load no scipy.linalg
-        from scipy.linalg import lapack
-        self._tpqrt, self._trtrs = lapack.dtpqrt, lapack.dtrtrs
+        # scipy's compiled LAPACK wrappers, without the scipy.linalg package
+        self._tpqrt, self._trtrs = _lapack_routines()
         self._phi = exp_table(sampling_set.points, grid.nodes, sign=-1).T   # (nodes, points)
         self._sqw = np.sqrt(grid.weights)
         # thin SVD of the stacked weighted system: reweighted steps solve on

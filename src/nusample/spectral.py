@@ -26,8 +26,9 @@ The builder remembers its inputs, so repeated calls on one sampling set and
 one spectral grid (frame bounds, then analysis of many signals, then
 reconstruction) build nothing twice: :func:`_lattice_indices` keeps its
 result for the last 8 node arrays, first in first out, keyed on their dtype,
-shape and bytes, and :func:`_exp_factors` keeps its last pair of tables,
-keyed on the bytes of the points and on origin, step and column count.
+shape and bytes, and :func:`_exp_factors` keeps the last pair of tables it
+built for each lattice axis, keyed on the bytes of the points and on origin,
+step and column count, so a 1-d lattice keeps one pair.
 Remembered arrays are read-only; a miss rebuilds them with the same
 arithmetic, so no result depends on what was built before.
 """
@@ -43,7 +44,7 @@ from .geometry import SpectralGrid, SpectrumSet, as_points, build_grid
 _LATTICE_ULPS = 16
 _LATTICE_MEMO_SIZE = 8
 _lattice_memo: dict = {}   # (dtype, shape, bytes) of a node array -> its _lattice_indices
-_factor_memo: list = []    # [key, (A, B)] of the last _exp_factors build
+_factor_memo: dict = {}    # axis -> (key, (A, B)) of its last _exp_factors build
 # the factor split's box is used up to this many cells per node and sparser
 # lattice subsets take the dense table; chosen against a gathered table, since
 # removed, it errs dense: at 200 points on one core, exp_sum's contraction cost
@@ -67,25 +68,27 @@ def _factor_columns(n: int) -> tuple[int, int]:
     return -(-n // j_count), j_count
 
 
-def _exp_factors(x: np.ndarray, origin: float, step: float, n: int):
+def _exp_factors(x: np.ndarray, origin: float, step: float, n: int, axis: int = 0):
     """Two factor tables of exp(2 pi i x (origin + k step)) for k < n.
 
     With J = ceil(sqrt(n)) and k = J q + j (j < J), the entry for k is
     A[:, q] * B[:, j] with A = exp(2 pi i x J step q) and
     B = exp(2 pi i x (origin + j step)).  Returns (A, B), shapes
-    (len(x), ceil(n/J)) and (len(x), J), read-only: the last pair built is
-    returned again while the bytes of x, origin, step and n are the same.
+    (len(x), ceil(n/J)) and (len(x), J), read-only: the last pair built for
+    the lattice ``axis`` is returned again while the bytes of x, origin,
+    step and n are the same.
     """
     key = (x.tobytes(), origin, step, n)
-    if _factor_memo and _factor_memo[0] == key:
-        return _factor_memo[1]
+    kept = _factor_memo.get(axis)
+    if kept is not None and kept[0] == key:
+        return kept[1]
     q_count, j_count = _factor_columns(n)
     q = np.arange(q_count)
     a = np.exp(2j * np.pi * np.outer(x, j_count * step * q))
     b = np.exp(2j * np.pi * np.outer(x, origin + step * np.arange(j_count)))
     a.flags.writeable = b.flags.writeable = False
-    _factor_memo[:] = [key, (a, b)]
-    return _factor_memo[1]
+    _factor_memo[axis] = key, (a, b)
+    return _factor_memo[axis][1]
 
 
 def _gcd_step(gaps: np.ndarray, tol: float) -> float:
@@ -179,7 +182,7 @@ def _axis_factors(x: np.ndarray, lattice) -> list:
     nodes' indices along the axis and the factor tables of
     :func:`_exp_factors` at the points' coordinates on it."""
     idx, origin, steps = lattice
-    return [(k, *_exp_factors(x[:, a], origin[a], steps[a], int(k.max()) + 1))
+    return [(k, *_exp_factors(x[:, a], origin[a], steps[a], int(k.max()) + 1, a))
             for a, k in enumerate(idx.T)]
 
 
@@ -257,9 +260,9 @@ def lattice_sums(points, weights, origin, steps, shape) -> np.ndarray:
     lead = np.asarray(weights)
     for a, n in enumerate(shape[:-1]):
         table = _factored_table(x.shape[0], [(np.arange(n), *_exp_factors(
-            x[:, a], origin[a], steps[a], n))])
+            x[:, a], origin[a], steps[a], n, a))])
         lead = (lead[:, :, None] * table[:, None, :]).reshape(x.shape[0], -1)
-    fa, fb = _exp_factors(x[:, -1], origin[-1], steps[-1], shape[-1])
+    fa, fb = _exp_factors(x[:, -1], origin[-1], steps[-1], shape[-1], len(shape) - 1)
     lead = (lead[:, :, None] * fa[:, None, :]).reshape(x.shape[0], -1)
     sums = lead[:_SUM_ROWS].T @ fb[:_SUM_ROWS]
     for s in range(_SUM_ROWS, x.shape[0], _SUM_ROWS):

@@ -1,3 +1,6 @@
+import importlib.machinery
+import importlib.util
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,6 +326,62 @@ class TestSymmetryProperties:
         # at any one grid node the fit gives |sum_x a_x e_x| >= 1 - residual
         for sol in (sol_pos, sol_neg):
             assert sol.l1_mass >= 1.0 - sol.residual
+
+
+class TestLinearity:
+    # at l1 weight 0 the fit is the truncated pseudo-inverse P applied to the
+    # stacked c = [Re; Im] of sqrt(w) b: linear in the target up to rounding.
+    # A computed product P c is off by at most k eps |P| |c| over its k terms,
+    # and forming the targets, c and the combination adds a few eps more, so
+    # (k + 8) eps ||P||_inf max sqrt(w) (|alpha| |b1| + |beta| |b2|) bounds the gap
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**31 - 1), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+    def test_plain_least_squares_is_linear(self, half_grid_set, enlarged_grid, seed, alpha, beta):
+        plain = bal.BalayageSolver(half_grid_set, enlarged_grid, eta=1e-6, reg=0.0)
+        rng = np.random.default_rng(seed)
+        b1, b2 = rng.standard_normal((2, enlarged_grid.size)) + 1j * rng.standard_normal(
+            (2, enlarged_grid.size))
+        combined = plain.solve_rhs(alpha * b1 + beta * b2).coeffs
+        separate = alpha * plain.solve_rhs(b1).coeffs + beta * plain.solve_rhs(b2).coeffs
+        k = plain._pinv.shape[1]
+        bound = ((k + 8) * np.finfo(float).eps * np.max(np.sum(np.abs(plain._pinv), axis=1))
+                 * np.max(plain._sqw)
+                 * (abs(alpha) * np.max(np.abs(b1)) + abs(beta) * np.max(np.abs(b2))))
+        assert np.max(np.abs(combined - separate)) <= bound
+
+
+class TestLapackLoader:
+    """The IRLS step's LAPACK routines come from scipy's compiled
+    ``_flapack`` file, or from ``scipy.linalg.lapack`` where it is missing."""
+
+    def test_loaded_and_fallback_routines_fit_bitwise_equal(
+            self, half_grid_set, enlarged_grid, monkeypatch):
+        loads = []
+        spec_from_file = importlib.util.spec_from_file_location
+
+        def spy(name, *args, **kwargs):
+            loads.append(name)
+            return spec_from_file(name, *args, **kwargs)
+
+        def fit():
+            # the shipped identity and psido system: 81 points, 384 nodes, eta 1e-5
+            bal._lapack_routines.cache_clear()
+            solver = bal.BalayageSolver(half_grid_set, enlarged_grid, eta=1e-5)
+            return solver.solve_rhs(solver._target(np.array([2.31])))
+
+        monkeypatch.setattr(importlib.util, "spec_from_file_location", spy)
+        path = bal._flapack_path()
+        assert path is not None and path.endswith(tuple(importlib.machinery.EXTENSION_SUFFIXES))
+        loaded = fit()
+        assert loads == ["scipy.linalg._flapack"]
+        monkeypatch.setattr(bal, "_flapack_path", lambda: None)
+        fallback = fit()
+        assert loads == ["scipy.linalg._flapack"]   # the fallback loads no file
+        bal._lapack_routines.cache_clear()
+        # the full 20 steps, each through the routines under test
+        assert (loaded.iterations, loaded.converged, loaded.reweighted) == (20, False, True)
+        assert np.array_equal(loaded.coeffs, fallback.coeffs)
+        assert loaded.residual == fallback.residual
 
 
 class TestBalayageConstant:

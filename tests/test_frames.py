@@ -608,8 +608,8 @@ class CountingNumpy:
 
 
 class TestSharedSampleTables:
-    """Analysis and reconstruction on one set and one 1-d lattice grid share
-    the factor tables exp(2 pi i x (origin + k step)) of the builder."""
+    """Analysis and reconstruction on one set and one lattice grid share the
+    factor tables exp(2 pi i x (origin + k step)) of the builder."""
 
     @pytest.fixture
     def spectral_exps(self, monkeypatch):
@@ -630,6 +630,29 @@ class TestSharedSampleTables:
         assert res.method == "toeplitz-fft" and res.converged
         # the phases exp(-2 pi i x . origin) alone
         assert spectral_exps.exponentials - before == e_set.size
+        assert list(spc._factor_memo) == [0]   # a 1-d lattice keeps one pair
+
+    def test_two_dimensional_reconstruction_keeps_the_first_axis(self, spectral_exps):
+        # the ball grid of CI's 2-d reconstruct: 24 nodes per axis, 448 in all
+        grid = geo.build_grid(geo.SpectrumSet.ball(0.5), 24)
+        e_set = generate_jittered_grid(0.5, 0.1, [[-12.0, 12.0], [-12.0, 12.0]], seed=0)
+        for seed in range(3):
+            samples = frames.analysis(spc.random_coeff_signal(grid, seed), e_set)
+        box = spc._lattice_indices(grid.nodes)[0].max(axis=0) + 1
+        # one pair of factor tables per axis
+        assert spectral_exps.exponentials == e_set.size * sum(
+            sum(spc._factor_columns(int(n))) for n in box)
+        before = spectral_exps.exponentials
+        res = frames.reconstruct(samples, grid, tol=1e-9)
+        assert res.method == "toeplitz-fft" and res.converged
+        # the phases, and the last axis over its 2 n - 1 difference steps; the
+        # tables of axis 0 are the ones analysis built
+        assert spectral_exps.exponentials - before == e_set.size * (
+            1 + sum(spc._factor_columns(2 * int(box[1]) - 1)))
+        spc._factor_memo.clear()
+        fresh = frames.reconstruct(samples, grid, tol=1e-9)
+        assert np.array_equal(res.signal.coeffs, fresh.signal.coeffs)
+        assert (res.iterations, res.residual) == (fresh.iterations, fresh.residual)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(lattice_cases())

@@ -462,6 +462,17 @@ class TestBuilderMemo:
             assert all(np.array_equal(g, f) for g, f in zip(got, fresh))
         assert spc._exp_factors(*args[-1]) is fresh   # a repeat returns the kept pair
 
+    def test_factor_tables_are_kept_per_axis(self):
+        self.clear()
+        x = np.linspace(-30.0, 30.0, 61)
+        first = spc._exp_factors(x, 0.25, 0.01, 100, 0)
+        second = spc._exp_factors(x[::-1], -0.25, 0.02, 50, 1)
+        assert spc._exp_factors(x, 0.25, 0.01, 100, 0) is first
+        assert spc._exp_factors(x[::-1], -0.25, 0.02, 50, 1) is second
+        again = spc._exp_factors(x, 0.25, 0.01, 100, 1)   # the other axis's slot
+        assert again is not first and all(map(np.array_equal, again, first))
+        assert spc._exp_factors(x[::-1], -0.25, 0.02, 50, 1) is not second
+
     def test_kept_arrays_are_read_only(self):
         nodes = geo.build_grid(UNIT_BAND, 64).nodes
         lattice = spc._lattice_indices(nodes)
