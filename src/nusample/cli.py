@@ -301,11 +301,13 @@ def cmd_identity(cfg: dict) -> Outcome:
                                                            solver=solver))
     sols = solver.solve_many(ys)
     tol = cfg["tolerance"]
+    # one column per coordinate of the center: y in 1-d, y1 ... yd above
+    y_cols = ["y"] if spectrum.dim == 1 else [f"y{a + 1}" for a in range(spectrum.dim)]
     return Outcome(
         {"identity_residuals": residuals, "max_residual": max(residuals), "tolerance": tol},
         0 if max(residuals) <= tol else 1,
-        tables={"solves.csv": (["y", "residual", "l1_mass"],
-                               [[float(s.y[0]), s.residual, s.l1_mass] for s in sols])},
+        tables={"solves.csv": ([*y_cols, "residual", "l1_mass"],
+                               [[*s.y.tolist(), s.residual, s.l1_mass] for s in sols])},
         meta=_balayage_meta(sols))
 
 

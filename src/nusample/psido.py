@@ -79,18 +79,20 @@ class SymbolTerm:
 class KNSymbol:
     """Finite separable Kohn-Nirenberg symbol tied to a spectrum.
 
-    The symbol keeps one entry of frame-check tables, everything
-    :func:`psido_frame_check` needs that does not depend on the signal: the
-    factors on the signal grid and at the sample points, the (gamma x y)
-    kernel, the (points x gamma) phases and the Hilbert-Schmidt norm.  Its key
-    is the signal grid and the bytes of the sample points, the gamma nodes and
-    the gamma weights; a check under another key replaces it.  The terms are
-    a tuple and every cached array is read-only, so the entry cannot go stale.
+    The symbol keeps the tables its operator functions read that do not
+    depend on the signal, one entry per role, each keyed on exactly what it
+    depends on: the *grid* role holds the factors (U, B) on the signal grid
+    and the (gamma x y) kernel, keyed on the grid and the bytes of the gamma
+    nodes; the *points* role holds the time factors U_x at the sample points
+    and the (points x gamma) phases, keyed on the bytes of the points and of
+    the gamma nodes.  A call under another key replaces that role's entry.
+    The terms are a tuple and every kept array is read-only, so an entry
+    cannot go stale.
     """
 
     terms: tuple
     spectrum: SpectrumSet
-    _tables: tuple | None = field(default=None, init=False, repr=False)  # (key, entry)
+    _tables: dict = field(default_factory=dict, init=False, repr=False)  # role: (key, tables)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -107,31 +109,23 @@ class KNSymbol:
             b[j] = term.b.at(g)
         return u, b
 
-    def _entry(self, grid: UniformGrid, gamma: np.ndarray, weights=None) -> dict | None:
-        """The cached check tables if their key holds ``grid``, the nodes
-        ``gamma`` and, when given, the weights ``weights``; else None."""
-        if self._tables is None:
-            return None
-        (g, gb, _, wb), entry = self._tables
-        if g == grid and gb == gamma.tobytes() and (
-                weights is None or wb == weights.tobytes()):
-            return entry
-        return None
+    def _kept(self, role: str, key: tuple, build) -> tuple:
+        """The read-only tables of ``role``, rebuilt by ``build()`` when the
+        role's key is not ``key``."""
+        kept = self._tables.get(role)
+        if kept is None or kept[0] != key:
+            kept = self._tables[role] = key, tuple(_frozen(a) for a in build())
+        return kept[1]
 
-    def _check_tables(self, grid: UniformGrid, x: np.ndarray, gamma: np.ndarray,
-                      weights: np.ndarray) -> dict:
-        """The frame-check tables of this setting, built when the key changes."""
-        key = (grid, gamma.tobytes(), x.tobytes(), weights.tobytes())
-        if self._tables is None or self._tables[0] != key:
-            u, b = self.factors(grid.nodes, gamma)
-            u_x, b_x = self.factors(x, gamma)
-            entry = {"u": u, "b": b, "kernel": exp_table(gamma, grid.nodes, sign=-1),
-                     "u_x": u_x, "b_x": b_x, "phases": exp_table(x, gamma, sign=-1)}
-            for a in entry.values():
-                _frozen(a)
-            entry["hs"] = _hs_norm(u, b, weights, grid.step)
-            object.__setattr__(self, "_tables", (key, entry))
-        return self._tables[1]
+    def _grid_tables(self, grid: UniformGrid, gamma: np.ndarray) -> tuple:
+        """(U, B, kernel) with kernel[k, i] = exp(-2 pi i g_k y_i)."""
+        return self._kept("grid", (grid, gamma.tobytes()), lambda: (
+            *self.factors(grid.nodes, gamma), exp_table(gamma, grid.nodes, sign=-1)))
+
+    def _point_tables(self, x: np.ndarray, gamma: np.ndarray) -> tuple:
+        """(U_x, phases) with phases[m, k] = exp(-2 pi i x_m g_k)."""
+        return self._kept("points", (x.tobytes(), gamma.tobytes()), lambda: (
+            self.factors(x, gamma)[0], exp_table(x, gamma, sign=-1)))
 
 
 def symbol_term(lam: float, eps: float, b: SpectralFactor, order: int = 8,
@@ -152,38 +146,25 @@ def apply_ks(symbol: KNSymbol, f_values, f_grid: UniformGrid,
     folded into its weight vector a_j(y) exp(-2 pi i y l_j) f(y), so the
     quadrature is one product of the (terms, y) weights with the kernel.  The
     kernel is factored along the uniform y axis, so any gamma nodes work.
-    The weights and the kernel are the symbol's cached check tables (see
-    :class:`KNSymbol`) when their key holds this grid and these gamma nodes,
-    so a frame check pays only the product per signal.
+    The factors and the kernel are the symbol's grid tables (see
+    :class:`KNSymbol`), so a further signal on this grid and these gamma
+    nodes pays only the product.
     """
     f = np.asarray(f_values, dtype=complex)
-    gnodes = np.asarray(gamma_nodes, dtype=float).ravel()
-    entry = symbol._entry(f_grid, gnodes)
-    if entry is None:
-        u, b = symbol.factors(f_grid.nodes, gnodes)
-        kernel = exp_table(gnodes, f_grid.nodes, sign=-1)   # (n_gamma, n_y)
-    else:
-        u, b, kernel = entry["u"], entry["b"], entry["kernel"]
+    u, b, kernel = symbol._grid_tables(f_grid, np.asarray(gamma_nodes, dtype=float).ravel())
     return np.sum(b * ((u * f) @ kernel.T), axis=0) * f_grid.step
-
-
-def _hs_norm(u: np.ndarray, b: np.ndarray, gw: np.ndarray, step: float) -> float:
-    total = np.sum((u @ u.conj().T) * ((b * gw) @ b.conj().T)).real
-    return float(np.sqrt(max(total, 0.0) * step))
 
 
 def hs_norm(symbol: KNSymbol, y_grid: UniformGrid, gamma_nodes, gamma_weights) -> float:
     """Hilbert-Schmidt norm by double quadrature of |s|^2 over time x frequency,
     taken through the terms x terms Gram matrices of s = U^T B (see
     :meth:`KNSymbol.factors`): ||s||^2 = step Re sum_jk (U U^H)_jk (B W B^H)_jk.
-    Read from the symbol's cached check tables when their key holds this
-    grid and these gamma nodes and weights."""
-    gnodes = np.asarray(gamma_nodes, dtype=float).ravel()
+    U and B are the symbol's grid tables; the two small products are taken
+    on every call, so the weights key nothing."""
+    u, b, _ = symbol._grid_tables(y_grid, np.asarray(gamma_nodes, dtype=float).ravel())
     gw = np.asarray(gamma_weights, dtype=float)
-    entry = symbol._entry(y_grid, gnodes, gw)
-    if entry is not None:
-        return entry["hs"]
-    return _hs_norm(*symbol.factors(y_grid.nodes, gnodes), gw, y_grid.step)
+    total = np.sum((u @ u.conj().T) * ((b * gw) @ b.conj().T)).real
+    return float(np.sqrt(max(total, 0.0) * y_grid.step))
 
 
 @dataclass(frozen=True)
@@ -237,12 +218,8 @@ def validate_symbol_class(symbol: KNSymbol) -> SymbolValidation:
             failures.append((j, "modulation ball leaves the spectrum"))
         if not leak_ok:
             failures.append((j, f"transform leakage {leak:.2e} outside the support ball"))
-    ys = np.linspace(-20.0, 20.0, 401)
-    gs = np.linspace(-2.0, 2.0, 201)
-    total = np.zeros((ys.size, gs.size))
-    for term in symbol.terms:
-        total += np.abs(np.outer(term.a_at(ys), term.b.at(gs)))
-    bound = float(total.max())
+    u, b = symbol.factors(np.linspace(-20.0, 20.0, 401), np.linspace(-2.0, 2.0, 201))
+    bound = float((np.abs(u).T @ np.abs(b)).max())
     return SymbolValidation(terms=reports, uniform_bound=bound,
                             ok=not failures, failures=failures)
 
@@ -260,24 +237,26 @@ def psido_frame_check(symbol: KNSymbol, f_values, f_grid: UniformGrid,
     base spectrum and ||s|| the Hilbert-Schmidt norm.  The zero signal gives
     the all-zero chain.
 
-    Everything that does not depend on the signal is built once per symbol
-    and setting and kept on the symbol (see :class:`KNSymbol`), keyed on
-    ``f_grid`` and the bytes of the sample points, the gamma nodes and the
-    gamma weights; each further signal under the same key costs two small
-    products, with results bitwise equal to those of a fresh symbol.
+    Everything that does not depend on the signal is kept on the symbol (see
+    :class:`KNSymbol`): B, the kernel and the factors on ``f_grid`` in its
+    grid tables, U_x and the phases at the sample points in its point tables.
+    A further signal under the same keys costs two small products and the
+    norm's two terms x terms products, with results bitwise equal to those
+    of a fresh symbol.
     """
     f = np.asarray(f_values, dtype=complex)
     gnodes = np.asarray(gamma_nodes, dtype=float).ravel()
     gw = np.asarray(gamma_weights, dtype=float)
     if not np.any(f):
         return InequalityCheck.of(0.0, 0.0, 0.0)
-    tables = symbol._check_tables(f_grid, sampling_set.points[:, 0], gnodes, gw)
     kf = apply_ks(symbol, f, f_grid, gnodes)
     kf_norm_sq = float(np.sum(gw * np.abs(kf) ** 2))
     f_norm_sq = float(np.sum(np.abs(f) ** 2) * f_grid.step)
     lhs = lower_const * kf_norm_sq**2 / f_norm_sq
     # inner[x] = sum_g s(x, g) exp(-2 pi i x g) gw kf(g), one product per term
-    inner = np.sum(tables["u_x"] * ((tables["b_x"] * (gw * kf)) @ tables["phases"].T), axis=0)
+    b = symbol._grid_tables(f_grid, gnodes)[1]
+    u_x, phases = symbol._point_tables(sampling_set.points[:, 0], gnodes)
+    inner = np.sum(u_x * ((b * (gw * kf)) @ phases.T), axis=0)
     mid = float(np.sum(np.abs(inner) ** 2))
     hs = hs_norm(symbol, f_grid, gnodes, gw)
     rhs = bessel_bound * hs**2 * kf_norm_sq

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nusample import cli, frames
@@ -63,6 +64,21 @@ def test_csv_outputs_have_headers(tmp_path):
     assert rows[0] == "x,omega,re,im"
     assert len(rows) == 1 + tf.time.nodes.size * tf.freq.nodes.size
     assert (out4 / "spectrogram.csv").read_text().startswith("x,omega,magnitude")
+
+
+def test_identity_writes_every_center_coordinate(tmp_path):
+    # a 2-d ball spectrum: solves.csv has one column per coordinate of y
+    cfg = json.loads((CONFIG_DIR / "identity.json").read_text())
+    cfg.update(enlarged_nodes=24, y_half=3.0, n_y=4, trials=1,
+               spectrum={"dim": 2, "radius": 0.25, "shape": "ball"})
+    cfg["sampling"].update(delta=0.5, window=[[-4.0, 4.0], [-4.0, 4.0]])
+    config = tmp_path / "identity_2d.json"
+    config.write_text(json.dumps(cfg))
+    assert run("identity", config, tmp_path / "out") == 0
+    header, *rows = (tmp_path / "out" / "solves.csv").read_text().splitlines()
+    assert header == "y1,y2,residual,l1_mass"
+    ys = np.random.default_rng(cfg["seed"]).uniform(-3.0, 3.0, size=(4, 2))
+    assert [[float(v) for v in row.split(",")[:2]] for row in rows] == ys.tolist()
 
 
 def test_malformed_json_exits_2(tmp_path):

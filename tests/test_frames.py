@@ -183,9 +183,15 @@ class TestFrameBounds:
         rep = frames.frame_bounds(uniform_set(1.0, 40.0), grid512, subspace=subspace)
         assert 0.95 <= rep.lower <= rep.upper <= 1.05
 
-    def test_oversampling_doubles(self, grid512, subspace):
-        rep = frames.frame_bounds(uniform_set(0.5, 40.0), grid512, subspace=subspace)
-        assert 1.9 <= rep.lower <= rep.upper <= 2.1
+    @pytest.mark.parametrize("shift", [0.0, 0.3, 3.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_bounds_scale_with_density(self, grid512, k, shift):
+        # the lattice Z / k stacks k shifted Nyquist frames: both bounds read k
+        window = [[-40.0 + shift, 40.0 + shift]]
+        q = frames.interior_taper_subspace(grid512, window, margin=10.0)
+        e_set = generate_jittered_grid(1.0 / k, 0.0, window, seed=0)
+        rep = frames.frame_bounds(e_set, grid512, subspace=q)
+        assert 0.99 <= rep.lower / k <= rep.upper / k <= 1.0 + 1e-12
 
     def test_undersampling_kills_lower_bound(self, grid512, subspace):
         rep = frames.frame_bounds(uniform_set(2.0, 40.0), grid512, subspace=subspace)
@@ -813,6 +819,17 @@ class TestCoveringExperiment:
                                                region=[[-10.0, 10.0]], resolution=0.05)
         assert res.covering.covered and res.rho_ok and res.prediction_applies
         assert res.report.lower > 0 and res.report.condition < 1e6
+
+    def test_prediction_implies_frame(self):
+        # gaps below 1 + 2 * 0.21 < 2 leave no hole between the translates of
+        # the polar [-1, 1], so the prediction applies at every seed
+        spec = geo.SpectrumSet.box([1.0])
+        for seed in range(30):
+            jitter = 0.05 + 0.04 * (seed % 5)
+            e_set = generate_jittered_grid(1.0, jitter, [[-20.0, 20.0]], seed=seed)
+            res = frames.covering_frame_experiment(spec, e_set, rho=0.2,
+                                                   region=[[-10.0, 10.0]], resolution=0.05)
+            assert res.prediction_applies and res.frame_confirmed, seed
 
     def test_sparse_control_fails_both(self):
         spec = geo.SpectrumSet.box([1.0])

@@ -7,8 +7,10 @@ from nusample import balayage as bal
 from nusample import frames
 from nusample import geometry as geo
 from nusample import psido
+from nusample import spectral as spc
 from nusample.sampling import SamplingSet, generate_jittered_grid, symmetrize
 from nusample.timefreq import UniformGrid
+from test_frames import CountingNumpy
 
 QUARTER_BAND = geo.SpectrumSet.box([0.25])
 
@@ -296,18 +298,35 @@ class TestCheckTables:
         assert psido.hs_norm(symbol, self.GRID, self.GAMMA, self.GW) == psido.hs_norm(
             fresh_symbol(symbol), self.GRID, self.GAMMA, self.GW)
 
-    def test_each_key_part_rebuilds(self, two_term_symbol, context):
+    def test_each_key_part_rebuilds(self, two_term_symbol, context, monkeypatch):
         e_set, lower, bessel = context
+        counter = CountingNumpy()
+        monkeypatch.setattr(spc, "np", counter)
+        monkeypatch.setattr(psido, "np", counter)
         symbol = fresh_symbol(two_term_symbol)
         fewer = SamplingSet(dim=1, points=e_set.points[1:], window=e_set.window)
         grid = UniformGrid.symmetric(12.0, 0.125)
-        changes = [("grid", {"grid": grid}), ("points", {"e_set": fewer}),
-                   ("gamma", {"gamma": self.GAMMA * 0.9}), ("weights", {"gw": 1.5 * self.GW})]
-        for part, change in changes:
+        terms = len(symbol.terms)
+
+        def grid_tables(y, gamma):   # U, and the kernel from its two factor tables
+            return terms * y.count + gamma.size * sum(spc._factor_columns(y.count))
+
+        def point_tables(x, gamma):   # U_x, and the phases from their two factor tables
+            return x.size * (terms + sum(spc._factor_columns(gamma.size)))
+
+        # each change rebuilds the tables of the roles whose key it is part of
+        changes = [("grid", {"grid": grid}, grid_tables(grid, self.GAMMA)),
+                   ("points", {"e_set": fewer}, point_tables(fewer.points, self.GAMMA)),
+                   ("gamma", {"gamma": self.GAMMA * 0.9},
+                    grid_tables(self.GRID, self.GAMMA) + point_tables(e_set.points, self.GAMMA)),
+                   ("weights", {"gw": 1.5 * self.GW}, 0)]
+        for part, change, exponentials in changes:
             kwargs = {"e_set": e_set, **change}
             f = self.signal(3, kwargs.get("grid", self.GRID))
-            self.check(symbol, self.signal(3), e_set, lower, bessel)   # the base entry
+            self.check(symbol, self.signal(3), e_set, lower, bessel)   # the base tables
+            counter.exponentials = 0
             got = self.check(symbol, f, lower=lower, bessel=bessel, **kwargs)
+            assert counter.exponentials == exponentials, part
             expect = self.check(fresh_symbol(symbol), f, lower=lower, bessel=bessel, **kwargs)
             assert chain(got) == chain(expect), part
 
@@ -328,9 +347,9 @@ class TestCheckTables:
         e_set, lower, bessel = context
         symbol = fresh_symbol(two_term_symbol)
         self.check(symbol, self.signal(0), e_set, lower, bessel)
-        _, entry = symbol._tables
-        arrays = [a for a in entry.values() if isinstance(a, np.ndarray)]
-        assert len(arrays) == 6
+        # (U, B, kernel) of the grid role and (U_x, phases) of the points role
+        arrays = [a for _, tables in symbol._tables.values() for a in tables]
+        assert sorted(symbol._tables) == ["grid", "points"] and len(arrays) == 5
         for a in arrays + [symbol.terms[0].b.nodes, symbol.terms[0].b.values]:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
