@@ -144,7 +144,12 @@ def _five_smooth(m: int) -> int:
 
 
 def ingham_window(eps: float, dim: int = 1, profile_nodes: int = 401) -> InghamWindow:
-    """Construct the self-convolved-bump window for a given support radius."""
+    """Construct the self-convolved-bump window for a given support radius.
+
+    The bump's self-convolution is one real FFT pair padded past its 2n - 1
+    lags per axis, cropped to the closed eps-ball that holds its exact
+    support and clamped at 0: FFT rounding picks neither the nodes nor the
+    sign of the values."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if dim not in (1, 2):
@@ -152,34 +157,19 @@ def ingham_window(eps: float, dim: int = 1, profile_nodes: int = 401) -> InghamW
     half = eps / 2.0
     n = int(profile_nodes)
     edges = np.linspace(-half, half, n + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
     step = edges[1] - edges[0]
-    if dim == 1:
-        nodes = centers.reshape(-1, 1)
-        vals = _bump(np.abs(centers) / half)
-        cell = step
-        psi = np.convolve(vals, vals) * cell   # direct: keeps exact nonnegativity
-        psi_nodes = (np.arange(psi.size) - (psi.size - 1) / 2.0) * step
-        psi_nodes = psi_nodes.reshape(-1, 1)
-    else:
-        gx, gy = np.meshgrid(centers, centers, indexing="ij")
-        r = np.sqrt(gx**2 + gy**2)
-        grid_vals = _bump(r / half)
-        cell = step**2
-        m = 2 * n - 1   # the size of the linear self-convolution, so nothing wraps around
-        fft_len = _five_smooth(m)   # a fast FFT length; the padding is cropped off again
-        spec = np.fft.rfft2(grid_vals, s=(fft_len, fft_len))
-        psi2 = np.fft.irfft2(spec**2, s=(fft_len, fft_len))[:m, :m] * cell
-        ax = (np.arange(m) - (m - 1) / 2.0) * step
-        px, py = np.meshgrid(ax, ax, indexing="ij")
-        # the exact support lies in the closed eps-ball; FFT rounding picks neither
-        # the nodes nor the sign of the values
-        keep = np.hypot(px, py) <= eps
-        psi = np.maximum(psi2[keep], 0.0)
-        psi_nodes = np.stack([px[keep], py[keep]], axis=1)
-        keep_b = grid_vals > 0
-        nodes = np.stack([gx[keep_b], gy[keep_b]], axis=1)
-        vals = grid_vals[keep_b]
+    cell = step**dim
+    centers = np.stack(np.meshgrid(*[0.5 * (edges[:-1] + edges[1:])] * dim, indexing="ij"), -1)
+    grid_vals = _bump(np.linalg.norm(centers, axis=-1) / half)
+    m = 2 * n - 1
+    axes, fft_len = tuple(range(dim)), (_five_smooth(m),) * dim
+    spec = np.fft.rfftn(grid_vals, s=fft_len, axes=axes)
+    psi = np.fft.irfftn(spec**2, s=fft_len, axes=axes)[(slice(m),) * dim] * cell
+    lags = np.stack(np.meshgrid(*[(np.arange(m) - (m - 1) / 2.0) * step] * dim,
+                                indexing="ij"), -1)
+    keep = np.linalg.norm(lags, axis=-1) <= eps
+    psi, psi_nodes = np.maximum(psi[keep], 0.0), lags[keep]
+    nodes, vals = centers[grid_vals > 0], grid_vals[grid_vals > 0]
     total = float(np.sum(psi) * cell)          # integral of the self-convolution
     profile = psi / total                      # h-hat, integrates to 1
     l2 = float(np.sqrt(np.sum(profile**2) * cell))

@@ -17,7 +17,7 @@ declare, is a configuration error, caught before any work.
 Exit codes: 0 = claims confirmed (or no prediction applicable), 1 = claim
 violated or numerical failure (balayage infeasible, not a frame; the report
 then holds ``{"error": ...}``), 2 = usage or configuration error, including
-a grid past the dense capacity (:class:`~nusample.frames.CapacityError`).
+a table or Gram past the 2**24 entries :mod:`~nusample.spectral` allows.
 """
 from __future__ import annotations
 
@@ -438,8 +438,8 @@ def main(argv=None) -> int:
         return 2
     except np.linalg.LinAlgError:
         raise   # a numerical failure, not a bad config value
-    # unreadable, out of range, wrong type, or a grid past the dense capacity
-    except (ConfigError, ValueError, TypeError, frames.CapacityError) as exc:
+    # unreadable, out of range, wrong type, or a table past spectral's entry limit
+    except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if outcome.message is not None:

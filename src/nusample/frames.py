@@ -8,18 +8,18 @@ subspace of time-localized signals.  Over the full space, on a grid that fills
 a lattice box with uniform weights (every box grid of
 :func:`~nusample.geometry.build_grid`) and with no more samples than nodes,
 the samples-side Gram is the weight times :func:`~nusample.spectral.box_gram`,
-so no samples x nodes table is formed and the node count is not capped.  Every
-other case forms that table and is capped at 4,096 nodes
-(:class:`CapacityError`).  The subspace matters: a finite sampling window can
-never frame the full discretized space (the analysis map has finite rank), so
-tightness statements are made for signals concentrated away from the window
-edge, built here from smoothly tapered, shifted spectral envelopes.  Their
-Gram matrix is (block-)Toeplitz over the shift lattice and is filled from a
-few of its rows.  Their orthonormal basis, like the Gabor reference subspace
-of :mod:`~nusample.timefreq`, comes from one helper that takes the
-eigenvectors of the small Gram matrix of the spanning set and one Cholesky
-re-orthonormalization pass, in place of a thin SVD of the tall matrix; every
-result that uses it depends on the span only.
+so no samples x nodes table is formed.  Every other case forms that table.
+No node count is capped: the one size rule, at most 2**24 entries per table
+or Gram, is :mod:`~nusample.spectral`'s.  The subspace matters: a finite
+sampling window can never frame the full discretized space (the analysis map
+has finite rank), so tightness statements are made for signals concentrated
+away from the window edge, built here from smoothly tapered, shifted
+spectral envelopes.  Their Gram matrix is (block-)Toeplitz over the shift
+lattice and is filled from a few of its rows.  Their orthonormal basis, like
+the Gabor reference subspace of :mod:`~nusample.timefreq`, comes from one
+helper that takes the eigenvectors of the small Gram matrix of the spanning
+set and one Cholesky re-orthonormalization pass, in place of a thin SVD of
+the tall matrix; every result that uses it depends on the span only.
 
 Also included: conjugate-gradient reconstruction from samples, the dilation
 inequality checker (three dilates, one sampling set), the weighted frame
@@ -54,15 +54,10 @@ from .spectral import (BandlimitedSignal, _lattice_split, box_gram, evaluate, ex
 
 _EIG_FLOOR = 1e-12
 _SLACK = 1e-9   # relative rounding allowance of the frame-inequality checks
-_DENSE_CAPACITY = 4096
 
 
 class NotAFrameError(RuntimeError):
     """Raised when the lower bound is numerically zero at the current scale."""
-
-
-class CapacityError(RuntimeError):
-    """Raised when a dense solve would exceed the supported grid size."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +123,10 @@ def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
     on a grid whose nodes fill a lattice box with uniform weights (every
     :func:`~nusample.geometry.build_grid` grid of a box, in any dimension)
     and with no more samples than nodes, the samples-side Gram is the weight
-    times :func:`~nusample.spectral.box_gram`: no samples x nodes table is
-    formed, and any node count is served, at a cost that grows with the
+    times :func:`~nusample.spectral.box_gram`, at a cost that grows with the
     square of the sample count.  Every other case forms the weighted
-    analysis matrix and raises :class:`CapacityError` above 4,096 nodes.  The Gram's rounding
+    analysis matrix.  Either raises ValueError past the 2**24 entries that
+    :mod:`~nusample.spectral` allows a table or Gram.  The Gram's rounding
     error on an eigenvalue is about eps * upper in absolute terms, far below
     the floor: a lower value below 1e-12 times max(upper, 1) is reported as
     0, i.e. not a frame at this scale.
@@ -146,8 +141,6 @@ def frame_bounds(sampling_set: SamplingSet, grid: SpectralGrid,
     if gram is not None:
         gram *= w[0]
     else:
-        if grid.size > _DENSE_CAPACITY:
-            raise CapacityError(f"grid size {grid.size} exceeds dense capacity {_DENSE_CAPACITY}")
         a = exp_table(sampling_set.points, grid.nodes)   # (samples, nodes)
         a *= np.sqrt(w)
         if subspace is not None:
@@ -192,9 +185,8 @@ def interior_taper_subspace(grid: SpectralGrid, window, margin: float) -> np.nda
 
     The Gram matrix of the spanning set is (block-)Toeplitz over the shift
     lattice and is filled from a few of its rows (see :func:`_shift_gram`);
-    the basis itself is a (nodes x shifts) table, so this runs on any grid,
-    while compressing :func:`frame_bounds` to the result keeps its 4,096-node
-    cap.
+    the basis itself is a (shifts x nodes) table from
+    :func:`~nusample.spectral.exp_table`, under its 2**24-entry limit.
     """
     spec = grid.spectrum
     dim = spec.dim
@@ -245,11 +237,11 @@ def _orthonormal_span(basis: np.ndarray, gram: np.ndarray, cutoff: float) -> np.
     The caller passes the small Gram matrix ``gram`` = basis^H basis, built
     from the structure of the spanning set where it has one (the Toeplitz
     rows of :func:`_shift_gram` in :func:`interior_taper_subspace`) and as
-    the plain product otherwise (the Gabor reference subspace).  No size cap
-    applies here.  The eigenvectors v of the Gram with eigenvalue above
-    cutoff^2 times the largest give Q0 = basis v / sqrt(lambda), whose
-    columns are orthonormal only to about eps / cutoff^2.  One Cholesky pass,
-    Q0^H Q0 = L L^H and Q = Q0 L^-H, brings them to rounding (CholeskyQR2 of
+    the plain product otherwise (the Gabor reference subspace).  The
+    eigenvectors v of the Gram with eigenvalue above cutoff^2 times the
+    largest give Q0 = basis v / sqrt(lambda), whose columns are orthonormal
+    only to about eps / cutoff^2.  One Cholesky pass, Q0^H Q0 = L L^H and
+    Q = Q0 L^-H, brings them to rounding (CholeskyQR2 of
     Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, 2014); the r x r triangle
     is inverted once rather than solved against every row.  The span is the
     SVD's: the rank matches unless a singular value lies within about 1e-10

@@ -31,6 +31,10 @@ built for each lattice axis, keyed on the bytes of the points and on origin,
 step and column count, so a 1-d lattice keeps one pair.
 Remembered arrays are read-only; a miss rebuilds them with the same
 arithmetic, so no result depends on what was built before.
+
+The package's one size rule is here: :func:`exp_table`, the dense product of
+:func:`exp_sum` and :func:`box_gram` raise ``ValueError`` before building a
+result of more than 2**24 entries (256 MiB of complex128).
 """
 from __future__ import annotations
 
@@ -51,6 +55,7 @@ _factor_memo: dict = {}    # axis -> (key, (A, B)) of its last _exp_factors buil
 # a fifth to a third of the dense product at 32 and as much at 130-250, and
 # exp_table's factored table stayed the cheaper up to 512
 _BOX_CELLS_PER_NODE = 32
+_MAX_ENTRIES = 2**24   # per table or Gram of exp_table, exp_sum or box_gram
 # rows per block of the lattice sums: with numpy's OpenBLAS 0.3.31, products
 # over 128 rows or fewer were bitwise equal at 1 and 2 threads, longer ones not
 _SUM_ROWS = 64
@@ -59,6 +64,12 @@ _SUM_ROWS = 64
 def _exp_matrix(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Dense E[x, k] = exp(2 pi i x . g_k), one exponential per entry."""
     return np.exp(2j * np.pi * (points @ nodes.T))
+
+
+def _check_entries(rows: int, cols: int) -> None:
+    """Raise ValueError when a (rows, cols) result passes :data:`_MAX_ENTRIES`."""
+    if rows * cols > _MAX_ENTRIES:
+        raise ValueError(f"a {rows} x {cols} table exceeds the limit of {_MAX_ENTRIES} entries")
 
 
 def _factor_columns(n: int) -> tuple[int, int]:
@@ -212,8 +223,10 @@ def exp_table(points, nodes, sign: int = 1) -> np.ndarray:
     factors of :func:`_exp_factors`; other nodes, and lattice subsets too
     sparse for the factors (see :func:`_lattice_split`), fall back to
     :func:`_exp_matrix`.  Put the lattice side of a product in ``nodes``.
+    Raises ValueError past 2**24 entries.
     """
     x, g, lattice = _lattice_split(points, nodes, sign)
+    _check_entries(x.shape[0], g.shape[0])
     if lattice is None:
         return _exp_matrix(x, g)
     return _factored_table(x.shape[0], _axis_factors(x, lattice))
@@ -228,10 +241,12 @@ def exp_sum(points, nodes, coeffs, sign: int = 1) -> np.ndarray:
     k_a = J_a q_a + j_a, and the sum over the box is contracted one factor
     table at a time: the last factor by one matrix product, each remaining
     one row by row (one small matrix-vector product per point).  Nodes where
-    :func:`exp_table` takes the dense table take its product here.
+    :func:`exp_table` takes the dense table take its product here, and
+    raise ValueError where that table would pass 2**24 entries.
     """
     x, g, lattice = _lattice_split(points, nodes, sign)
     if lattice is None:
+        _check_entries(x.shape[0], g.shape[0])
         return _exp_matrix(x, g) @ coeffs
     axes = _axis_factors(x, lattice)
     factors = [f for _, fa, fb in axes for f in (fa, fb)]
@@ -280,12 +295,14 @@ def box_gram(points, nodes) -> np.ndarray | None:
     so the rows q < Q - 1 of the split are full and sum to
     (A' A'^H) * (B B^H), A' without its last column, and the last row holds
     the first n_a - (Q - 1) J columns of B.  Each axis thus costs products
-    over about sqrt(n_a) columns, whatever the node count.
+    over about sqrt(n_a) columns, whatever the node count.  Raises
+    ValueError when G would pass 2**24 entries.
     """
     x, g, lattice = _lattice_split(points, nodes, 1)
     # distinct indices, so the box is full iff it has as many cells as nodes
     if lattice is None or math.prod(int(n) + 1 for n in lattice[0].max(axis=0)) != g.shape[0]:
         return None
+    _check_entries(x.shape[0], x.shape[0])
     gram = None
     for k, fa, fb in _axis_factors(x, lattice):
         n = int(k.max()) + 1

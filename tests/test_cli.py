@@ -263,19 +263,39 @@ def test_empty_sampling_set_frame_bounds_exits_2(tmp_path, capsys):
     assert err.startswith("config error:") and "empty sampling set" in err
 
 
-@pytest.mark.parametrize("command,config,nodes", [
-    ("frame-bounds", "frame_bounds.json", 16384),   # its subspace kept
-    ("covering", "covering.json", 8192),
+@pytest.mark.parametrize("command,config,nodes,rows", [
+    ("frame-bounds", "frame_bounds.json", 262144, 76),   # its subspace kept: 76 shifts
+    ("covering", "covering.json", 2097152, 16),          # 16 shifts; 2**20 nodes fit exactly
 ])
-def test_grid_past_dense_capacity_exits_2(tmp_path, capsys, command, config, nodes):
+def test_table_past_entry_limit_exits_2(tmp_path, capsys, command, config, nodes, rows):
     cfg = json.loads((CONFIG_DIR / config).read_text())
     cfg["grid_nodes"] = nodes
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
     assert run(command, bad, tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert err == f"config error: grid size {nodes} exceeds dense capacity 4096\n"
+    assert err == f"config error: a {rows} x {nodes} table exceeds the limit of 16777216 entries\n"
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command,config", [("frame-bounds", "frame_bounds.json"),
+                                            ("covering", "covering.json")])
+def test_bounds_past_4096_nodes_match_4096(tmp_path, command, config):
+    # frame-bounds keeps its subspace; 16,384 nodes need the samples x nodes table
+    reports = []
+    for nodes in (4096, 16384):
+        cfg = json.loads((CONFIG_DIR / config).read_text())
+        cfg["grid_nodes"] = nodes
+        path = tmp_path / f"{nodes}.json"
+        path.write_text(json.dumps(cfg))
+        assert run(command, path, tmp_path / str(nodes)) == 0
+        reports.append(json.loads((tmp_path / str(nodes) / "report.json").read_text()))
+    small, large = reports
+    assert large["frame_report"]["node_count"] == 16384
+    for bound in ("lower", "upper"):
+        assert abs(large["frame_report"][bound] - small["frame_report"][bound]) <= 1e-9
+    if command == "covering":
+        assert large["frame_confirmed"] is True
 
 
 def test_unknown_command_exits_2(tmp_path):

@@ -278,12 +278,28 @@ class TestFrameBounds:
                     np.atleast_1d(spc.evaluate(f, e_set.points / j))) ** 2)
                 assert sampled <= bound * f.norm_sq() * (1 + 1e-9)
 
-    def test_capacity_guard(self):
-        # compressing to a subspace still forms the samples x nodes table
-        grid = geo.build_grid(UNIT_BAND, 5000)
+    def test_subspace_bounds_past_4096_nodes(self):
+        # compressing to a subspace forms the samples x nodes table, and no
+        # node cap stops it: 5,000 nodes give the bounds of 4,096
         e_set = uniform_set(1.0, 5.0)
-        q = frames.interior_taper_subspace(grid, e_set.window, margin=2.0)
-        with pytest.raises(frames.CapacityError):
+        reports = []
+        for nodes in (4096, 5000):
+            grid = geo.build_grid(UNIT_BAND, nodes)
+            q = frames.interior_taper_subspace(grid, e_set.window, margin=2.0)
+            reports.append(frames.frame_bounds(e_set, grid, subspace=q))
+        small, large = reports
+        assert large.node_count == 5000 and large.method == small.method
+        assert large.lower == pytest.approx(small.lower, rel=0.0, abs=1e-9)
+        assert large.upper == pytest.approx(small.upper, rel=0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("subspace", [False, True])
+    def test_table_past_the_entry_limit_raises(self, subspace, monkeypatch):
+        # the one size rule is spectral's, on the Gram route and the table route
+        grid = geo.build_grid(UNIT_BAND, 64)
+        e_set = uniform_set(1.0, 5.0)   # 11 samples
+        q = frames.interior_taper_subspace(grid, e_set.window, margin=2.0) if subspace else None
+        monkeypatch.setattr(spc, "_MAX_ENTRIES", 11 * (64 if subspace else 11) - 1)
+        with pytest.raises(ValueError, match="exceeds the limit"):
             frames.frame_bounds(e_set, grid, subspace=q)
 
     @pytest.mark.parametrize("case", FULL_BOX_CASES)

@@ -420,6 +420,47 @@ class TestLatticeSums:
         assert spc.box_gram(x, nodes + np.linspace(0.0, 1e-3, len(nodes))[:, None]) is None
 
 
+def _no_build(*args):
+    raise AssertionError("a table was built past the entry limit")
+
+
+_X = np.linspace(-5.0, 5.0, 6)
+_LATTICE = geo.build_grid(UNIT_BAND, 64).nodes
+_OFF_LATTICE = np.random.default_rng(0).uniform(-0.5, 0.5, (20, 1))
+# each call of a limited result, and the (rows, columns) of that result
+LIMITED = {
+    "exp_table on a lattice": (lambda: spc.exp_table(_X, _LATTICE), (6, 64)),
+    "exp_table off a lattice": (lambda: spc.exp_table(_X, _OFF_LATTICE), (6, 20)),
+    "exp_sum off a lattice": (lambda: spc.exp_sum(_X, _OFF_LATTICE, np.ones(20)), (6, 20)),
+    "box_gram": (lambda: spc.box_gram(_X, _LATTICE), (6, 6)),
+}
+
+
+class TestEntryLimit:
+    """exp_table, exp_sum's dense product and box_gram build a result of at
+    most _MAX_ENTRIES entries, and past it raise before building anything."""
+
+    @pytest.mark.parametrize("case", sorted(LIMITED))
+    def test_raises_past_the_limit_and_builds_nothing(self, case, monkeypatch):
+        call, (rows, cols) = LIMITED[case]
+        expect = call()
+        monkeypatch.setattr(spc, "_MAX_ENTRIES", rows * cols)
+        assert np.array_equal(call(), expect)   # exactly at the limit
+        monkeypatch.setattr(spc, "_MAX_ENTRIES", rows * cols - 1)
+        monkeypatch.setattr(spc, "_exp_factors", _no_build)
+        monkeypatch.setattr(spc, "_exp_matrix", _no_build)
+        with pytest.raises(ValueError, match=f"^a {rows} x {cols} table exceeds the limit "
+                                             f"of {rows * cols - 1} entries$"):
+            call()
+
+    def test_factored_sum_is_not_limited(self, monkeypatch):
+        # on lattice nodes exp_sum forms no (points, nodes) table
+        c = np.arange(64.0)
+        expect = spc.exp_table(_X, _LATTICE) @ c
+        monkeypatch.setattr(spc, "_MAX_ENTRIES", 1)
+        assert np.all(np.abs(spc.exp_sum(_X, _LATTICE, c) - expect) <= 1e-12 * np.sum(c))
+
+
 class TestBuilderMemo:
     """The lattice and factor-table memos of the exponential builder never
     serve a stale result: every answer equals the one built from scratch."""
