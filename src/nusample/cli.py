@@ -279,7 +279,7 @@ def cmd_reconstruct(cfg: dict) -> Outcome:
         tables={"error_curve.csv": (["iteration", "residual"],
                                     list(enumerate(final.history, start=1)))},
         meta={"solver": {"method": final.method, "iterations": final.iterations,
-                         "converged": final.converged}},
+                         "converged": final.converged, "rank": final.rank}},
         message=None if final.converged else "unconverged")
 
 

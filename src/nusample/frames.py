@@ -21,22 +21,25 @@ helper that takes the eigenvectors of the small Gram matrix of the spanning
 set and one Cholesky re-orthonormalization pass, in place of a thin SVD of
 the tall matrix; every result that uses it depends on the span only.
 
-Also included: conjugate-gradient reconstruction from samples, the dilation
+Also included: least-squares reconstruction from samples, the dilation
 inequality checker (three dilates, one sampling set), the weighted frame
 inequality checker, and the covering-criterion experiment.
 
-Reconstruction with at least as many samples as nodes runs CG on the
-spectral-side frame operator.  When the nodes sit on a regular lattice, as
-every grid from :func:`~nusample.geometry.build_grid` and
-:func:`dilation_grid` does, that operator is Toeplitz (block-Toeplitz on a
-masked 2-d lattice) and is applied by circulant embedding and FFT in
-O(N log N) per step, after one :func:`~nusample.spectral.lattice_sums` call
-in any dimension (the ACT method of Feichtinger, Groechenig and Strohmer).
-Grids off a lattice keep the dense product with the sampled exponential
-matrix.  Every such table comes from :func:`~nusample.spectral.exp_table`,
-and analysis is :func:`~nusample.spectral.evaluate` on the sampling points,
-which sums the exponentials against the coefficients without forming the
-table.  How the sums factor the exponentials is known to ``spectral`` alone.
+Reconstruction has two methods.  With at least as many samples as nodes
+and the nodes on a regular lattice, as every grid from
+:func:`~nusample.geometry.build_grid` and :func:`dilation_grid` has them,
+CG runs on the spectral-side frame operator, which is Toeplitz
+(block-Toeplitz on a masked 2-d lattice) and is applied by circulant
+embedding and FFT in O(N log N) per step, after one
+:func:`~nusample.spectral.lattice_sums` call in any dimension (the ACT
+method of Feichtinger, Groechenig and Strohmer): ``"toeplitz-fft"``.  Every
+other case, fewer samples than nodes or nodes off a lattice, forms the
+weighted samples x nodes table once and takes its minimal-norm
+least-squares solution from one SVD, with no iterations: ``"direct"``.
+Every table comes from :func:`~nusample.spectral.exp_table`, and analysis
+is :func:`~nusample.spectral.evaluate` on the sampling points, which sums
+the exponentials against the coefficients without forming the table.  How
+the sums factor the exponentials is known to ``spectral`` alone.
 """
 from __future__ import annotations
 
@@ -54,6 +57,7 @@ from .spectral import (BandlimitedSignal, _lattice_split, box_gram, evaluate, ex
 
 _EIG_FLOOR = 1e-12
 _SLACK = 1e-9   # relative rounding allowance of the frame-inequality checks
+_LSTSQ_RCOND = 1e-10   # singular-value cutoff, relative to the largest, of the direct solve
 
 
 class NotAFrameError(RuntimeError):
@@ -273,59 +277,74 @@ class ReconstructionResult:
     iterations: int
     residual: float
     converged: bool
-    method: str      # "toeplitz-fft", "dense" or "sample-gram"
-    history: list    # per-iteration relative residuals
+    method: str      # "toeplitz-fft" (CG) or "direct" (least squares)
+    history: list    # per-iteration relative residuals; empty on the direct path
+    rank: int | None = None   # numerical rank of the direct solve's table
 
 
 def reconstruct(samples: SampleVector, grid: SpectralGrid,
                 tol: float = 1e-8, max_iter: int = 200) -> ReconstructionResult:
-    """Least-squares signal recovery from samples by conjugate gradients.
+    """Minimal-norm least-squares signal recovery from samples.
 
-    Solves the normal equations of the sampling map.  When the set has fewer
-    points than the grid has nodes the smaller sample-space system is solved
-    and the minimal-norm interpolant returned (method ``"sample-gram"``);
-    otherwise CG runs on the spectral-side frame operator.  On a grid whose
-    nodes sit on a regular lattice (every grid from
-    :func:`~nusample.geometry.build_grid` and :func:`dilation_grid`) that
-    operator is Toeplitz and is applied by circulant embedding and FFT
-    (``"toeplitz-fft"``, see :func:`_toeplitz_system`); off the lattice, and
-    on lattice subsets so sparse that :func:`~nusample.spectral.exp_table`
-    builds them densely, the dense product with the sampled exponentials is
-    kept (``"dense"``).
-    Non-convergence returns the best iterate flagged unconverged; a
-    numerically vanishing lower bound raises :class:`NotAFrameError`.
+    With at least as many samples as nodes on a regular lattice (every grid
+    from :func:`~nusample.geometry.build_grid` and :func:`dilation_grid`),
+    CG runs on the Toeplitz spectral-side frame operator, applied by
+    circulant embedding and FFT (``"toeplitz-fft"``, see
+    :func:`_toeplitz_system`); ``max_iter`` caps its steps, and at the cap
+    the last iterate comes back flagged unconverged.  Every other case,
+    fewer samples than nodes, nodes off a lattice, or lattice subsets so
+    sparse that :func:`~nusample.spectral.exp_table` builds them densely,
+    is solved directly (``"direct"``, see :func:`_least_squares`), with no
+    iterations, an empty history and the table's numerical ``rank``.
+
+    ``residual`` is that of the normal equations on the smaller side, and
+    ``converged`` says whether it meets ``tol``.  A numerically vanishing
+    lower bound raises :class:`NotAFrameError`: a CG breakdown, or a
+    rank-deficient table whose residual misses ``tol``.
     """
     ss = samples.sampling_set
     v = samples.values
     w = grid.weights
-    if ss.size < grid.size:
-        method, lattice = "sample-gram", None
-    else:
-        lattice = _lattice_split(ss.points, grid.nodes, 1)[2]
-        method = "dense" if lattice is None else "toeplitz-fft"
+    lattice = None if ss.size < grid.size else _lattice_split(ss.points, grid.nodes, 1)[2]
+    method = "direct" if lattice is None else "toeplitz-fft"
     if not np.any(v):
         return ReconstructionResult(
             signal=BandlimitedSignal(grid=grid, coeffs=np.zeros(grid.size, dtype=complex)),
             iterations=0, residual=0.0, converged=True, method=method, history=[])
 
+    rank = None
     if method == "toeplitz-fft":
         coeffs, it, residual, converged, history = _conjugate_gradients(
             *_toeplitz_system(ss, v, w, *lattice), w, tol, max_iter)
     else:
-        e = exp_table(ss.points, grid.nodes)       # (samples, nodes)
-        eh = e.conj().T
-        if method == "sample-gram":
-            # sample-space normal equations: G c = v with G the sampled-sinc Gram
-            c, it, residual, converged, history = _conjugate_gradients(
-                lambda u: e @ (w * (eh @ u)), v, None, tol, max_iter)
-            coeffs = eh @ c
-        else:
-            # spectral-space frame operator S F = E^H v
-            coeffs, it, residual, converged, history = _conjugate_gradients(
-                lambda f: eh @ (e @ (w * f)), eh @ v, w, tol, max_iter)
+        coeffs, residual, rank = _least_squares(ss.points, v, grid)
+        it, converged, history = 0, residual <= tol, []
+        if not converged and rank < min(ss.size, grid.size):
+            raise NotAFrameError(f"not a frame at this scale: the sampled table has rank "
+                                 f"{rank} of {min(ss.size, grid.size)}")
     return ReconstructionResult(signal=BandlimitedSignal(grid=grid, coeffs=coeffs),
                                 iterations=it, residual=residual, converged=converged,
-                                method=method, history=history)
+                                method=method, history=history, rank=rank)
+
+
+def _least_squares(points: np.ndarray, values: np.ndarray, grid: SpectralGrid):
+    """Coefficients F = u / sqrt(w), with u the minimal-norm least-squares
+    solution of B u = v for the weighted table B = E sqrt(w) from one
+    ``np.linalg.lstsq`` (an SVD of B, singular values below 1e-10 of the
+    largest dropped); the relative residual, ||v - B u|| / ||v|| with fewer
+    samples than nodes and ||B^H (v - B u)|| / ||B^H v|| otherwise (what CG
+    reports on either side); and lstsq's rank."""
+    root_w = np.sqrt(grid.weights)
+    b = exp_table(points, grid.nodes)       # (samples, nodes)
+    b *= root_w
+    u, _, rank, _ = np.linalg.lstsq(b, values, rcond=_LSTSQ_RCOND)
+    r = values - b @ u
+    if b.shape[0] < b.shape[1]:
+        residual = np.linalg.norm(r) / np.linalg.norm(values)
+    else:
+        bh = b.conj().T
+        residual = np.linalg.norm(bh @ r) / np.linalg.norm(bh @ values)
+    return u / root_w, float(residual), int(rank)
 
 
 def _toeplitz_system(sampling_set: SamplingSet, values: np.ndarray, weights: np.ndarray,

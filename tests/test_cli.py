@@ -357,7 +357,24 @@ def test_reconstruct_meta_reports_solver(tmp_path):
     assert set(report) == {"relative_error", "iterations", "residual", "converged",
                            "config_hash"}
     assert meta["solver"] == {"method": "toeplitz-fft", "iterations": report["iterations"],
-                              "converged": True}
+                              "converged": True, "rank": None}
+
+
+def test_reconstruct_with_fewer_samples_than_nodes_solves_directly(tmp_path):
+    # 51 samples, 64 nodes: the weighted table has rank 36, on which CG on the
+    # sampled-sinc Gram stopped unconverged at its 200-step cap
+    cfg = json.loads((CONFIG_DIR / "reconstruct.json").read_text())
+    cfg["grid_nodes"] = 64
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "rec"
+    assert run("reconstruct", config, out) == 0
+    report = json.loads((out / "report.json").read_text())
+    meta = json.loads((out / "meta.json").read_text())
+    assert report["converged"] is True and report["residual"] <= cfg["tol"]
+    assert meta["solver"] == {"method": "direct", "iterations": 0, "converged": True,
+                              "rank": 36}
+    assert (out / "error_curve.csv").read_text() == "iteration,residual\n"
 
 
 def test_covering_control_with_no_prediction_passes(tmp_path):
