@@ -11,8 +11,11 @@ reports stay byte-identical for identical configs and seeds.
 
 Each command declares the config fields it reads where it is defined
 (:data:`FIELDS`), each by its default or, when it has none, by the JSON type
-it must hold; a value of another type, and a field the command does not
-declare, is a configuration error, caught before any work.
+it must hold; a list holds numbers, or lists of them, at any depth.  The
+spectrum and the sampling set are :class:`Section` objects tagged by their
+``shape`` and ``kind``, which they must state; a spectrum states its ``dim``
+too.  A value of another type, a field the command does not declare and a
+required field left out are configuration errors, caught before any work.
 
 Exit codes: 0 = claims confirmed (or no prediction applicable), 1 = claim
 violated or numerical failure (balayage infeasible, not a frame; the report
@@ -69,7 +72,9 @@ def _checked(value, decl, name: str):
     """``value`` if it holds the type ``decl`` declares: ``decl`` itself when
     it is a type, else the type of the default ``decl``.  A bool is never a
     number and an int is one; an integer field whose default is at least 1
-    takes only integers >= 1, so that no command passes by checking nothing."""
+    takes only integers >= 1, so that no command passes by checking nothing.
+    A list holds numbers or lists of them, at any depth, each entry named by
+    its place, as in ``region[0][1]``."""
     kind = decl if isinstance(decl, type) else type(decl)
     ok = (isinstance(value, (int, float) if kind is float else kind)
           and not isinstance(value, bool))
@@ -77,6 +82,9 @@ def _checked(value, decl, name: str):
         raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
     if not ok:
         raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if kind is list:
+        for i, item in enumerate(value):
+            _checked(item, list if isinstance(item, list) else float, f"{name}[{i}]")
     return value
 
 
@@ -88,21 +96,21 @@ class Section:
     ``fields`` maps each name to its default, to a Section, or, for a field
     that has no default, to the JSON type it must hold (``int``, ``float``,
     ``str``, ``list`` or ``dict``); every value is checked against the type
-    of its declaration (see :func:`_checked`).  With ``by_kind`` it maps each
-    value of the object's ``kind`` field to such a map instead, the first kind
-    being the default.  A ``many`` section holds a non-empty list of objects;
-    an ``optional`` one may be left out and then reads None.
+    of its declaration (see :func:`_checked`).  With a ``tag`` it maps each
+    value of the object's field of that name, which every such object
+    states, to such a map instead.  A ``many`` section holds a non-empty list
+    of objects; an ``optional`` one may be left out and then reads None.
     """
 
     fields: dict
-    by_kind: bool = False
+    tag: str | None = None
     many: bool = False
     optional: bool = False
 
     def resolve(self, data, where: str):
         """``data`` with each declared field it leaves out set to its default.
         A field that is not declared, or a required one left out, is a config
-        error (the latter a ``KeyError``, reported as a missing field)."""
+        error."""
         if self.many:
             if not isinstance(data, list) or not data:
                 raise ConfigError(f"{where} must be a non-empty list, got {data!r}")
@@ -110,11 +118,13 @@ class Section:
             return [one.resolve(item, f"{where}[{i}]") for i, item in enumerate(data)]
         _checked(data, dict, where)
         fields = self.fields
-        if self.by_kind:
-            kind = _checked(data.get("kind", next(iter(fields))), str, "kind")
-            if kind not in fields:
-                raise ConfigError(f"unknown {where} kind {kind!r}")
-            fields = {"kind": kind, **fields[kind]}
+        if self.tag is not None:
+            if self.tag not in data:
+                raise ConfigError(f"missing field {self.tag!r}")
+            value = _checked(data[self.tag], str, self.tag)
+            if value not in fields:
+                raise ConfigError(f"unknown {where} {self.tag} {value!r}")
+            fields = {self.tag: value, **fields[value]}
         for name in data:
             if name not in fields:
                 raise ConfigError(f"unknown field {name!r}"
@@ -126,7 +136,7 @@ class Section:
                 value = data[name]
                 out[name] = decl.resolve(value, name) if section else _checked(value, decl, name)
             elif isinstance(decl, type) or (section and not decl.optional):
-                raise KeyError(name)
+                raise ConfigError(f"missing field {name!r}")
             else:
                 out[name] = None if section else decl
         return out
@@ -136,7 +146,10 @@ SAMPLING = Section({
     "points": {"dim": int, "points": list, "window": list},
     "jittered": {"delta": float, "window": list, "jitter": 0.0, "seed": 0},
     "csv": {"path": str},   # the window is the bounding box of the points
-}, by_kind=True)
+}, tag="kind")
+# a ball needs its dim; a box and a polytope state theirs, which must be the set's
+SPECTRUM = Section({"box": {"half_widths": list, "dim": int}, "ball": {"radius": float, "dim": int},
+                    "polytope": {"vertices": list, "dim": int}}, tag="shape")
 
 # each command's config fields, filled in by :func:`command`
 FIELDS: dict = {}
@@ -153,20 +166,16 @@ def command(name: str, **fields):
     return register
 
 
-# the JSON type of each spectrum field but ``shape``, which ``from_json`` checks
-SPECTRUM = {"dim": int, "radius": float, "half_widths": list, "vertices": list}
-
-
 def _spectrum(spec: dict) -> geometry.SpectrumSet:
-    """The spectrum ``spec`` describes, each of its fields type-checked first;
-    the entries of a list field, at any depth, must be numbers."""
-    todo = [(spec[name], kind, name) for name, kind in SPECTRUM.items() if name in spec]
-    while todo:
-        value, kind, name = todo.pop(0)
-        if isinstance(_checked(value, kind, name), list):
-            todo += [(item, list if isinstance(item, list) else float, f"{name}[{i}]")
-                     for i, item in enumerate(value)]
-    return geometry.SpectrumSet.from_json(spec)
+    shape = spec["shape"]
+    if shape == "ball":
+        return geometry.SpectrumSet.ball(spec["radius"], spec["dim"])
+    spectrum = (geometry.SpectrumSet.box(spec["half_widths"]) if shape == "box"
+                else geometry.SpectrumSet.polytope(spec["vertices"]))
+    if spec["dim"] != spectrum.dim:
+        raise ConfigError(f"spectrum dim {spec['dim']!r} differs from the dimension "
+                          f"{spectrum.dim} of its {shape}")
+    return spectrum
 
 
 def _sampling_set(spec: dict) -> sampling.SamplingSet:
@@ -221,7 +230,7 @@ def _balayage_meta(sols) -> dict:
                          "reweighted": sum(s.reweighted for s in sols)}}
 
 
-@command("covering", spectrum=dict, sampling=SAMPLING, rho=float, region=list,
+@command("covering", spectrum=SPECTRUM, sampling=SAMPLING, rho=float, region=list,
          resolution=float, grid_nodes=64, subspace_margin=5.0)
 def cmd_covering(cfg: dict) -> Outcome:
     spectrum = _spectrum(cfg["spectrum"])
@@ -240,7 +249,7 @@ def cmd_covering(cfg: dict) -> Outcome:
     }, int(result.prediction_applies and not result.frame_confirmed))
 
 
-@command("frame-bounds", spectrum=dict, sampling=SAMPLING, grid_nodes=512,
+@command("frame-bounds", spectrum=SPECTRUM, sampling=SAMPLING, grid_nodes=512,
          subspace=Section({"margin": 10.0}, optional=True), seed=0, trials=50)
 def cmd_frame_bounds(cfg: dict) -> Outcome:
     spectrum = _spectrum(cfg["spectrum"])
@@ -261,7 +270,7 @@ def cmd_frame_bounds(cfg: dict) -> Outcome:
                    tables={"rayleigh.csv": (["trial", "rayleigh"], rows)})
 
 
-@command("reconstruct", spectrum=dict, sampling=SAMPLING, grid_nodes=33, seed=0,
+@command("reconstruct", spectrum=SPECTRUM, sampling=SAMPLING, grid_nodes=33, seed=0,
          tol=1e-8, max_iter=200)
 def cmd_reconstruct(cfg: dict) -> Outcome:
     spectrum = _spectrum(cfg["spectrum"])
@@ -283,7 +292,7 @@ def cmd_reconstruct(cfg: dict) -> Outcome:
         message=None if final.converged else "unconverged")
 
 
-@command("identity", spectrum=dict, sampling=SAMPLING, enlarged_nodes=384, seed=0,
+@command("identity", spectrum=SPECTRUM, sampling=SAMPLING, enlarged_nodes=384, seed=0,
          n_y=25, y_half=10.0, eta=1e-5, tolerance=1e-2, trials=5, poly_terms=5)
 def cmd_identity(cfg: dict) -> Outcome:
     spectrum = _spectrum(cfg["spectrum"])
@@ -361,7 +370,7 @@ def cmd_gabor(cfg: dict) -> Outcome:
     }, 0 if result.error <= cfg["error_tol"] else 1)
 
 
-@command("psido", spectrum=dict, sampling=SAMPLING,
+@command("psido", spectrum=SPECTRUM, sampling=SAMPLING,
          terms=Section({"lambda": float, "eps": float, "b_width": 0.5, "b_half": 1.0,
                         "order": 8, "amplitude": 1.0}, many=True),
          seed=0, n_k=25, eta=1e-5, trials=10)
@@ -433,13 +442,10 @@ def main(argv=None) -> int:
     except (bal.BalayageInfeasibleError, frames.NotAFrameError) as exc:
         prefix = "balayage infeasible: " if isinstance(exc, bal.BalayageInfeasibleError) else ""
         outcome = Outcome({"error": str(exc)}, 1, message=f"{prefix}{exc}")
-    except KeyError as exc:
-        print(f"config error: missing field {exc}", file=sys.stderr)
-        return 2
     except np.linalg.LinAlgError:
         raise   # a numerical failure, not a bad config value
     # unreadable, out of range, wrong type, or a table past spectral's entry limit
-    except (ConfigError, ValueError, TypeError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if outcome.message is not None:

@@ -205,28 +205,6 @@ class SpectrumSet:
             return 2.0 * self.radius
         return 2.0 * float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
-    # -- serialization -----------------------------------------------------
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SpectrumSet":
-        """The set ``data`` describes: its ``shape``, the shape's own field
-        (``half_widths``, ``radius`` or ``vertices``) and ``dim``, which a ball
-        needs; any other field, or a ``dim`` unlike the set's, is an error."""
-        builders = {"box": ("half_widths", cls.box), "polytope": ("vertices", cls.polytope),
-                    "ball": ("radius", lambda radius: cls.ball(radius, data["dim"]))}
-        shape = data["shape"]
-        if not isinstance(shape, str) or shape not in builders:
-            raise ValueError(f"unknown shape {shape!r}")
-        own, build = builders[shape]
-        for name in data:
-            if name not in ("shape", "dim", own):
-                raise ValueError(f"unknown field {name!r} in spectrum")
-        spectrum = build(data[own])
-        if data.get("dim", spectrum.dim) != spectrum.dim:
-            raise ValueError(f"spectrum dim {data['dim']!r} differs from the dimension "
-                             f"{spectrum.dim} of its {shape}")
-        return spectrum
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralGrid:

@@ -35,6 +35,8 @@ class SamplingSet:
     window: np.ndarray
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"sampling set dim must be at least 1, got {self.dim}")
         pts = as_points(self.points, self.dim)
         win = np.asarray(self.window, dtype=float).reshape(self.dim, 2)
         object.__setattr__(self, "points", pts)
@@ -54,16 +56,22 @@ class SamplingSet:
 
     @classmethod
     def from_csv(cls, path, window=None) -> "SamplingSet":
-        """Read one point per row; window defaults to the point bounding box."""
-        rows = []
+        """Read one point per row; window defaults to the point bounding box.
+        Blank rows and ``#`` comments are skipped, and the first other row may
+        be a header; any later row that is not all numbers is an error."""
+        rows, header_allowed = [], True
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or row[0].lstrip().startswith("#"):
                     continue
                 try:
                     rows.append([float(c) for c in row])
                 except ValueError:
-                    continue  # header row
+                    if not header_allowed:
+                        raise ValueError(f"{path} line {reader.line_num}: row {row!r} "
+                                         "is not numeric") from None
+                header_allowed = False
         pts = np.asarray(rows, dtype=float)
         if pts.ndim != 2:
             raise ValueError(f"no numeric rows in {path}")

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nusample import cli, frames
+from nusample import cli, frames, geometry
 from nusample import timefreq as tfm
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -130,6 +130,8 @@ def test_missing_points_file_exits_2(tmp_path):
     (lambda cfg: cfg["sampling"].update(seed=1.5), "seed must be an integer, got 1.5"),
     (lambda cfg: cfg.update(sampling={**EMPTY_POINTS, "dim": True, "points": [[0.0], [1.0]]}),
      "dim must be an integer, got True"),
+    (lambda cfg: cfg.update(sampling={**EMPTY_POINTS, "dim": 0, "window": []}),
+     "sampling set dim must be at least 1, got 0"),
     (lambda cfg: cfg.update(spectrum=3), "spectrum must be a JSON object, got 3"),
     (lambda cfg: cfg.update(region="x"), "region must be a list, got 'x'"),
     (lambda cfg: cfg.update(sampling={"kind": "csv", "path": 5}), "path must be a string, got 5"),
@@ -141,7 +143,7 @@ def test_missing_points_file_exits_2(tmp_path):
     (lambda cfg: cfg.update(spectrum={"dim": 1, "shape": "ball", "radius": 1.0,
                                       "half_widths": [1.0]}),
      "config error: unknown field 'half_widths' in spectrum"),
-    (lambda cfg: cfg["spectrum"].update(shape=[]), "unknown shape []"),
+    (lambda cfg: cfg["spectrum"].update(shape=[]), "shape must be a string, got []"),
     (lambda cfg: cfg["sampling"].update(kind=[]), "kind must be a string, got []"),
     # a bool would otherwise run as 1, and a string fail with Python's message
     (lambda cfg: cfg.update(spectrum={"shape": "ball", "radius": True, "dim": 1}),
@@ -156,14 +158,33 @@ def test_missing_points_file_exits_2(tmp_path):
      "config error: half_widths must be a list, got 'abc'"),
     (lambda cfg: cfg.update(spectrum={"shape": "polytope", "vertices": [[0.5], ["x"]]}),
      "config error: vertices[1][0] must be a number, got 'x'"),
+    # every list field holds numbers, or lists of them, at any depth
+    (lambda cfg: cfg.update(region=[[True, 10.0]]),
+     "config error: region[0][0] must be a number, got True"),
+    (lambda cfg: cfg["sampling"].update(window=[[-20.0, True]]),
+     "config error: window[0][1] must be a number, got True"),
+    (lambda cfg: cfg.update(sampling={**EMPTY_POINTS, "points": [[0.0], [True]]}),
+     "config error: points[1][0] must be a number, got True"),
+    (lambda cfg: cfg.update(region=[{"lo": -10.0, "hi": 10.0}]),
+     "config error: region[0] must be a number, got {'lo': -10.0, 'hi': 10.0}"),
+    (lambda cfg: cfg.update(spectrum={"shape": "polytope", "dim": 2,
+                                      "vertices": [[0.5], [-0.5]]}),
+     "config error: spectrum dim 2 differs from the dimension 1 of its polytope"),
+    # a spectrum states its dim, and a tagged section its tag
+    (lambda cfg: cfg["spectrum"].pop("dim"), "config error: missing field 'dim'\n"),
+    (lambda cfg: cfg.update(sampling={"dim": 1, "points": [[0.0], [1.0]],
+                                      "window": [[-20.0, 20.0]]}),
+     "config error: missing field 'kind'\n"),
 ], ids=["jitter-above-half-delta", "negative-resolution", "region-dim-mismatch",
         "string-resolution", "boolean-rho", "empty-points", "unknown-sampling-kind",
         "reversed-region", "nan-resolution", "infinite-resolution", "fractional-grid-nodes",
-        "fractional-sampling-seed", "boolean-points-dim", "integer-spectrum", "string-region",
-        "integer-csv-path", "boolean-schema", "spectrum-dim-mismatch", "stray-spectrum-field",
+        "fractional-sampling-seed", "boolean-points-dim", "zero-points-dim",
+        "integer-spectrum", "string-region", "integer-csv-path", "boolean-schema", "spectrum-dim-mismatch", "stray-spectrum-field",
         "ball-with-half-widths", "list-spectrum-shape", "list-sampling-kind",
         "boolean-radius", "string-radius", "boolean-spectrum-dim", "boolean-half-width",
-        "string-half-widths", "string-vertex"])
+        "string-half-widths", "string-vertex", "boolean-region-bound",
+        "boolean-window-bound", "boolean-point", "object-region-axis",
+        "polytope-dim-mismatch", "box-without-dim", "points-without-kind"])
 def test_bad_config_value_exits_2(tmp_path, capsys, edit, message):
     cfg = json.loads((CONFIG_DIR / "covering.json").read_text())
     edit(cfg)
@@ -450,6 +471,61 @@ def test_csv_points_with_header_and_comment_run(tmp_path):
     assert run("covering", good, out) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["frame_report"]["sample_count"] == 41
+
+
+def test_csv_points_with_a_bad_row_exit_2(tmp_path, capsys):
+    # only the first row may be a header: a later typo is an error, not a
+    # point dropped in silence
+    points = tmp_path / "points.csv"
+    points.write_text("x\n-1.0\n0.0\n1.O\n2.0\n")
+    cfg = json.loads((CONFIG_DIR / "covering.json").read_text())
+    cfg["sampling"] = {"kind": "csv", "path": str(points)}
+    bad = tmp_path / "csv.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run("covering", bad, out) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {points} line 4: row ['1.O'] is not numeric\n")
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError])
+def test_program_errors_propagate(tmp_path, monkeypatch, error):
+    # a KeyError or TypeError a command raises is a fault of the program, not
+    # a configuration error
+    def broken(cfg):
+        raise error("spectrum")
+
+    monkeypatch.setitem(cli._COMMANDS, "covering", broken)
+    with pytest.raises(error):
+        run("covering", CONFIG_DIR / "covering.json", tmp_path / "out")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+DIAMOND = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+
+
+def test_spectrum_section_builds_each_shape():
+    specs = [geometry.SpectrumSet.box([0.5, 1.5]), geometry.SpectrumSet.ball(2.0, 1),
+             geometry.SpectrumSet.polytope(DIAMOND)]
+    documents = [{"dim": 2, "shape": "box", "half_widths": [0.5, 1.5]},
+                 {"dim": 1, "shape": "ball", "radius": 2.0},
+                 {"dim": 2, "shape": "polytope", "vertices": DIAMOND}]
+    for spec, data in zip(specs, documents):
+        back = cli._spectrum(cli.SPECTRUM.resolve(data, "spectrum"))
+        pts = np.random.default_rng(5).uniform(-2, 2, size=(200, spec.dim))
+        assert np.array_equal(back.contains(pts), spec.contains(pts))
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"dim": 2, "shape": "box", "half_widths": [1.0]},
+     "spectrum dim 2 differs from the dimension 1 of its box"),
+    ({"dim": 1, "shape": "polytope", "vertices": DIAMOND},
+     "spectrum dim 1 differs from the dimension 2 of its polytope"),
+], ids=["box", "polytope"])
+def test_spectrum_dim_must_match_the_set(data, message):
+    with pytest.raises(cli.ConfigError, match=message):
+        cli._spectrum(cli.SPECTRUM.resolve(data, "spectrum"))
 
 
 def test_psido_symbol_outside_spectrum_exits_1(tmp_path, capsys):

@@ -637,28 +637,3 @@ class TestValidation:
             shift = rng.normal(size=(inside.shape[0], 2))
             shift = 0.1 * shift / np.linalg.norm(shift, axis=1, keepdims=True)
             assert np.all(big.contains(inside + shift, tol=1e-9))
-
-
-def test_json_roundtrip():
-    diamond = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
-    specs = [geo.SpectrumSet.box([0.5, 1.5]), geo.SpectrumSet.ball(2.0, 1),
-             geo.SpectrumSet.polytope(diamond)]
-    documents = [{"dim": 2, "shape": "box", "half_widths": [0.5, 1.5]},
-                 {"dim": 1, "shape": "ball", "radius": 2.0},
-                 {"dim": 2, "shape": "polytope", "vertices": diamond}]
-    for spec, data in zip(specs, documents):
-        back = geo.SpectrumSet.from_json(data)
-        pts = np.random.default_rng(5).uniform(-2, 2, size=(200, spec.dim))
-        assert np.array_equal(back.contains(pts), spec.contains(pts))
-
-
-@pytest.mark.parametrize("data,message", [
-    ({"dim": 2, "shape": "box", "half_widths": [1.0]},
-     "spectrum dim 2 differs from the dimension 1 of its box"),
-    ({"dim": 1, "shape": "polytope", "vertices": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
-                                                  [0.0, -1.0]]},
-     "spectrum dim 1 differs from the dimension 2 of its polytope"),
-], ids=["box", "polytope"])
-def test_json_dim_must_match_the_set(data, message):
-    with pytest.raises(ValueError, match=message):
-        geo.SpectrumSet.from_json(data)

@@ -381,18 +381,20 @@ def test_src_imports_no_scipy_spatial():
 # config fields no shipped config sets; each is set by a test in tests/test_cli.py
 TEST_SET_FIELDS = {("gabor", "cond_threshold"), ("sampling:points", "dim"),
                    ("sampling:points", "points"), ("sampling:points", "window"),
-                   ("sampling:csv", "path")}
+                   ("sampling:csv", "path"), ("spectrum:ball", "radius"),
+                   ("spectrum:ball", "dim"), ("spectrum:polytope", "vertices"),
+                   ("spectrum:polytope", "dim")}
 
 
 def declared_fields(fields: dict, owner: str) -> set:
     """(owner, name) of every declared field; a nested section owns its own
-    fields and its ``kind``, and the fields of one kind are owned by
-    ``<section>:<kind>``."""
+    fields and its tag, and the fields of one tag value are owned by
+    ``<section>:<value>``."""
     out = set()
     for name, decl in fields.items():
         out.add((owner, name))
-        if isinstance(decl, cli.Section) and decl.by_kind:
-            out.add((name, "kind"))
+        if isinstance(decl, cli.Section) and decl.tag:
+            out.add((name, decl.tag))
             for kind, sub in decl.fields.items():
                 out |= declared_fields(sub, f"{name}:{kind}")
         elif isinstance(decl, cli.Section):
@@ -409,11 +411,10 @@ def set_fields(fields: dict, data: dict, owner: str) -> set:
         decl = fields[name]
         if isinstance(decl, cli.Section):
             for item in value if decl.many else [value]:
-                if decl.by_kind:
-                    if "kind" in item:
-                        out.add((name, "kind"))
-                    kind = item.get("kind", next(iter(decl.fields)))
-                    rest = {k: v for k, v in item.items() if k != "kind"}
+                if decl.tag:
+                    out.add((name, decl.tag))
+                    kind = item[decl.tag]
+                    rest = {k: v for k, v in item.items() if k != decl.tag}
                     out |= set_fields(decl.fields[kind], rest, f"{name}:{kind}")
                 else:
                     out |= set_fields(decl.fields, item, name)
