@@ -39,6 +39,7 @@ _SVD_CUTOFF = 1e-10   # relative singular-value cutoff of the least-squares star
 # and with 2 OpenBLAS threads the two pools then contend for the cores: on a
 # 2-core host a sweep benchmark op took 33-39 ms at width 10 or 12 and 59 ms
 # at 16, against 27-30 ms at width 4 or 8 (23-25 ms with 1 thread at 4-8).
+# dtpqrt takes no panel wider than its n + 1 columns, so 1 or 2 points take n + 1.
 _TPQRT_NB = 4
 
 
@@ -300,7 +301,7 @@ class BalayageSolver:
         while iterations < self.max_irls and not converged:
             maj = np.maximum(np.abs(a), 1e-6 * max(np.max(np.abs(a)), 1e-300))
             np.fill_diagonal(bottom, np.sqrt(0.5 * self.reg / maj))
-            tri, _, _, info = self._tpqrt(n, _TPQRT_NB, top, bottom)
+            tri, _, _, info = self._tpqrt(n, min(_TPQRT_NB, n + 1), top, bottom)
             if info == 0:   # dtpqrt fails only on an illegal argument
                 a_new, info = self._trtrs(tri[:n, :n], tri[:n, n])
             if info > 0:

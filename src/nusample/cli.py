@@ -188,8 +188,8 @@ def _sampling_set(spec: dict) -> sampling.SamplingSet:
         return sampling.generate_jittered_grid(spec["delta"], spec["jitter"],
                                                spec["window"], spec["seed"])
     path = spec["path"]
-    if not os.path.exists(path):
-        raise ConfigError(f"referenced file does not exist: {path}")
+    if not os.path.isfile(path):
+        raise ConfigError(f"referenced path is not a file: {path}")
     return sampling.SamplingSet.from_csv(path)
 
 

@@ -14,12 +14,14 @@ or Gram, is :mod:`~nusample.spectral`'s.  The subspace matters: a finite
 sampling window can never frame the full discretized space (the analysis map
 has finite rank), so tightness statements are made for signals concentrated
 away from the window edge, built here from smoothly tapered, shifted
-spectral envelopes.  Their Gram matrix is (block-)Toeplitz over the shift
-lattice and is filled from a few of its rows.  Their orthonormal basis, like
-the Gabor reference subspace of :mod:`~nusample.timefreq`, comes from one
-helper that takes the eigenvectors of the small Gram matrix of the spanning
-set and one Cholesky re-orthonormalization pass, in place of a thin SVD of
-the tall matrix; every result that uses it depends on the span only.
+spectral envelopes.  The shifts are symmetric about their center, so the
+envelopes span a modulation of real cosine and sine columns, scaled by
+sqrt(2) so that the change of basis is unitary.  Their orthonormal basis,
+like the real Gabor reference subspace of :mod:`~nusample.timefreq`, comes
+from one helper that takes, in real arithmetic, the eigenvectors of the
+small Gram matrix of the spanning set and one Cholesky re-orthonormalization
+pass, in place of a thin SVD of the tall matrix; every result that uses it
+depends on the span only.
 
 Also included: least-squares reconstruction from samples, the dilation
 inequality checker (three dilates, one sampling set), the weighted frame
@@ -43,7 +45,6 @@ the sums factor the exponentials is known to ``spectral`` alone.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,8 +53,8 @@ import numpy as np
 from .geometry import (CoveringReport, SpectralGrid, SpectrumSet,
                        build_grid, covering_check)
 from .sampling import SamplingSet
-from .spectral import (BandlimitedSignal, _lattice_split, box_gram, evaluate, exp_table,
-                       lattice_sums)
+from .spectral import (BandlimitedSignal, _check_entries, _lattice_split, box_gram, evaluate,
+                       exp_table, lattice_sums)
 
 _EIG_FLOOR = 1e-12
 _SLACK = 1e-9   # relative rounding allowance of the frame-inequality checks
@@ -187,10 +188,14 @@ def interior_taper_subspace(grid: SpectralGrid, window, margin: float) -> np.nda
     span is meant: frame bounds and :func:`random_subspace_signal` depend on
     it alone, not on the basis chosen inside it.
 
-    The Gram matrix of the spanning set is (block-)Toeplitz over the shift
-    lattice and is filled from a few of its rows (see :func:`_shift_gram`);
-    the basis itself is a (shifts x nodes) table from
-    :func:`~nusample.spectral.exp_table`, under its 2**24-entry limit.
+    The shifts are symmetric about their center c, so with x0 = c + u the
+    span is exp(-2 pi i c . g) times that of sqrt(2) taper cos(2 pi u . g)
+    and sqrt(2) taper sin(2 pi u . g), u over the first half of the offsets
+    in C order (the rest mirror them), and of taper alone for u = 0 when the
+    count is odd.  This change of basis is unitary, so the singular values,
+    rank and span are the complex set's, orthonormalized in real arithmetic.
+    The cosines and sines come from one :func:`~nusample.spectral.exp_table`
+    of half the shifts, under the 2**24-entry limit of the full set.
     """
     spec = grid.spectrum
     dim = spec.dim
@@ -204,58 +209,39 @@ def interior_taper_subspace(grid: SpectralGrid, window, margin: float) -> np.nda
         axes.append(np.arange(lo_m, hi_m + st / 2.0, st))
     mesh = np.meshgrid(*axes, indexing="ij")
     shifts = np.stack([m.ravel() for m in mesh], axis=1)
-    taper = _smooth_step((1.0 - spec.gauge(grid.nodes)) / 0.6)
-    basis = exp_table(shifts, grid.nodes, sign=-1).T
-    basis *= (np.sqrt(grid.weights) * taper)[:, None]
-    return _orthonormal_span(basis, _shift_gram(basis, [len(ax) for ax in axes]), 1e-3)
+    _check_entries(len(shifts), grid.size)
+    center = (shifts[0] + shifts[-1]) / 2.0   # the corners of the shift box, in C order
+    pairs = len(shifts) // 2
+    waves = exp_table(shifts[:len(shifts) - pairs] - center, grid.nodes, sign=-1)
+    root = np.sqrt(grid.weights) * _smooth_step((1.0 - spec.gauge(grid.nodes)) / 0.6)
+    rows = np.concatenate([waves.real, waves.imag[:pairs]])   # (shifts, nodes)
+    rows *= math.sqrt(2.0) * root
+    if len(waves) > pairs:   # the zero offset: its cosine, unpaired
+        rows[pairs] = root
+    q = _orthonormal_span(rows.T, 1e-3)
+    return exp_table(grid.nodes, center[None, :], sign=-1) * q   # exp(-2 pi i c . g) q
 
 
-def _shift_gram(basis: np.ndarray, shape) -> np.ndarray:
-    """basis^H basis for columns c_k exp(-2 pi i x_s . g_k), real c_k, whose
-    shifts x_s run over a lattice box of ``shape`` in C order.
+def _orthonormal_span(basis: np.ndarray, cutoff: float) -> np.ndarray:
+    """Orthonormal basis of the left singular directions of the real
+    ``basis`` whose singular value exceeds ``cutoff`` times the largest,
+    without an SVD.
 
-    The entry for shifts s, t is T(i_s - i_t) with
-    T(d) = sum_k c_k^2 exp(2 pi i (d * step) . g_k), so the Gram is
-    (block-)Toeplitz, and T(-d) = conj T(d).  Row c of the Gram, one
-    matrix-vector product conj(basis[:, c]) @ basis, holds T(c - i_t) for
-    every t; the 2^(dim-1) rows at the corners with first index 0 cover
-    every sign pattern of d up to that mirror.
+    The eigenvectors v of the small Gram matrix basis^T basis with
+    eigenvalue above cutoff^2 times the largest give
+    Q0 = basis v / sqrt(lambda), whose columns are orthonormal only to about
+    eps / cutoff^2.  One Cholesky pass, Q0^T Q0 = L L^T and Q = Q0 L^-T,
+    brings them to rounding (CholeskyQR2 of Fukaya, Nakatsukasa, Yanagisawa
+    and Yamamoto, 2014); the r x r triangle is inverted once rather than
+    solved against every row.  The span is the SVD's: the rank matches
+    unless a singular value lies within about 1e-10 relative of the cutoff,
+    where the Gram's rounding decides.
     """
-    shape = np.asarray(shape)
-    box = 2 * shape - 1                       # T(d) sits at d + shape - 1
-    pos = np.ravel_multi_index(np.unravel_index(np.arange(basis.shape[1]), shape), box)
-    zero = np.ravel_multi_index(tuple(shape - 1), box)
-    kernel = np.zeros(math.prod(box), dtype=complex)
-    for corner in itertools.product([0], *[(0, n - 1) for n in shape[1:]]):
-        row = basis[:, np.ravel_multi_index(corner, shape)].conj() @ basis
-        d = np.ravel_multi_index(corner, box) - pos    # flat offsets of corner - i_t
-        kernel[zero + d] = row
-        kernel[zero - d] = row.conj()
-    return kernel[zero + pos[:, None] - pos[None, :]]
-
-
-def _orthonormal_span(basis: np.ndarray, gram: np.ndarray, cutoff: float) -> np.ndarray:
-    """Orthonormal basis of the left singular directions of ``basis`` whose
-    singular value exceeds ``cutoff`` times the largest, without an SVD.
-
-    The caller passes the small Gram matrix ``gram`` = basis^H basis, built
-    from the structure of the spanning set where it has one (the Toeplitz
-    rows of :func:`_shift_gram` in :func:`interior_taper_subspace`) and as
-    the plain product otherwise (the Gabor reference subspace).  The
-    eigenvectors v of the Gram with eigenvalue above cutoff^2 times the
-    largest give Q0 = basis v / sqrt(lambda), whose columns are orthonormal
-    only to about eps / cutoff^2.  One Cholesky pass, Q0^H Q0 = L L^H and
-    Q = Q0 L^-H, brings them to rounding (CholeskyQR2 of
-    Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, 2014); the r x r triangle
-    is inverted once rather than solved against every row.  The span is the
-    SVD's: the rank matches unless a singular value lies within about 1e-10
-    relative of the cutoff, where the Gram's rounding decides.
-    """
-    lam, v = np.linalg.eigh(gram)
+    lam, v = np.linalg.eigh(basis.T @ basis)
     keep = lam > cutoff**2 * lam[-1]
     q0 = basis @ (v[:, keep] / np.sqrt(lam[keep]))
-    chol = np.linalg.cholesky(q0.conj().T @ q0)
-    return q0 @ np.linalg.inv(chol).conj().T
+    chol = np.linalg.cholesky(q0.T @ q0)
+    return q0 @ np.linalg.inv(chol).T
 
 
 def random_subspace_signal(grid: SpectralGrid, subspace: np.ndarray, seed: int) -> BandlimitedSignal:

@@ -46,6 +46,8 @@ class UniformGrid:
 
     @classmethod
     def symmetric(cls, half_width: float, step: float) -> "UniformGrid":
+        if not step > 0:
+            raise ValueError(f"step must be positive, got {step!r}")
         n = int(round(half_width / step))
         return cls(start=-n * step, step=step, count=2 * n + 1)
 
@@ -365,18 +367,25 @@ def _atom_matrix(grid: UniformGrid, window: WindowFunction,
 
 def reference_test_subspace(grid: UniformGrid, time_extent: float,
                             freq_extent: float) -> np.ndarray:
-    """Orthonormal basis of phase-space-concentrated test signals: Gaussian
-    atoms on the interior lattice 0.5 Z x 0.5 Z, without the directions whose
-    singular value is below 1e-2 of the largest (see
+    """Real orthonormal basis of phase-space-concentrated test signals:
+    Gaussian atoms on the interior lattice 0.5 Z x 0.5 Z, without the
+    directions whose singular value is below 1e-2 of the largest (see
     :func:`~nusample.frames._orthonormal_span`; the rank matches the SVD's
     unless a singular value lies within about 1e-10 relative of the cutoff).
+    The atom at -sigma is the conjugate of the one at sigma, so by a unitary
+    change of basis the atoms span sqrt(2) Re and sqrt(2) Im of those with
+    sigma > 0 and Re of those with sigma = 0, the only ones built.
     Conditioning of the frame operator is measured on this subspace, since
     the full grid space always contains content no truncated atom family can
     reach; the condition depends on the span only, not on the basis."""
-    ref = phase_lattice(0.5, 0.5, time_extent, freq_extent)
+    ref = generate_jittered_grid(0.5, 0.0, [[-time_extent, time_extent],
+                                            [0.0, freq_extent]], None)
     g0 = gaussian_window(step=grid.step)
-    atoms = _atom_matrix(grid, g0, ref) * np.sqrt(grid.step)
-    return _orthonormal_span(atoms, atoms.conj().T @ atoms, 1e-2)
+    atoms = _atom_matrix(grid, g0, ref)
+    paired = ref.points[:, 1] > 0
+    scale = np.sqrt(grid.step * np.where(paired, 2.0, 1.0))
+    basis = np.concatenate([atoms.real * scale, atoms.imag[:, paired] * scale[paired]], axis=1)
+    return _orthonormal_span(basis, 1e-2)
 
 
 def gabor_frame_condition(grid: UniformGrid, window: WindowFunction,

@@ -294,6 +294,15 @@ class TestFactoredStep:
         fit = self.assert_matches_oracle(solver, np.random.default_rng(0).uniform(-10, 10, 3)[1])
         assert fit.converged and fit.iterations < 200
 
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_few_points_match_dense_qr(self, size):
+        # dtpqrt takes no panel wider than its size + 1 columns
+        grid = geo.build_grid(QUARTER_BAND.enlarged(EPS), 32)
+        e_set = SamplingSet(dim=1, points=np.arange(size) - 1.0, window=[[-2.0, 2.0]])
+        solver = bal.BalayageSolver(e_set, grid, eta=1e-5)
+        fit = self.assert_matches_oracle(solver, 0.3)
+        assert fit.iterations > 0 and fit.coeffs.shape == (size,)
+
     def test_zero_pivot_raises(self):
         # half of this l1 weight underflows, so D = 0 and the rows of the
         # triangle below the k < n rows of R have no pivot

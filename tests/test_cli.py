@@ -135,6 +135,8 @@ def test_missing_points_file_exits_2(tmp_path):
     (lambda cfg: cfg.update(spectrum=3), "spectrum must be a JSON object, got 3"),
     (lambda cfg: cfg.update(region="x"), "region must be a list, got 'x'"),
     (lambda cfg: cfg.update(sampling={"kind": "csv", "path": 5}), "path must be a string, got 5"),
+    (lambda cfg: cfg.update(sampling={"kind": "csv", "path": str(CONFIG_DIR)}),
+     f"config error: referenced path is not a file: {CONFIG_DIR}"),
     (lambda cfg: cfg.update(schema=True), "schema must be an integer, got True"),
     (lambda cfg: cfg["spectrum"].update(dim=2),
      "spectrum dim 2 differs from the dimension 1 of its box"),
@@ -179,7 +181,7 @@ def test_missing_points_file_exits_2(tmp_path):
         "string-resolution", "boolean-rho", "empty-points", "unknown-sampling-kind",
         "reversed-region", "nan-resolution", "infinite-resolution", "fractional-grid-nodes",
         "fractional-sampling-seed", "boolean-points-dim", "zero-points-dim",
-        "integer-spectrum", "string-region", "integer-csv-path", "boolean-schema", "spectrum-dim-mismatch", "stray-spectrum-field",
+        "integer-spectrum", "string-region", "integer-csv-path", "directory-csv-path", "boolean-schema", "spectrum-dim-mismatch", "stray-spectrum-field",
         "ball-with-half-widths", "list-spectrum-shape", "list-sampling-kind",
         "boolean-radius", "string-radius", "boolean-spectrum-dim", "boolean-half-width",
         "string-half-widths", "string-vertex", "boolean-region-bound",
@@ -208,6 +210,31 @@ def test_gabor_jitter_of_half_a_step_exits_2(tmp_path, capsys, jitter):
     err = capsys.readouterr().err
     assert err.startswith("config error: jitter must lie in [0, 0.25)") and f"got {jitter}" in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1])
+def test_gabor_nonpositive_step_exits_2(tmp_path, capsys, step):
+    cfg = json.loads((CONFIG_DIR / "gabor.json").read_text())
+    cfg["step"] = step
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert run("gabor", bad, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: step must be positive, got {step}")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["identity", "psido"])
+def test_one_point_balayage_exits_1(tmp_path, capsys, command):
+    # a lattice step past the window leaves one point, whose IRLS steps take
+    # the narrowest panel; the sweep is infeasible, which is no traceback
+    cfg = json.loads((CONFIG_DIR / f"{command}.json").read_text())
+    cfg["sampling"]["delta"] = 1e9
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert run(command, bad, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("balayage infeasible:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command,config,name,value", [

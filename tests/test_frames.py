@@ -342,20 +342,20 @@ class TestFrameBounds:
 
 
 def spanned_basis(module, build, *args, **kwargs):
-    """Run ``build`` and capture the (basis, gram, cutoff) it hands to
+    """Run ``build`` and capture the (basis, cutoff) it hands to
     ``_orthonormal_span`` through ``module``, with the basis it returns."""
     seen = []
     real = frames._orthonormal_span
 
-    def capture(basis, gram, cutoff):
-        seen.append((basis, gram, cutoff))
-        return real(basis, gram, cutoff)
+    def capture(basis, cutoff):
+        seen.append((basis, cutoff))
+        return real(basis, cutoff)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "_orthonormal_span", capture)
         q = build(*args, **kwargs)
-    (basis, gram, cutoff), = seen
-    return basis, gram, cutoff, q
+    (basis, cutoff), = seen
+    return basis, cutoff, q
 
 
 def svd_span(basis, cutoff):
@@ -365,59 +365,79 @@ def svd_span(basis, cutoff):
     return u[:, :int(np.sum(svals > cutoff * svals[0]))]
 
 
-# (spectrum, nodes per axis, sampling step, window half-width, taper margin)
+def taper_set(grid, window, margin):
+    """The literal complex spanning set of :func:`frames.interior_taper_subspace`:
+    sqrt(w) taper(g) exp(-2 pi i x0 . g) for every shift x0 of its rule."""
+    spec = grid.spectrum
+    steps = 0.8 / (2.0 * spec.bounding_box()[:, 1])
+    axes = [np.arange(lo + margin, hi - margin + st / 2.0, st)
+            for (lo, hi), st in zip(np.reshape(window, (spec.dim, 2)), steps)]
+    shifts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    taper = frames._smooth_step((1.0 - spec.gauge(grid.nodes)) / 0.6)
+    return spc._exp_matrix(-shifts, grid.nodes).T * (np.sqrt(grid.weights) * taper)[:, None]
+
+
+# (spectrum, nodes per axis, sampling step, window per axis, taper margin); the
+# last two windows are off centre, with 51 (odd) and 16 x 16 (even) shifts
 TAPER_CASES = [
-    (UNIT_BAND, 64, 0.5, 30.0, 5.0),
-    (UNIT_BAND, 512, 1.0, 40.0, 10.0),
-    (UNIT_BAND, 4096, 1.0, 40.0, 10.0),
-    (geo.SpectrumSet.ball(0.5), 20, 0.7, 9.0, 3.0),
-    (geo.SpectrumSet.box([0.5, 0.5]), 24, 1.0, 10.0, 4.0),
+    (UNIT_BAND, 64, 0.5, (-30.0, 30.0), 5.0),
+    (UNIT_BAND, 512, 1.0, (-40.0, 40.0), 10.0),
+    (UNIT_BAND, 4096, 1.0, (-40.0, 40.0), 10.0),
+    (geo.SpectrumSet.ball(0.5), 20, 0.7, (-9.0, 9.0), 3.0),
+    (geo.SpectrumSet.box([0.5, 0.5]), 24, 1.0, (-10.0, 10.0), 4.0),
+    (UNIT_BAND, 512, 1.0, (-13.0, 47.0), 10.0),
+    (geo.SpectrumSet.box([0.5, 0.5]), 24, 1.0, (-6.0, 14.0), 4.0),
 ]
 
 
 class TestOrthonormalSpan:
-    """The Gram-eigenvector basis with one Cholesky pass against the thin
-    SVD: orthonormal to rounding, the SVD's rank and span, and the same frame
+    """The Gram-eigenvector basis of a real cosine-sine spanning set, with one
+    Cholesky pass, against the thin SVD of the literal complex set:
+    orthonormal to rounding, the SVD's rank and span, and the same frame
     bounds and Gabor condition."""
 
     @staticmethod
-    def check_against_svd(basis, cutoff, q):
-        assert q.shape[0] == basis.shape[0]
+    def check_against_svd(spanning, cutoff, q):
+        assert q.shape[0] == spanning.shape[0]
         assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))) <= 1e-13
-        oracle = svd_span(basis, cutoff)
+        oracle = svd_span(spanning, cutoff)
         assert q.shape[1] == oracle.shape[1]
         assert np.linalg.norm(oracle @ (oracle.conj().T @ q) - q, 2) <= 1e-8
         return oracle
 
     @pytest.mark.parametrize("case", TAPER_CASES)
     def test_taper_subspace_matches_svd(self, case):
-        spec, nodes, delta, half, margin = case
+        spec, nodes, delta, side, margin = case
         grid = geo.build_grid(spec, nodes)
-        e_set = generate_jittered_grid(delta, 0.1 * delta, [[-half, half]] * spec.dim, seed=1)
-        basis, _, cutoff, q = spanned_basis(frames, frames.interior_taper_subspace,
-                                            grid, e_set.window, margin=margin)
+        e_set = generate_jittered_grid(delta, 0.1 * delta, [side] * spec.dim, seed=1)
+        _, cutoff, q = spanned_basis(frames, frames.interior_taper_subspace,
+                                     grid, e_set.window, margin=margin)
         assert cutoff == 1e-3
-        oracle = self.check_against_svd(basis, cutoff, q)
+        oracle = self.check_against_svd(taper_set(grid, e_set.window, margin), cutoff, q)
         got, expect = (frames.frame_bounds(e_set, grid, subspace=s) for s in (q, oracle))
         assert got.upper == pytest.approx(expect.upper, rel=1e-10, abs=0.0)
         assert got.lower == pytest.approx(expect.lower, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("case", TAPER_CASES)
-    def test_taper_gram_from_toeplitz_rows_matches_product(self, case):
-        spec, nodes, _, half, margin = case
+    def test_taper_real_basis_keeps_complex_singular_values(self, case):
+        spec, nodes, _, side, margin = case
         grid = geo.build_grid(spec, nodes)
-        basis, gram, _, _ = spanned_basis(frames, frames.interior_taper_subspace,
-                                          grid, [[-half, half]] * spec.dim, margin=margin)
-        product = basis.conj().T @ basis
-        assert np.max(np.abs(gram - product)) <= 1e-13 * np.max(np.abs(product))
+        window = [side] * spec.dim
+        basis, _, _ = spanned_basis(frames, frames.interior_taper_subspace,
+                                    grid, window, margin=margin)
+        assert np.isrealobj(basis)
+        got, expect = (np.linalg.svd(b, compute_uv=False)
+                       for b in (basis, taper_set(grid, window, margin)))
+        assert np.max(np.abs(got - expect)) <= 1e-12 * expect[0]
 
     @pytest.mark.parametrize("step", [0.1, 0.025])
     def test_gabor_reference_subspace_matches_svd(self, step):
         grid = tfm.UniformGrid.symmetric(8.0, step)
-        basis, _, cutoff, q = spanned_basis(tfm, tfm.reference_test_subspace, grid, 3.0, 1.5)
-        assert cutoff == 1e-2
-        oracle = self.check_against_svd(basis, cutoff, q)
+        basis, cutoff, q = spanned_basis(tfm, tfm.reference_test_subspace, grid, 3.0, 1.5)
+        assert cutoff == 1e-2 and np.isrealobj(basis)
         g0 = tfm.gaussian_window(step=step)
+        atoms = tfm._atom_matrix(grid, g0, tfm.phase_lattice(0.5, 0.5, 3.0, 1.5))
+        oracle = self.check_against_svd(atoms * np.sqrt(step), cutoff, q)
         for samples in (tfm.phase_lattice(0.5, 0.5, 5.0, 3.0),
                         tfm.phase_lattice(0.5, 0.5, 5.0, 3.0, jitter=0.1, seed=3)):
             got, expect = (tfm.gabor_frame_condition(grid, g0, samples, s) for s in (q, oracle))
