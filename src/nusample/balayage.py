@@ -6,11 +6,12 @@ realized here as a finite fit: find real coefficients a_x with
     sum_{x in E} a_x exp(-2 pi i x . g)  ~  exp(-2 pi i y . g)
 
 on a quadrature grid over the enlarged spectrum.  The fit is an l1-regularized
-least-squares problem solved by iteratively reweighted least squares; it
-succeeds only when the sup-norm residual over the grid meets the requested
-tolerance, which is the empirical stand-in for "balayage is possible at this
-density".  The maximal l1 coefficient mass over a sample of centers estimates
-the balayage constant of the pair (E, enlarged spectrum).
+least-squares problem solved by iteratively reweighted least squares from a
+damped (Tikhonov) least-squares start, continuous in the data; it succeeds
+only when the sup-norm residual over the grid meets the requested tolerance,
+the empirical stand-in for "balayage is possible at this density".  The
+maximal l1 coefficient mass over a sample of centers estimates the balayage
+constant of the pair (E, enlarged spectrum).
 
 The window h that glues the swept coefficients into a pointwise identity has
 h(0) = 1 and a transform supported exactly in the closed eps-ball.  It is
@@ -33,7 +34,7 @@ from .geometry import SpectralGrid, as_points
 from .sampling import SamplingSet
 from .spectral import TrigPolynomial, eval_trigpoly, exp_sum, exp_table
 
-_SVD_CUTOFF = 1e-10   # relative singular-value cutoff of the least-squares start
+_DAMPING = 1e-8   # of the least-squares start, relative to the largest singular value
 # Panel width of the per-step triangular-pentagonal QR.  scipy's LAPACK links
 # its own OpenBLAS beside numpy's.  At wider panels its block updates thread,
 # and with 2 OpenBLAS threads the two pools then contend for the cores: on a
@@ -204,11 +205,11 @@ class BalayageSolver:
     """Shared machinery for repeated sweeps of different centers onto one set.
 
     Precomputes one thin SVD U diag(s) V^T of the stacked real form [Re; Im]
-    of the square-root-weighted exponential system, which gives the truncated
-    pseudo-inverse of the real least-squares start, and one QR factorization
-    diag(s) V^T = Q R, whose triangle R every reweighted step starts from;
-    memoizes solutions per center.  Individual solves are deterministic and
-    independent of one another: each only reads the precomputed factors.
+    of the square-root-weighted exponential system, which gives the damped
+    inverse V diag(s / (s^2 + mu^2)) U^T, mu = 1e-8 s_0, of the real
+    least-squares start, and one QR diag(s) V^T = Q R, whose triangle R every
+    reweighted step starts from; memoizes solutions per center.  Solves are
+    deterministic and independent: each only reads the precomputed factors.
     """
 
     def __init__(self, sampling_set: SamplingSet, grid: SpectralGrid,
@@ -222,18 +223,15 @@ class BalayageSolver:
         self.eta = float(eta)
         self.reg = float(reg)
         self.max_irls = int(max_irls)
-        # scipy's compiled LAPACK wrappers, without the scipy.linalg package
         self._tpqrt, self._trtrs = _lapack_routines()
         self._phi = exp_table(sampling_set.points, grid.nodes, sign=-1).T   # (nodes, points)
         self._sqw = np.sqrt(grid.weights)
-        # thin SVD of the stacked weighted system: reweighted steps solve on
-        # diag(s) V^T and never square the condition number through the Gram
-        # matrix; the truncated pseudo-inverse is shared across solves
+        # thin SVD of the stacked weighted system, shared by the damped start
+        # and the steps, which solve on diag(s) V^T and never square its condition
         weighted = self._sqw[:, None] * self._phi
         stacked = np.concatenate([weighted.real, weighted.imag])   # (2 nodes, points)
         u, s, vt = np.linalg.svd(stacked, full_matrices=False)
-        keep = s > _SVD_CUTOFF * s[0]
-        self._pinv = (vt[keep].T / s[keep]) @ u[:, keep].T
+        self._start = (vt.T * (s / (s**2 + (_DAMPING * s[0]) ** 2))) @ u.T
         # diag(s) V^T = Q R, once: the top (n+1) x (n+1) block of each step's
         # [R, Q^T U^T c; 0, 0] is upper triangular, with zero rows below row
         # k when the stacked system has fewer rows k than points n
@@ -250,10 +248,10 @@ class BalayageSolver:
     def solve_rhs(self, b: np.ndarray) -> BalayageSolution:
         """Real l1-regularized weighted least squares against any target.
 
-        Starts from the truncated-SVD least-squares solution of the weighted
-        exponential system (relative singular-value cutoff 1e-10) and, when
-        the l1 weight is positive, polishes it by iteratively reweighted
-        least squares towards a stationary point of
+        Starts from the damped least-squares solution V diag(s / (s^2 + mu^2))
+        U^T c, mu = 1e-8 s_0 (c and the SVD as below), and, when the l1 weight
+        is positive, polishes it by iteratively reweighted least squares
+        towards a stationary point of
 
             || sqrt(w) (Phi a - b) ||^2 + reg * sum |a_x| ,   a real.
 
@@ -286,7 +284,7 @@ class BalayageSolver:
         """
         wb = self._sqw * b
         c = np.concatenate([wb.real, wb.imag])   # the stacked real right-hand side
-        a0 = self._pinv @ c
+        a0 = self._start @ c
         r0 = float(np.max(np.abs(self._phi @ a0 - b)))
         if self.reg <= 0:
             return BalayageSolution(a0, r0, iterations=0, converged=True, reweighted=False)

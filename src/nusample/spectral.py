@@ -13,22 +13,20 @@ spectrum) are kept separate because their time evaluation is exact.
 Every table of sampled exponentials exp(+-2 pi i x . g) in the package comes
 from :func:`exp_table`: on lattice nodes it multiplies per-axis tables, each
 the product of two tables of about sqrt(n) columns (the chirp-z split, exact
-up to rounding); other nodes, and lattice subsets so sparse that the factor
-tables would hold more columns than there are nodes or their split's box
-more than 32 cells per node, get the dense :func:`_exp_matrix`, which is
+up to rounding), which a running product along their columns fills from 3
+exponentials per point; other nodes, and lattice subsets so sparse that the
+factor tables would hold more columns than there are nodes or their split's
+box more than 32 cells per node, get the dense :func:`_exp_matrix`, which is
 also the reference the builder is tested against.  Sums against the
 exponentials never form the table, and only this module knows the split:
 :func:`exp_sum` (time evaluation), :func:`lattice_sums` (Toeplitz kernels)
 and :func:`box_gram` (full-box frame bounds) are the factored sums of the
 ACT method of Feichtinger, Groechenig and Strohmer.
 
-The builder remembers its inputs, so repeated calls on one sampling set and
-one spectral grid (frame bounds, then analysis of many signals, then
-reconstruction) build nothing twice: :func:`_lattice_indices` keeps its
-result for the last 8 node arrays, first in first out, keyed on their dtype,
-shape and bytes, and :func:`_exp_factors` keeps the last pair of tables it
-built for each lattice axis, keyed on the bytes of the points and on origin,
-step and column count, so a 1-d lattice keeps one pair.
+The builder remembers its inputs, the lattice of each of the last 8 node
+arrays (:func:`_lattice_indices`) and the last factor pair of each lattice
+axis (:func:`_exp_factors`), so repeated calls on one sampling set and one
+grid (frame bounds, analyses, a reconstruction) build nothing twice.
 Remembered arrays are read-only; a miss rebuilds them with the same
 arithmetic, so no result depends on what was built before.
 
@@ -56,6 +54,7 @@ _factor_memo: dict = {}    # axis -> (key, (A, B)) of its last _exp_factors buil
 # exp_table's factored table stayed the cheaper up to 512
 _BOX_CELLS_PER_NODE = 32
 _MAX_ENTRIES = 2**24   # per table or Gram of exp_table, exp_sum or box_gram
+_FACTOR_EXPONENTIALS = 3   # per point of one _exp_factors pair
 # rows per block of the lattice sums: with numpy's OpenBLAS 0.3.31, products
 # over 128 rows or fewer were bitwise equal at 1 and 2 threads, longer ones not
 _SUM_ROWS = 64
@@ -83,21 +82,24 @@ def _exp_factors(x: np.ndarray, origin: float, step: float, n: int, axis: int = 
     """Two factor tables of exp(2 pi i x (origin + k step)) for k < n.
 
     With J = ceil(sqrt(n)) and k = J q + j (j < J), the entry for k is
-    A[:, q] * B[:, j] with A = exp(2 pi i x J step q) and
-    B = exp(2 pi i x (origin + j step)).  Returns (A, B), shapes
-    (len(x), ceil(n/J)) and (len(x), J), read-only: the last pair built for
-    the lattice ``axis`` is returned again while the bytes of x, origin,
-    step and n are the same.
+    A[:, q] * B[:, j] with A[:, q] = exp(2 pi i x J step)^q and B[:, j] =
+    exp(2 pi i x origin) exp(2 pi i x step)^j, each filled from its first
+    column by one in-place running product: 3 exponentials per point, for
+    any n.  Returns (A, B), shapes (len(x), ceil(n/J)) and (len(x), J),
+    read-only: the last pair built for the lattice ``axis`` is returned
+    again while the bytes of x, origin, step and n are the same.
     """
     key = (x.tobytes(), origin, step, n)
     kept = _factor_memo.get(axis)
     if kept is not None and kept[0] == key:
         return kept[1]
     q_count, j_count = _factor_columns(n)
-    q = np.arange(q_count)
-    a = np.exp(2j * np.pi * np.outer(x, j_count * step * q))
-    b = np.exp(2j * np.pi * np.outer(x, origin + step * np.arange(j_count)))
-    a.flags.writeable = b.flags.writeable = False
+    a, b = (np.repeat(np.exp(2j * np.pi * x * ratio)[:, None], cols, axis=1)
+            for ratio, cols in ((j_count * step, q_count), (step, j_count)))
+    a[:, 0], b[:, 0] = 1.0, np.exp(2j * np.pi * x * origin)
+    for table in (a, b):
+        np.cumprod(table, axis=1, out=table)
+        table.flags.writeable = False
     _factor_memo[axis] = key, (a, b)
     return _factor_memo[axis][1]
 

@@ -715,8 +715,8 @@ class TestSharedSampleTables:
         e_set = generate_jittered_grid(0.4, 0.1, [[-80.0, 80.0]], seed=3)
         for seed in range(6):
             samples = frames.analysis(spc.random_coeff_signal(grid, seed), e_set)
-        # one pair of factor tables: (ceil(n / J) + J) exponentials per point
-        assert spectral_exps.exponentials == e_set.size * sum(spc._factor_columns(grid.size))
+        # one pair of factor tables
+        assert spectral_exps.exponentials == e_set.size * spc._FACTOR_EXPONENTIALS
         before = spectral_exps.exponentials
         res = frames.reconstruct(samples, grid, tol=1e-9)
         assert res.method == "toeplitz-fft" and res.converged
@@ -732,15 +732,14 @@ class TestSharedSampleTables:
             samples = frames.analysis(spc.random_coeff_signal(grid, seed), e_set)
         box = spc._lattice_indices(grid.nodes)[0].max(axis=0) + 1
         # one pair of factor tables per axis
-        assert spectral_exps.exponentials == e_set.size * sum(
-            sum(spc._factor_columns(int(n))) for n in box)
+        assert spectral_exps.exponentials == e_set.size * len(box) * spc._FACTOR_EXPONENTIALS
         before = spectral_exps.exponentials
         res = frames.reconstruct(samples, grid, tol=1e-9)
         assert res.method == "toeplitz-fft" and res.converged
         # the phases, and the last axis over its 2 n - 1 difference steps; the
         # tables of axis 0 are the ones analysis built
         assert spectral_exps.exponentials - before == e_set.size * (
-            1 + sum(spc._factor_columns(2 * int(box[1]) - 1)))
+            1 + spc._FACTOR_EXPONENTIALS)
         spc._factor_memo.clear()
         fresh = frames.reconstruct(samples, grid, tol=1e-9)
         assert np.array_equal(res.signal.coeffs, fresh.signal.coeffs)

@@ -309,10 +309,10 @@ class TestCheckTables:
         terms = len(symbol.terms)
 
         def grid_tables(y, gamma):   # U, and the kernel from its two factor tables
-            return terms * y.count + gamma.size * sum(spc._factor_columns(y.count))
+            return terms * y.count + gamma.size * spc._FACTOR_EXPONENTIALS
 
         def point_tables(x, gamma):   # U_x, and the phases from their two factor tables
-            return x.size * (terms + sum(spc._factor_columns(gamma.size)))
+            return x.size * (terms + spc._FACTOR_EXPONENTIALS)
 
         # each change rebuilds the tables of the roles whose key it is part of
         changes = [("grid", {"grid": grid}, grid_tables(grid, self.GAMMA)),

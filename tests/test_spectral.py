@@ -261,6 +261,27 @@ class TestExpTable:
         x = np.random.default_rng(0).uniform(-10.0, 10.0, (7, 2))
         assert np.all(np.abs(spc.exp_table(x, nodes) - spc._exp_matrix(x, nodes)) <= 1e-12)
 
+    # the reconstruct benchmark's 1,024 and 2,047 difference columns at |x| <= 640,
+    # frame bounds at 4,096 nodes, and the balayage system of 81 points by 384
+    @pytest.mark.parametrize("half,origin,n", [(640.0, -0.5, 1024), (640.0, -1.0, 2047),
+                                               (80.0, -0.5, 4096), (20.0, -0.2625, 384)])
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="no extended precision for the reference")
+    def test_factored_table_matches_long_double_reference(self, half, origin, n):
+        # each entry is off by about eps times its phase 2 pi x (origin + k step),
+        # the rounding of that phase: measured at most 1.05 eps times the largest
+        # phase here, and 2.54 for a builder taking one exponential per column
+        x = np.random.default_rng(n).uniform(-half, half, 400)
+        step = -2.0 * origin / n
+        a, b = spc._exp_factors(x, origin, step, n)
+        got = spc._factored_table(x.size, [(np.arange(n), a, b)])
+        turns = x.astype(np.longdouble)[:, None] * (
+            np.longdouble(origin) + np.arange(n, dtype=np.longdouble) * np.longdouble(step))
+        turns -= np.rint(turns)
+        expect = np.exp(1j * (2 * np.pi * turns.astype(float)))
+        phase = 2 * np.pi * np.max(np.abs(x)) * max(abs(origin), abs(origin + (n - 1) * step))
+        assert np.max(np.abs(got - expect)) <= 4 * np.finfo(float).eps * phase
+
     def test_sparse_lattice_subset_builds_dense(self, monkeypatch):
         # three nodes on a lattice of step 1e-6: the two factor tables would
         # hold 2,001 columns where the dense table holds 3
